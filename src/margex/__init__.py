@@ -7,8 +7,8 @@ The package has four functional layers:
   independence defects.
 * :mod:`margex.extension` -- building a single measure with prescribed
   marginals: inclusion-exclusion common extensions, norm-controlled right
-  inverses of projection operators, the one-coordinate extension step, a
-  whole-window driver, and an LP feasibility oracle.
+  inverses of projection operators, one extension step and one window loop
+  behind the dense and chain drivers, and an LP feasibility oracle.
 * :mod:`margex.towers` -- finite towers with equal-mass fiber atoms, name
   distributions of labeled partitions, correcting measures, painting names on
   towers, and exact fiber surgery.

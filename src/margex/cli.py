@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -41,6 +40,7 @@ from .towers import (
     flag_dependent_shifts,
     iterate_krengel,
     paint_tower,
+    seeded_permutation_transfer,
     uniform_random_partition,
 )
 
@@ -88,10 +88,7 @@ def _tower_from_spec(spec: dict) -> tuple[TowerSpec, LabeledPartition]:
         transfer = None
     elif isinstance(transfer_spec, str) and transfer_spec.startswith("seeded_permutation:"):
         seed = int(transfer_spec.split(":", 1)[1])
-        rng = np.random.default_rng(seed)
-        transfer = np.stack(
-            [rng.permutation(atoms).astype(np.int32) for _ in range(height - 1)]
-        )
+        transfer = seeded_permutation_transfer(height, atoms, seed)
     else:
         raise DomainError(f"unknown transfer spec {transfer_spec!r}")
     flags = spec.get("flags", {})
@@ -263,7 +260,6 @@ def main(argv: list[str] | None = None) -> int:
         "version": __version__,
         "seed": args.seed,
         "tolerance": args.tol,
-        "mf_threads": int(os.environ.get("MF_THREADS", "1")),
         "input_digest": None,
     }
     if not args.no_timestamp:

@@ -5,8 +5,9 @@ Two routes are provided and kept deliberately independent of each other:
 * the constructive engine: an inclusion-exclusion common extension for
   consistent signed families, a norm-controlled right inverse of the
   projection operator onto a target family, and a coordinate-by-coordinate
-  extension driver that keeps every partial measure consistent with the
-  prescriptions and approximately independent;
+  extension (one step, one loop; the dense and chain forms differ only in how
+  much of the past they keep) that keeps every partial measure consistent
+  with the prescriptions and approximately independent;
 * a brute-force linear-feasibility oracle that decides the same question on
   small windows without sharing any code with the engine.
 
@@ -43,9 +44,9 @@ from .measures import (
     IndexLike,
     IndexSet,
     MarginalFamily,
+    conditional_rows,
     consistency_gap,
     delta_independence,
-    product_measure,
     project,
     relative_product,
     sup_distance,
@@ -333,18 +334,18 @@ def _fix_last_coordinate(m: DenseMeasure, n: int, symbol: int) -> DenseMeasure:
     return DenseMeasure(m.alphabet, m.support.difference((n,)), sub.reshape(-1), "signed")
 
 
-def _sigma_step(family, prior_support, n, marginal_of, tol, pos_tol=None):
+def _sigma_step(family, lam, n, tol, pos_tol=None):
     """Construct the prospective marginal on the reach of coordinate ``n``.
 
-    ``marginal_of(J)`` must return the current partial measure's projection
-    onto ``J``. Returns ``(sigma, ExtensionStep)`` where ``sigma`` lives on
-    the union of the clipped member supports through ``n``. Negative cells
-    beyond ``pos_tol`` (default ``tol``) are a hard error; smaller ones are
-    clipped, renormalized, and recorded on the step.
+    ``lam`` holds at least the prior coordinates of the members through
+    ``n``. Returns ``(sigma, ExtensionStep)`` where ``sigma`` lives on the
+    union of the clipped member supports through ``n``. Negative cells beyond
+    ``pos_tol`` (default ``tol``) are a hard error; smaller ones are clipped,
+    renormalized, and recorded on the step.
     """
     alphabet = family.alphabet
     members_n = sorted(family.members_containing(n), key=lambda mu: mu.support.indices)
-    extended = prior_support.union((n,))
+    extended = lam.support.union((n,))
 
     slice_sources: dict[tuple[int, ...], DenseMeasure] = {}
     for mu in members_n:
@@ -373,7 +374,7 @@ def _sigma_step(family, prior_support, n, marginal_of, tol, pos_tol=None):
         project(slice_sources[t.union((n,)).indices], t) for t in target_sets
     ]
     op = ProjectionOperator(alphabet, r_bar, target_sets)
-    v = marginal_of(r_bar)
+    v = project(lam, r_bar)
     # anchor at the prior measure's own projections, which match the members'
     # marginals exactly in exact arithmetic; any quantization drift between
     # the two is measured and absorbed into the identity tolerances below
@@ -434,13 +435,12 @@ def _sigma_step(family, prior_support, n, marginal_of, tol, pos_tol=None):
             )
 
     # defect of the fresh coordinate against the atoms of A^{r_bar}
-    arr = np.moveaxis(sigma_arr, n_pos, -1).reshape(-1, alphabet.size)
-    row_mass = arr.sum(axis=1)
+    rows, row_mass = conditional_rows(sigma, n)
     n_marg = project(sigma, (n,)).table
     good = row_mass > 0.0
     if not np.any(good):
         raise SingularityError("all atoms of the overlap have zero mass")
-    cond = arr[good] / row_mass[good, None]
+    cond = rows[good] / row_mass[good, None]
     beta_defect = float(np.max(np.abs(cond - n_marg[None, :])))
 
     step = ExtensionStep(
@@ -456,6 +456,61 @@ def _sigma_step(family, prior_support, n, marginal_of, tol, pos_tol=None):
         restriction_gap=back,
     )
     return sigma, step
+
+
+def _extension_step(family, lam, n, beta, tol, pos_tol):
+    """Extend ``lam`` by coordinate ``n``; the step of every driver.
+
+    ``beta=None`` records the defect without enforcing it. The glue tolerance
+    admits the step's restriction gap only when ``pos_tol`` allows clipping.
+    """
+    if not family.members_containing(n):
+        sigma = DenseMeasure.uniform(family.alphabet, (n,))
+        step = ExtensionStep(
+            index=n,
+            s_bar=sigma.support,
+            r_bar=EMPTY,
+            sigma=sigma,
+            positivity_margin=1.0 / family.alphabet.size,
+            beta_defect=0.0,
+            b_norm=1.0,
+            trivial=True,
+        )
+        return tensor(lam, sigma), step
+
+    sigma, step = _sigma_step(family, lam, n, tol, pos_tol)
+    if beta is not None and step.beta_defect > beta + tol:
+        raise IndependenceError(
+            f"coordinate {n} is only {step.beta_defect}-independent of the prior block "
+            f"(budget {beta})",
+            defect=step.beta_defect,
+            budget=beta,
+            index=n,
+        )
+    glue_tol = max(tol, 1e-7)
+    if pos_tol is not None:
+        glue_tol = max(glue_tol, 2.0 * step.restriction_gap)
+    return relative_product(lam, sigma, tol=glue_tol), step
+
+
+def _extend(family, window, beta, tol, pos_tol, span):
+    """The coordinate-extension loop: ``(final measure, steps)``.
+
+    ``span=None`` keeps every coordinate (dense); an integer keeps only the
+    trailing ``span`` (chain). A failing step's error names its coordinate.
+    """
+    lam = DenseMeasure.unit(family.alphabet)
+    steps = []
+    for n in window:
+        try:
+            lam, step = _extension_step(family, lam, n, beta, tol, pos_tol)
+        except (PositivityError, IndependenceError, ConsistencyError, SingularityError) as err:
+            err.args = (f"extension failed at coordinate {n}: {err}", *err.args[1:])
+            raise
+        steps.append(step)
+        if span is not None:
+            lam = project(lam, IndexSet.of({i for i in lam.support if i > n - span}))
+    return lam, tuple(steps)
 
 
 def extend_one_index(
@@ -477,34 +532,7 @@ def extend_one_index(
         raise DomainError(f"coordinate {n} already belongs to the partial measure")
     if lam.kind != "probability":
         raise DomainError("partial measure must be a probability measure")
-
-    if not family.members_containing(n):
-        lam_next = tensor(lam, DenseMeasure.uniform(family.alphabet, (n,)))
-        step = ExtensionStep(
-            index=n,
-            s_bar=IndexSet.of((n,)),
-            r_bar=EMPTY,
-            sigma=DenseMeasure.uniform(family.alphabet, (n,)),
-            positivity_margin=1.0 / family.alphabet.size,
-            beta_defect=0.0,
-            b_norm=1.0,
-            trivial=True,
-        )
-        return lam_next, step
-
-    sigma, step = _sigma_step(
-        family, lam.support, n, lambda J: project(lam, J), tol
-    )
-    if step.beta_defect > beta + tol:
-        raise IndependenceError(
-            f"coordinate {n} is only {step.beta_defect}-independent of the prior block "
-            f"(budget {beta})",
-            defect=step.beta_defect,
-            budget=beta,
-            index=n,
-        )
-    lam_next = relative_product(lam, sigma, tol=max(tol, 1e-7))
-    return lam_next, step
+    return _extension_step(family, lam, n, beta, tol, None)
 
 
 def extend_family(
@@ -515,8 +543,8 @@ def extend_family(
 ) -> tuple[DenseMeasure, ExtensionTrace]:
     """Extend the family to one measure on the whole window, low index first.
 
-    Starts from the trivial measure on no coordinates and applies
-    :func:`extend_one_index` for each window coordinate in ascending order.
+    Starts from the trivial measure on no coordinates and takes one extension
+    step per window coordinate in ascending order, keeping every coordinate.
     Raises with the failing coordinate attached if a step loses positivity or
     exceeds the independence budget.
     """
@@ -525,53 +553,24 @@ def extend_family(
         raise DomainError("window must contain every member support")
     if family.alphabet.size ** len(window) > CELL_CAP:
         raise CapacityError(f"window of {len(window)} coordinates exceeds the dense cap")
-    lam = DenseMeasure.unit(family.alphabet)
-    steps = []
-    for n in window:
-        try:
-            lam, step = extend_one_index(family, lam, n, beta, tol=tol)
-        except (PositivityError, IndependenceError, ConsistencyError, SingularityError) as err:
-            raise type(err)(f"extension failed at coordinate {n}: {err}") from err
-        steps.append(step)
-    return lam, ExtensionTrace(tuple(steps), lam)
+    lam, steps = _extend(family, window, beta, tol, None, None)
+    return lam, ExtensionTrace(steps, lam)
 
 
 # -- streaming extension with bounded memory -------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class ChainKernel:
-    """Conditional law of one coordinate given a bounded window of the past."""
-
-    index: int
-    r_bar: IndexSet
-    sigma: DenseMeasure
-
-    def conditional_table(self) -> np.ndarray:
-        """Rows: lexicographic cells of ``A^r_bar``; columns: symbol law."""
-        size = self.sigma.alphabet.size
-        pos = self.sigma.support.position(self.index)
-        arr = np.moveaxis(self.sigma.as_array(), pos, -1).reshape(-1, size)
-        mass = arr.sum(axis=1)
-        if np.any(mass <= 0.0):
-            raise SingularityError(
-                f"kernel at coordinate {self.index} conditions on a zero-mass cell"
-            )
-        return arr / mass[:, None]
-
-
-@dataclass(frozen=True, eq=False)
 class ChainExtension:
-    """A window measure represented by per-coordinate kernels.
+    """A window measure represented by its extension steps.
 
-    Equivalent to the dense extension but never materializes more than the
-    trailing ``span`` coordinates, so it scales to windows whose full table
-    would be astronomically large.
+    Each step is a kernel ``(index, r_bar, sigma)``. The dense extension takes
+    the same steps, but the chain never kept more than the trailing ``span``
+    coordinates, so it scales to windows whose full table would be huge.
     """
 
     family: MarginalFamily
     window: IndexSet
     span: int
-    kernels: tuple[ChainKernel, ...]
     steps: tuple[ExtensionStep, ...]
 
     def marginal(self, target: IndexLike) -> DenseMeasure:
@@ -581,9 +580,9 @@ class ChainExtension:
             raise DomainError("target must lie inside the window")
         state = DenseMeasure.unit(self.family.alphabet)
         done_upto = None
-        for kernel in self.kernels:
-            n = kernel.index
-            state = relative_product(state, kernel.sigma, tol=1e-6)
+        for step in self.steps:
+            n = step.index
+            state = relative_product(state, step.sigma, tol=1e-6)
             keep = {
                 i
                 for i in state.support
@@ -613,11 +612,10 @@ def extend_family_chain(
 ) -> ChainExtension:
     """Window extension in kernel form with bounded-memory forward state.
 
-    The conditional law of each fresh coordinate depends only on coordinates
-    within the widest member span, so the driver keeps just that trailing
-    marginal. With ``beta=None`` the per-step defect is recorded but not
-    enforced. ``pos_tol`` bounds the per-step negativity that is clipped
-    rather than fatal.
+    The same loop as :func:`extend_family`, keeping only the trailing marginal
+    over the widest member span. With ``beta=None`` the per-step defect is
+    recorded but not enforced. ``pos_tol`` bounds the per-step negativity
+    that is clipped rather than fatal.
     """
     window = IndexSet.of(window)
     if not family.union_support().issubset(window):
@@ -628,44 +626,8 @@ def extend_family_chain(
             span = max(span, max(mu.support) - min(mu.support))
     if family.alphabet.size ** (span + 1) > CELL_CAP:
         raise CapacityError("member span exceeds the streaming state cap")
-
-    state = DenseMeasure.unit(family.alphabet)
-    kernels: list[ChainKernel] = []
-    steps: list[ExtensionStep] = []
-    seen: list[int] = []
-    for n in window:
-        prior = IndexSet.of(seen)
-        if family.members_containing(n):
-            sigma, step = _sigma_step(
-                family, prior, n, lambda J: project(state, J), tol, pos_tol
-            )
-        else:
-            sigma = DenseMeasure.uniform(family.alphabet, (n,))
-            step = ExtensionStep(
-                index=n,
-                s_bar=IndexSet.of((n,)),
-                r_bar=EMPTY,
-                sigma=sigma,
-                positivity_margin=1.0 / family.alphabet.size,
-                beta_defect=0.0,
-                b_norm=1.0,
-                trivial=True,
-            )
-        if beta is not None and step.beta_defect > beta + tol:
-            raise IndependenceError(
-                f"coordinate {n}: defect {step.beta_defect} over budget {beta}",
-                defect=step.beta_defect,
-                budget=beta,
-                index=n,
-            )
-        kernels.append(ChainKernel(n, step.r_bar, sigma))
-        steps.append(step)
-        glue_tol = max(tol, 1e-7, 2.0 * step.restriction_gap)
-        state = relative_product(state, sigma, tol=glue_tol)
-        keep = IndexSet.of({i for i in state.support if i > n - span})
-        state = project(state, keep)
-        seen.append(n)
-    return ChainExtension(family, window, span, tuple(kernels), tuple(steps))
+    _, steps = _extend(family, window, beta, tol, pos_tol, span)
+    return ChainExtension(family, window, span, steps)
 
 
 # -- linear-feasibility oracle ----------------------------------------------------

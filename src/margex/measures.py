@@ -372,17 +372,21 @@ def relative_product(
 
 # -- approximate independence -------------------------------------------------
 
+def conditional_rows(m: DenseMeasure, coord: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows: lexicographic cells of the other coordinates; columns: symbols
+    of ``coord``. Also each row's mass; zero-mass rows are the caller's."""
+    arr = np.moveaxis(m.as_array(), m.support.position(coord), -1)
+    rows = arr.reshape(-1, m.alphabet.size)
+    return rows, rows.sum(axis=1)
+
+
 def _block_defect(m: DenseMeasure, prefix: tuple[int, ...], nxt: int) -> float | None:
     """Worst conditional gap of coordinate ``nxt`` given the atoms of ``prefix``.
 
     Returns ``None`` when some prefix atom has zero mass, in which case no
     conditional is defined there.
     """
-    joint = project(m, prefix + (nxt,))
-    axis = joint.support.position(nxt)
-    arr = np.moveaxis(joint.as_array(), axis, -1)
-    rows = arr.reshape(-1, m.alphabet.size)
-    row_mass = rows.sum(axis=1)
+    rows, row_mass = conditional_rows(project(m, prefix + (nxt,)), nxt)
     if np.any(row_mass <= 0.0):
         return None
     marg = project(m, (nxt,)).table

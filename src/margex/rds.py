@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError, WindowError
-from .towers import FiberSpace, TowerSpec
+from .towers import FiberSpace, TowerSpec, seeded_permutation_transfer
 
 
 class Cocycle:
@@ -362,10 +362,7 @@ def build_tower_from_base(
             [((idx + int(orbit[j])) % n).astype(np.int32) for j in range(height - 1)]
         )
     elif fiber_rule == "seeded_permutation":
-        rng = np.random.default_rng(seed)
-        transfer = np.stack(
-            [rng.permutation(n).astype(np.int32) for _ in range(height - 1)]
-        )
+        transfer = seeded_permutation_transfer(height, n, seed)
     else:
         raise DomainError(f"unknown fiber rule {fiber_rule!r}")
     return TowerSpec(height, FiberSpace(n), transfer)

@@ -27,9 +27,10 @@ from .errors import (
     MixingSupplyError,
     PositivityError,
     QuantizationError,
+    SingularityError,
     WindowError,
 )
-from .extension import ChainExtension, extend_family_chain
+from .extension import ChainExtension, ExtensionStep, extend_family_chain
 from .measures import (
     DEFAULT_TOL,
     Alphabet,
@@ -37,6 +38,7 @@ from .measures import (
     IndexLike,
     IndexSet,
     MarginalFamily,
+    conditional_rows,
     delta_independence,
     product_measure,
     sup_distance,
@@ -132,6 +134,16 @@ class TowerSpec:
         )
 
 
+def seeded_permutation_transfer(height: int, atoms: int, seed: int) -> np.ndarray:
+    """Transfer maps of a tower whose every level step is a fresh seeded
+    permutation of the atoms, drawn in level order; ``(0, atoms)`` at height 1."""
+    rng = np.random.default_rng(seed)
+    transfer = np.empty((max(height - 1, 0), atoms), dtype=np.int32)
+    for row in transfer:
+        row[:] = rng.permutation(atoms)
+    return transfer
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledPartition:
     """Symbol assignment ``labels[level][atom]`` over a tower's atoms."""
@@ -205,6 +217,11 @@ def _window_codes(base_labels: np.ndarray, levels: Sequence[int], size: int) -> 
     return codes
 
 
+def _joint_counts(base: np.ndarray, levels: Sequence[int], size: int) -> np.ndarray:
+    codes = _window_codes(base, levels, size)
+    return np.bincount(codes, minlength=size ** len(levels))
+
+
 def name_distribution(
     tower: TowerSpec,
     partition: LabeledPartition,
@@ -226,12 +243,10 @@ def name_distribution(
     base = base_aligned_labels(tower, partition)
     levels = [base_level + k for k in offsets]
     size = partition.alphabet.size
-    codes = _window_codes(base, levels, size)
-    counts = np.bincount(codes, minlength=size ** len(levels))
     return DenseMeasure(
         partition.alphabet,
         offsets.shift(base_level),
-        counts / tower.atom_count,
+        _joint_counts(base, levels, size) / tower.atom_count,
         "probability",
         tol=1e-12,
     )
@@ -243,6 +258,16 @@ def choose_eta(alpha: float, k: int, delta: float, epsilon: float) -> float:
     if alpha <= 0 or delta <= 0 or epsilon <= 0 or k <= 0:
         raise DomainError("all arguments must be positive")
     return 0.1 * (alpha ** (k + 1) / 2.0) * delta * epsilon
+
+
+def _blend_correction(
+    prod: np.ndarray, nu: np.ndarray, t: float
+) -> tuple[np.ndarray, int, float]:
+    """The table ``xi`` with ``(1 - t) * nu + t * xi = prod``, its smallest
+    cell and that cell's value."""
+    xi = (prod - (1.0 - t) * nu) / t
+    worst = int(np.argmin(xi))
+    return xi, worst, float(xi[worst])
 
 
 def correcting_measure(
@@ -275,9 +300,7 @@ def correcting_measure(
                     f"marginal on {tuple(m.support)} differs from nu's by {gap}"
                 )
     prod = product_measure(marginals)
-    xi_table = (prod.table - (1.0 - t) * nu.table) / t
-    worst = int(np.argmin(xi_table))
-    margin = float(xi_table[worst])
+    xi_table, worst, margin = _blend_correction(prod.table, nu.table, t)
     if margin < -max(tol, 1e-12):
         raise PositivityError(
             f"correcting measure has negative cell {worst} with value {margin}; "
@@ -302,9 +325,7 @@ def window_deviation(
     if len(offsets) == 1:
         return sup, 0.0
     last = max(nu.support)
-    arr = np.moveaxis(nu.as_array(), nu.support.position(last), -1)
-    rows = arr.reshape(-1, nu.alphabet.size)
-    mass = rows.sum(axis=1)
+    rows, mass = conditional_rows(nu, last)
     marg = nu.project((last,)).table
     good = mass > 0
     cond = np.max(np.abs(rows[good] / mass[good, None] - marg[None, :])) if good.any() else np.inf
@@ -379,11 +400,22 @@ def _systematic_split(sorted_order: np.ndarray, fraction: float) -> np.ndarray:
     return sorted_order[marks > 0]
 
 
+def conditional_table(step: ExtensionStep) -> np.ndarray:
+    """Kernel of one chain step: rows are the lexicographic cells of
+    ``A^r_bar``, columns the conditional law of the step's coordinate."""
+    rows, mass = conditional_rows(step.sigma, step.index)
+    if np.any(mass <= 0.0):
+        raise SingularityError(
+            f"kernel at coordinate {step.index} conditions on a zero-mass cell"
+        )
+    return rows / mass[:, None]
+
+
 def _paint_names(chain: ChainExtension, n_rows: int, seed: int) -> np.ndarray:
     """Assign one full-height name to each of ``n_rows`` slots.
 
-    Walks the chain kernels in coordinate order; at each coordinate the slots
-    are grouped by their already-assigned symbols on the kernel's conditioning
+    Walks the chain steps in coordinate order; at each coordinate the slots
+    are grouped by their already-assigned symbols on the step's conditioning
     window, and each group is split by largest remainder according to the
     kernel row, in a per-group seeded deterministic order.
     """
@@ -391,20 +423,16 @@ def _paint_names(chain: ChainExtension, n_rows: int, seed: int) -> np.ndarray:
     window = list(chain.window)
     col_of = {n: c for c, n in enumerate(window)}
     names = np.zeros((n_rows, len(window)), dtype=np.int16)
-    for kernel in chain.kernels:
-        col = col_of[kernel.index]
-        cond = kernel.conditional_table()
-        if len(kernel.r_bar) == 0:
-            group_codes = np.zeros(n_rows, dtype=np.int64)
-        else:
-            cols = [col_of[i] for i in kernel.r_bar]
-            group_codes = np.zeros(n_rows, dtype=np.int64)
-            for c in cols:
-                group_codes = group_codes * size + names[:, c]
+    for step in chain.steps:
+        col = col_of[step.index]
+        cond = conditional_table(step)
+        group_codes = np.zeros(n_rows, dtype=np.int64)
+        for i in step.r_bar:
+            group_codes = group_codes * size + names[:, col_of[i]]
         for code in np.unique(group_codes):
             members = np.flatnonzero(group_codes == code)
             counts = _apportion(cond[code], len(members))
-            rng = np.random.default_rng((seed, kernel.index, int(code)))
+            rng = np.random.default_rng((seed, step.index, int(code)))
             members = members[rng.permutation(len(members))]
             start = 0
             for symbol, cnt in enumerate(counts):
@@ -576,20 +604,18 @@ def paint_tower(
     positivity_margins: dict[int, float] = {}
     for j in valid:
         levels = [j + k for k in window]
-        kept_codes = _window_codes(base[:, kept], levels, size)
-        nu_kept = np.bincount(kept_codes, minlength=size ** len(levels)) / len(kept)
+        nu_kept = _joint_counts(base[:, kept], levels, size) / len(kept)
         prod_full = np.ones(1)
         for lvl in levels:
             prod_full = np.multiply.outer(prod_full, full_counts[lvl] / atoms).reshape(-1)
-        xi_table = (prod_full - (1.0 - t_hat) * nu_kept) / t_hat
-        margin = float(xi_table.min())
+        xi_table, worst, margin = _blend_correction(prod_full, nu_kept, t_hat)
         positivity_margins[j] = margin
         if margin < -tol:
             raise PositivityError(
                 f"shift {j} cannot be corrected at blend weight {t_hat}: "
                 f"cell margin {margin}; flag it or decrease the window deviation",
                 margin=margin,
-                cell=int(np.argmin(xi_table)),
+                cell=worst,
             )
         members.append(
             DenseMeasure(
@@ -633,11 +659,10 @@ def paint_tower(
     window_sup_gaps: dict[int, float] = {}
     for j in valid:
         levels = [j + k for k in window]
-        codes = _window_codes(new_base, levels, size)
         nu_new = DenseMeasure(
             partition.alphabet,
             window.shift(j),
-            np.bincount(codes, minlength=size ** len(levels)) / atoms,
+            _joint_counts(new_base, levels, size) / atoms,
             tol=1e-12,
         )
         window_sup_gaps[j] = sup_distance(nu_new, nu_new.product_of_marginals())
@@ -766,11 +791,6 @@ def iterate_krengel(
 
 # -- exact fiber surgery ----------------------------------------------------------------
 
-def _joint_counts(base: np.ndarray, levels: Sequence[int], size: int) -> np.ndarray:
-    codes = _window_codes(base, levels, size)
-    return np.bincount(codes, minlength=size ** len(levels))
-
-
 def _window_is_exact(
     base: np.ndarray, levels: Sequence[int], counts: np.ndarray, size: int
 ) -> bool:
@@ -778,12 +798,7 @@ def _window_is_exact(
     atoms = base.shape[1]
     joint = _joint_counts(base, levels, size)
     for cell in range(joint.size):
-        digits = []
-        c = cell
-        for _ in levels:
-            digits.append(c % size)
-            c //= size
-        digits.reverse()
+        digits = np.unravel_index(cell, (size,) * len(levels))
         expect = 1
         for lvl, a in zip(levels, digits):
             expect *= int(counts[lvl][a])
@@ -878,12 +893,7 @@ def fiber_surgery(
             exact = True
             for cell in range(n_cells):
                 num = n_y
-                digits = []
-                c = cell
-                for _ in block:
-                    digits.append(c % size)
-                    c //= size
-                digits.reverse()
+                digits = np.unravel_index(cell, (size,) * len(block))
                 for lvl, a in zip(block, digits):
                     num *= int(counts[lvl][a])
                 den = atoms ** len(block)
@@ -903,12 +913,7 @@ def fiber_surgery(
             for cell in range(n_cells):
                 chunk = members[start : start + cell_counts[cell]]
                 start += int(cell_counts[cell])
-                c = cell
-                digits = []
-                for _ in block:
-                    digits.append(c % size)
-                    c //= size
-                digits.reverse()
+                digits = np.unravel_index(cell, (size,) * len(block))
                 for lvl, a in zip(block, digits):
                     base[lvl, chunk] = a
         # per-level counts are preserved by construction; refresh defensively

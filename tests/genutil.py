@@ -16,7 +16,7 @@ from margex import (
     tensor,
     thresholds,
 )
-from margex.towers import labels_from_base
+from margex.towers import labels_from_base, seeded_permutation_transfer
 
 
 def random_measure(rng, alphabet: Alphabet, support, floor: float = 0.02) -> DenseMeasure:
@@ -84,11 +84,7 @@ def near_product_family(
 
 
 def permutation_tower(height: int, atoms: int, seed: int) -> TowerSpec:
-    rng = np.random.default_rng(seed)
-    transfer = np.stack(
-        [rng.permutation(atoms).astype(np.int32) for _ in range(height - 1)]
-    )
-    return TowerSpec(height, FiberSpace(atoms), transfer)
+    return TowerSpec(height, FiberSpace(atoms), seeded_permutation_transfer(height, atoms, seed))
 
 
 def bit_slice_partition(

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from margex.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(tmp_path, *argv):
@@ -159,6 +162,22 @@ class TestPaintAndKrengel:
         assert code == 0
         assert report["result"]["chosen_times"] == [2]
 
+    def test_paint_height_one_tower_is_usage_error(self, tmp_path):
+        spec = {
+            "tower": {
+                "height": 1,
+                "atom_count": 64,
+                "transfer": "seeded_permutation:5",
+                "labels": {"generator": "seeded_uniform:3", "alphabet_size": 2},
+            },
+            "m": 2,
+        }
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(spec))
+        code, report = run(tmp_path, "paint", "--input", str(path))
+        assert code == 2
+        assert report["reason"]["code"] == "WindowError"
+
 
 class TestCounterexampleCommand:
     def test_report_values(self, tmp_path):
@@ -216,3 +235,30 @@ class TestPlumbing:
         assert "timestamp" in json.loads(out.read_text())
         main(["verify", "--input", str(family_file), "--output", str(out), "--no-timestamp"])
         assert "timestamp" not in json.loads(out.read_text())
+
+
+class TestGoldenReports:
+    """``--no-timestamp`` reports pinned byte for byte at the default seed.
+
+    Specs live in ``golden/specs``; after an intended output change,
+    regenerate a report with
+    ``margex <command> --input tests/golden/specs/<spec>.json --no-timestamp``.
+    """
+
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            ("verify", "family"),
+            ("extend", "family"),
+            ("oracle", "family"),
+            ("correct", "correct"),
+            ("paint", "paint"),
+            ("krengel", "krengel"),
+        ],
+    )
+    def test_report_is_byte_identical(self, tmp_path, command, spec):
+        out = tmp_path / "report.json"
+        argv = [command, "--input", str(GOLDEN / "specs" / f"{spec}.json")]
+        code = main([*argv, "--output", str(out), "--no-timestamp"])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / f"{command}.json").read_bytes()

@@ -10,6 +10,7 @@ from margex import (
     ConsistencyError,
     DenseMeasure,
     DomainError,
+    IndependenceError,
     IndexSet,
     MarginalFamily,
     ProjectionOperator,
@@ -262,6 +263,18 @@ class TestExtendFamily:
             extend_family(family, range(5), beta=1e-15)
         assert "coordinate" in str(err.value)
 
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_failure_keeps_structured_fields(self, chain):
+        rng = np.random.default_rng(3)
+        family = genutil.near_product_family(rng, A2, window_size=5, alpha=0.3)
+        driver = extend_family_chain if chain else extend_family
+        with pytest.raises(IndependenceError) as err:
+            driver(family, range(5), 1e-15)
+        assert err.value.budget == 1e-15
+        assert err.value.defect > err.value.budget
+        assert err.value.index == 1
+        assert str(err.value).startswith("extension failed at coordinate 1: ")
+
 
 class TestChainExtension:
     @pytest.mark.parametrize("seed", range(5))
@@ -269,12 +282,15 @@ class TestChainExtension:
         rng = np.random.default_rng(50 + seed)
         family = genutil.near_product_family(rng, A2, window_size=7, alpha=0.3)
         beta, _ = thresholds(family.alpha, family.n_cap, 1.0)
-        dense, _ = extend_family(family, range(7), beta)
-        chain = extend_family_chain(family, range(7), beta)
-        assert sup_distance(chain.dense(), dense) <= 1e-9
-        assert sup_distance(
-            chain.marginal([1, 4]), project(dense, [1, 4])
-        ) <= 1e-9
+        # range(8) ends on a coordinate no member covers: a trivial step
+        for window in (range(7), range(8)):
+            dense, _ = extend_family(family, window, beta)
+            chain = extend_family_chain(family, window, beta)
+            assert sup_distance(chain.dense(), dense) <= 1e-9
+            for target in ([1, 4], [1, len(window) - 1]):
+                assert sup_distance(
+                    chain.marginal(target), project(dense, target)
+                ) <= 1e-9
 
     def test_marginal_outside_window(self):
         family = MarginalFamily(A2, (), 0.5, 1)
