@@ -58,11 +58,21 @@ def _digest(path: str | None) -> str | None:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except FileNotFoundError:
         raise DomainError(f"input file {path} does not exist")
     except json.JSONDecodeError as err:
         raise DomainError(f"malformed JSON in {path}: line {err.lineno}, column {err.colno}")
+    if not isinstance(spec, dict):
+        raise DomainError(f"{path} must hold a JSON object, got {type(spec).__name__}")
+    return spec
+
+
+def _field(spec: dict, name: str):
+    try:
+        return spec[name]
+    except KeyError:
+        raise DomainError(f"spec is missing field {name!r}") from None
 
 
 def _family_from_spec(spec: dict) -> tuple[MarginalFamily, IndexSet | None]:
@@ -78,12 +88,9 @@ def _family_from_spec(spec: dict) -> tuple[MarginalFamily, IndexSet | None]:
 
 
 def _tower_from_spec(spec: dict) -> tuple[TowerSpec, LabeledPartition]:
-    try:
-        height = int(spec["height"])
-        atoms = int(spec["atom_count"])
-        transfer_spec = spec.get("transfer", "identity")
-    except KeyError as err:
-        raise DomainError(f"tower spec is missing field {err}")
+    height = int(_field(spec, "height"))
+    atoms = int(_field(spec, "atom_count"))
+    transfer_spec = spec.get("transfer", "identity")
     if transfer_spec == "identity":
         transfer = None
     elif isinstance(transfer_spec, str) and transfer_spec.startswith("seeded_permutation:"):
@@ -147,11 +154,11 @@ def _cmd_oracle(args, spec):
 
 
 def _cmd_correct(args, spec):
-    nu = DenseMeasure.from_dict(spec["nu"])
+    nu = DenseMeasure.from_dict(_field(spec, "nu"))
     marginals = None
     if "marginals" in spec:
         marginals = [DenseMeasure.from_dict(m) for m in spec["marginals"]]
-    t = float(spec["t"])
+    t = float(_field(spec, "t"))
     xi = correcting_measure(nu, marginals, t, tol=args.tol)
     blend_gap = float(
         np.max(
@@ -166,7 +173,7 @@ def _cmd_correct(args, spec):
 
 
 def _cmd_paint(args, spec):
-    tower, partition = _tower_from_spec(spec["tower"])
+    tower, partition = _tower_from_spec(_field(spec, "tower"))
     offsets = IndexSet.of(spec.get("K", [0]))
     if "m" not in spec and args.n is None:
         raise DomainError("paint needs a fresh time (spec field 'm' or --n)")
@@ -185,7 +192,7 @@ def _cmd_paint(args, spec):
 
 
 def _cmd_krengel(args, spec):
-    tower, partition = _tower_from_spec(spec["tower"])
+    tower, partition = _tower_from_spec(_field(spec, "tower"))
     times = [int(t) for t in spec.get("mixing_times", [])]
     epsilon = float(spec.get("epsilon", args.epsilon))
     steps = int(spec.get("steps", args.steps))

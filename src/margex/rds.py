@@ -239,6 +239,8 @@ def counterexample_check(
     """
     if n < 1:
         raise DomainError("need at least one iterate")
+    if samples < 1:
+        raise DomainError(f"need at least one sample, got {samples}")
     if w < 3 or w % 2 == 0:
         raise DomainError(f"window must be odd and >= 3, got {w}")
     delta = n % 2

@@ -17,6 +17,9 @@ quantization error at ``|A| / |B0|`` independent of the height.
 
 from __future__ import annotations
 
+import copy
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -68,7 +71,7 @@ class TowerSpec:
     level ``j + 1``; ``None`` means the identity at every step. ``in_e`` and
     ``in_e1`` flag shifts whose windows are exempt from independence claims
     (established by the caller from measured defects). ``residual_mass`` is
-    the mass not covered by the tower.
+    the mass not covered by the tower. The transfer maps are copied, checked and kept read-only.
     """
 
     height: int
@@ -84,7 +87,7 @@ class TowerSpec:
             raise DomainError(f"tower height must be >= 1, got {self.height}")
         n = self.fiber.atom_count
         if self.transfer is not None:
-            transfer = np.asarray(self.transfer, dtype=np.int32)
+            transfer = np.array(self.transfer, dtype=np.int32)
             if transfer.shape != (self.height - 1, n):
                 raise DomainError(
                     f"transfer must have shape {(self.height - 1, n)}, got {transfer.shape}"
@@ -92,18 +95,21 @@ class TowerSpec:
             for j in range(self.height - 1):
                 if np.bincount(transfer[j], minlength=n).max() != 1:
                     raise DomainError(f"transfer at level {j} is not a bijection")
+            transfer.setflags(write=False)
             self.transfer = transfer
-        for name in ("in_e", "in_e1"):
-            flags = getattr(self, name)
+        self._set_flags(self.in_e, self.in_e1)
+        if not 0.0 <= self.residual_mass < 1.0:
+            raise DomainError("residual mass must lie in [0, 1)")
+
+    def _set_flags(self, in_e, in_e1) -> None:
+        for name, flags in (("in_e", in_e), ("in_e1", in_e1)):
             if flags is None:
-                setattr(self, name, np.zeros(self.height, dtype=bool))
+                flags = np.zeros(self.height, dtype=bool)
             else:
                 flags = np.asarray(flags, dtype=bool)
                 if flags.shape != (self.height,):
                     raise DomainError(f"{name} must have one flag per level")
-                setattr(self, name, flags)
-        if not 0.0 <= self.residual_mass < 1.0:
-            raise DomainError("residual mass must lie in [0, 1)")
+            setattr(self, name, flags)
 
     @property
     def atom_count(self) -> int:
@@ -118,20 +124,22 @@ class TowerSpec:
             for j in range(self.height - 1):
                 step = self.transfer[j] if self.transfer is not None else None
                 pos[j + 1] = pos[j] if step is None else step[pos[j]]
+            pos.setflags(write=False)
             self._positions = pos
         return self._positions
 
     def with_flags(
         self, in_e: np.ndarray | None = None, in_e1: np.ndarray | None = None
     ) -> "TowerSpec":
-        return TowerSpec(
-            self.height,
-            self.fiber,
-            self.transfer,
-            self.in_e.copy() if in_e is None else np.asarray(in_e, dtype=bool),
-            self.in_e1.copy() if in_e1 is None else np.asarray(in_e1, dtype=bool),
-            self.residual_mass,
+        """This tower with other exemption flags (``None`` copies the current
+        ones), sharing the checked read-only transfer and positions table."""
+        self.positions()
+        tower = copy.copy(self)
+        tower._set_flags(
+            self.in_e.copy() if in_e is None else in_e,
+            self.in_e1.copy() if in_e1 is None else in_e1,
         )
+        return tower
 
 
 def seeded_permutation_transfer(height: int, atoms: int, seed: int) -> np.ndarray:
@@ -174,7 +182,7 @@ class LabeledPartition:
         return counts / self.atom_count
 
     def distributions(self) -> np.ndarray:
-        return np.stack([self.level_distribution(j) for j in range(self.height)])
+        return _level_counts(self.labels, self.alphabet.size) / self.atom_count
 
     def min_symbol_mass(self) -> float:
         return float(self.distributions().min())
@@ -199,8 +207,7 @@ def labels_from_base(tower: TowerSpec, base_labels: np.ndarray, alphabet: Alphab
     """Inverse of :func:`base_aligned_labels`."""
     pos = tower.positions()
     out = np.empty_like(base_labels)
-    for j in range(tower.height):
-        out[j, pos[j]] = base_labels[j]
+    np.put_along_axis(out, pos, base_labels, axis=1)
     return LabeledPartition(alphabet, out)
 
 
@@ -222,6 +229,32 @@ def _joint_counts(base: np.ndarray, levels: Sequence[int], size: int) -> np.ndar
     return np.bincount(codes, minlength=size ** len(levels))
 
 
+def _level_counts(base: np.ndarray, size: int) -> np.ndarray:
+    """Symbol counts per level: row ``j`` counts the symbols of ``base[j]``."""
+    return np.stack([np.bincount(row, minlength=size) for row in base])
+
+
+def _level_product(counts: np.ndarray, levels: Sequence[int], atoms: int) -> np.ndarray:
+    """Flat product table of the level laws ``counts[lvl] / atoms``, first level first."""
+    prod = np.ones(1)
+    for lvl in levels:
+        prod = np.multiply.outer(prod, counts[lvl] / atoms).reshape(-1)
+    return prod
+
+
+def _name_law(base: np.ndarray, alphabet: Alphabet, shift: int, offsets: IndexSet) -> DenseMeasure:
+    """Law of the names read at ``shift + k`` for ``k`` in ``offsets`` from
+    base-aligned labels, on the support ``shift + offsets``."""
+    levels = [shift + k for k in offsets]
+    return DenseMeasure(
+        alphabet,
+        offsets.shift(shift),
+        _joint_counts(base, levels, alphabet.size) / base.shape[1],
+        "probability",
+        tol=1e-12,
+    )
+
+
 def name_distribution(
     tower: TowerSpec,
     partition: LabeledPartition,
@@ -241,15 +274,7 @@ def name_distribution(
             f"window {base_level}+{tuple(offsets)} exceeds tower height {tower.height}"
         )
     base = base_aligned_labels(tower, partition)
-    levels = [base_level + k for k in offsets]
-    size = partition.alphabet.size
-    return DenseMeasure(
-        partition.alphabet,
-        offsets.shift(base_level),
-        _joint_counts(base, levels, size) / tower.atom_count,
-        "probability",
-        tol=1e-12,
-    )
+    return _name_law(base, partition.alphabet, base_level, offsets)
 
 
 def choose_eta(alpha: float, k: int, delta: float, epsilon: float) -> float:
@@ -318,18 +343,21 @@ def window_deviation(
 ) -> tuple[float, float]:
     """(sup distance to the product law, worst conditional defect of the last
     offset against the preceding block) for one window."""
-    offsets = IndexSet.of(offsets)
     nu = name_distribution(tower, partition, shift, offsets)
-    prod = nu.product_of_marginals()
-    sup = sup_distance(nu, prod)
-    if len(offsets) == 1:
-        return sup, 0.0
+    return sup_distance(nu, nu.product_of_marginals()), _conditional_defect(nu)
+
+
+def _conditional_defect(nu: DenseMeasure) -> float:
+    """Worst gap between the law of ``nu``'s last coordinate conditioned on a
+    cell of the preceding block and its unconditioned law; 0 on one coordinate."""
+    if len(nu.support) == 1:
+        return 0.0
     last = max(nu.support)
     rows, mass = conditional_rows(nu, last)
     marg = nu.project((last,)).table
     good = mass > 0
     cond = np.max(np.abs(rows[good] / mass[good, None] - marg[None, :])) if good.any() else np.inf
-    return sup, float(cond)
+    return float(cond)
 
 
 def flag_dependent_shifts(
@@ -347,21 +375,21 @@ def flag_dependent_shifts(
     reaches ``safety`` times the smallest product cell (the positivity budget
     of the correcting measure), or when ``eta`` is given and the conditional
     mixing defect exceeds it.
+
+    The labels are aligned to the base once per call, and each shift's
+    window law is built once from that alignment.
     """
     offsets = IndexSet.of(offsets)
+    base = base_aligned_labels(tower, partition)
     flags = np.zeros(tower.height, dtype=bool)
     amplify = 10.0 / epsilon - 1.0
     for j in range(tower.height - max(offsets)):
-        nu = name_distribution(tower, partition, j, offsets)
+        nu = _name_law(base, partition.alphabet, j, offsets)
         prod = nu.product_of_marginals()
-        sup = sup_distance(nu, prod)
-        if amplify * sup >= safety * prod.min_entry():
+        if amplify * sup_distance(nu, prod) >= safety * prod.min_entry():
             flags[j] = True
-            continue
-        if eta is not None:
-            _, cond = window_deviation(tower, partition, j, offsets)
-            if cond > eta:
-                flags[j] = True
+        elif eta is not None and _conditional_defect(nu) > eta:
+            flags[j] = True
     return flags
 
 
@@ -583,14 +611,9 @@ def paint_tower(
     kept = np.setdiff1d(np.arange(atoms), painted, assume_unique=True)
     t_hat = m0 / atoms
 
-    # full and kept per-level symbol counts
-    full_counts = np.stack(
-        [np.bincount(base[lvl], minlength=size) for lvl in range(height)]
-    )
-    kept_counts = np.stack(
-        [np.bincount(base[lvl, kept], minlength=size) for lvl in range(height)]
-    )
-    painted_counts = full_counts - kept_counts
+    kept_base = base[:, kept]
+    full_counts = _level_counts(base, size)
+    painted_counts = full_counts - _level_counts(kept_base, size)
     if painted_counts.min() <= 0:
         raise QuantizationError(
             "the painted slice misses a symbol on some level; increase the atom count"
@@ -604,10 +627,8 @@ def paint_tower(
     positivity_margins: dict[int, float] = {}
     for j in valid:
         levels = [j + k for k in window]
-        nu_kept = _joint_counts(base[:, kept], levels, size) / len(kept)
-        prod_full = np.ones(1)
-        for lvl in levels:
-            prod_full = np.multiply.outer(prod_full, full_counts[lvl] / atoms).reshape(-1)
+        nu_kept = _joint_counts(kept_base, levels, size) / len(kept)
+        prod_full = _level_product(full_counts, levels, atoms)
         xi_table, worst, margin = _blend_correction(prod_full, nu_kept, t_hat)
         positivity_margins[j] = margin
         if margin < -tol:
@@ -626,6 +647,7 @@ def paint_tower(
                 tol=1e-6,
             )
         )
+    del kept_base
     members.extend(slice_marginals)
 
     alpha_family = min(mu.min_entry() for mu in slice_marginals)
@@ -650,21 +672,12 @@ def paint_tower(
     q = labels_from_base(tower, new_base, partition.alphabet)
 
     per_level_distance = (new_base != base).mean(axis=1)
-    new_counts = np.stack(
-        [np.bincount(new_base[lvl], minlength=size) for lvl in range(height)]
-    )
-    per_level_gap = np.abs(new_counts - full_counts).max(axis=1) / atoms
+    per_level_gap = np.abs(_level_counts(new_base, size) - full_counts).max(axis=1) / atoms
 
     window_defects: dict[int, float] = {}
     window_sup_gaps: dict[int, float] = {}
     for j in valid:
-        levels = [j + k for k in window]
-        nu_new = DenseMeasure(
-            partition.alphabet,
-            window.shift(j),
-            _joint_counts(new_base, levels, size) / atoms,
-            tol=1e-12,
-        )
+        nu_new = _name_law(new_base, partition.alphabet, j, window)
         window_sup_gaps[j] = sup_distance(nu_new, nu_new.product_of_marginals())
         window_defects[j] = delta_independence(nu_new, "ascending")
 
@@ -795,16 +808,12 @@ def _window_is_exact(
     base: np.ndarray, levels: Sequence[int], counts: np.ndarray, size: int
 ) -> bool:
     """Exact independence test in integer arithmetic."""
-    atoms = base.shape[1]
-    joint = _joint_counts(base, levels, size)
-    for cell in range(joint.size):
-        digits = np.unravel_index(cell, (size,) * len(levels))
-        expect = 1
-        for lvl, a in zip(levels, digits):
-            expect *= int(counts[lvl][a])
-        if int(joint[cell]) * atoms ** (len(levels) - 1) != expect:
-            return False
-    return True
+    scale = base.shape[1] ** (len(levels) - 1)
+    cells = itertools.product(range(size), repeat=len(levels))
+    return all(
+        int(n) * scale == math.prod(int(counts[lvl][a]) for lvl, a in zip(levels, cell))
+        for n, cell in zip(_joint_counts(base, levels, size), cells)
+    )
 
 
 def fiber_surgery(
@@ -843,7 +852,7 @@ def fiber_surgery(
     declared = {int(i) for i in bad_levels if int(i) in eligible}
 
     base = base_aligned_labels(tower, partition).astype(np.int64)
-    counts = np.stack([np.bincount(base[lvl], minlength=size) for lvl in range(height)])
+    counts = _level_counts(base, size)
 
     def measured_bad() -> list[int]:
         if len(offsets) < 2:
@@ -882,39 +891,28 @@ def fiber_surgery(
             if halo
             else np.zeros(atoms, dtype=np.int64)
         )
-        n_cells = size ** len(block)
-        block_probs = np.ones(1)
-        for lvl in block:
-            block_probs = np.multiply.outer(block_probs, counts[lvl] / atoms).reshape(-1)
+        cells = list(itertools.product(range(size), repeat=len(block)))
+        cell_mass = [math.prod(int(counts[lvl][a]) for lvl, a in zip(block, c)) for c in cells]
+        den = atoms ** len(block)
+        block_probs = _level_product(counts, block, atoms)
         for code in np.unique(halo_codes):
             members = np.flatnonzero(halo_codes == code)
             n_y = len(members)
-            cell_counts = np.zeros(n_cells, dtype=np.int64)
-            exact = True
-            for cell in range(n_cells):
-                num = n_y
-                digits = np.unravel_index(cell, (size,) * len(block))
-                for lvl, a in zip(block, digits):
-                    num *= int(counts[lvl][a])
-                den = atoms ** len(block)
-                if num % den:
-                    exact = False
-                    break
-                cell_counts[cell] = num // den
-            if not exact:
-                if on_indivisible == "error":
-                    raise QuantizationError(
-                        f"class of size {n_y} cannot realize the exact product over "
-                        f"levels {block}; choose an atom count divisible by "
-                        f"{size ** (len(block) + len(halo))}"
-                    )
+            if all(n_y * mass % den == 0 for mass in cell_mass):
+                cell_counts = [n_y * mass // den for mass in cell_mass]
+            elif on_indivisible == "error":
+                raise QuantizationError(
+                    f"class of size {n_y} cannot realize the exact product over "
+                    f"levels {block}; choose an atom count divisible by "
+                    f"{size ** (len(block) + len(halo))}"
+                )
+            else:
                 cell_counts = _apportion(block_probs, n_y)
             start = 0
-            for cell in range(n_cells):
-                chunk = members[start : start + cell_counts[cell]]
-                start += int(cell_counts[cell])
-                digits = np.unravel_index(cell, (size,) * len(block))
-                for lvl, a in zip(block, digits):
+            for cell, cnt in zip(cells, cell_counts):
+                chunk = members[start : start + cnt]
+                start += int(cnt)
+                for lvl, a in zip(block, cell):
                     base[lvl, chunk] = a
         # per-level counts are preserved by construction; refresh defensively
         for lvl in block:

@@ -229,6 +229,24 @@ class TestPlumbing:
             )
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            ("paint", {"m": 2}),
+            ("krengel", {"mixing_times": [2]}),
+            ("paint", [{"tower": {}}]),
+            ("counterexample", {"W": 10001, "n": 10, "samples": 0}),
+        ],
+        ids=["paint-no-tower", "krengel-no-tower", "top-level-list", "zero-samples"],
+    )
+    def test_bad_spec_is_usage_error(self, tmp_path, command, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, report = run(tmp_path, command, "--input", str(path))
+        assert code == 2
+        assert report["status"] == "failed"
+        assert report["reason"]["code"] == "DomainError"
+
     def test_timestamp_toggle(self, tmp_path, family_file):
         out = tmp_path / "r.json"
         main(["verify", "--input", str(family_file), "--output", str(out)])

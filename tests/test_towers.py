@@ -27,7 +27,8 @@ from margex import (
     sup_distance,
     uniform_random_partition,
 )
-from margex.towers import base_aligned_labels, labels_from_base
+from margex import towers
+from margex.towers import base_aligned_labels, labels_from_base, window_deviation
 
 A2 = Alphabet(2)
 
@@ -63,6 +64,24 @@ class TestTowerSpec:
         base = base_aligned_labels(tower, partition)
         back = labels_from_base(tower, base, A2)
         assert np.array_equal(back.labels, partition.labels)
+
+    def test_with_flags_shares_positions(self):
+        tower = genutil.permutation_tower(5, 64, seed=1)
+        flagged = tower.with_flags(in_e1=[False, True, False, False, False])
+        assert flagged.positions() is tower.positions()
+        assert flagged.transfer is tower.transfer
+        assert list(flagged.in_e1) == [False, True, False, False, False]
+        assert not tower.in_e1.any()
+
+    def test_with_flags_checks_shape(self):
+        tower = genutil.permutation_tower(5, 64, seed=1)
+        with pytest.raises(DomainError):
+            tower.with_flags(in_e=np.zeros(4, dtype=bool))
+
+    def test_transfer_is_read_only(self):
+        tower = genutil.permutation_tower(5, 64, seed=1)
+        with pytest.raises(ValueError):
+            tower.transfer[0, 0] = tower.transfer[0, 1]
 
 
 class TestNameDistribution:
@@ -226,6 +245,44 @@ class TestFlagging:
         partition = genutil.copy_corrupt(tower, partition, 9, 7, 0.5, seed=1)
         flags = flag_dependent_shifts(tower, partition, [0, 2], 0.4)
         assert flags[7] and flags.sum() == 1
+
+    def test_matches_per_shift_reference(self):
+        tower = genutil.permutation_tower(16, 2**12, seed=23)
+        partition = uniform_random_partition(tower, A2, seed=24)
+        partition = genutil.copy_corrupt(tower, partition, 9, 7, 0.5, seed=1)
+        partition = genutil.copy_corrupt(tower, partition, 12, 10, 0.08, seed=2)
+
+        def reference(eta):
+            flags = np.zeros(tower.height, dtype=bool)
+            for j in range(tower.height - 2):
+                prod = name_distribution(tower, partition, j, [0, 2]).product_of_marginals()
+                sup, cond = window_deviation(tower, partition, j, [0, 2])
+                flags[j] = (10 / 0.4 - 1) * sup >= 0.9 * prod.min_entry() or (
+                    eta is not None and cond > eta
+                )
+            return flags
+
+        expected = {eta: reference(eta) for eta in (None, 0.01)}
+        assert expected[None].any()
+        assert not np.array_equal(expected[None], expected[0.01])
+        for eta, flags in expected.items():
+            got = flag_dependent_shifts(tower, partition, [0, 2], 0.4, eta=eta)
+            assert np.array_equal(got, flags)
+
+    def test_one_alignment_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(tower, partition):
+            calls.append(tower.height)
+            return base_aligned_labels(tower, partition)
+
+        monkeypatch.setattr(towers, "base_aligned_labels", counting)
+        tower = genutil.permutation_tower(16, 2**12, seed=25)
+        partition = uniform_random_partition(tower, A2, seed=26)
+        flags = flag_dependent_shifts(tower, partition, [0, 2], 0.4, eta=0.01)
+        assert len(calls) == 1
+        paint_tower(tower.with_flags(in_e1=flags), partition, [0], 2, epsilon=0.4, alpha=0.3)
+        assert len(calls) == 2
 
 
 class TestPaintTower:
