@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .extension import (
     verify_hypotheses,
 )
 from .measures import Alphabet, DenseMeasure, IndexSet, MarginalFamily
-from .rds import Cylinder, SkewProduct, counterexample_check, relative_mixing_coefficient, shift_distance
+from .rds import Cylinder, SkewProduct, counterexample_check, relative_mixing_coefficient
 from .towers import (
     FiberSpace,
     LabeledPartition,
@@ -68,18 +69,23 @@ def _load_json(path: str) -> dict:
     return spec
 
 
-def _field(spec: dict, name: str):
+@contextmanager
+def _spec_errors():
+    """Report a missing field or a value of the wrong type or form as a
+    usage error; library errors pass through unchanged."""
     try:
-        return spec[name]
-    except KeyError:
-        raise DomainError(f"spec is missing field {name!r}") from None
-
-
-def _family_from_spec(spec: dict) -> tuple[MarginalFamily, IndexSet | None]:
-    try:
-        family = MarginalFamily.from_dict(spec)
+        yield
+    except MargexError:
+        raise
     except KeyError as err:
-        raise DomainError(f"family spec is missing field {err}")
+        raise DomainError(f"spec is missing field {err}") from None
+    except (AttributeError, TypeError, ValueError) as err:
+        raise DomainError(f"malformed spec value: {err}") from None
+
+
+@_spec_errors()
+def _family_from_spec(spec: dict) -> tuple[MarginalFamily, IndexSet | None]:
+    family = MarginalFamily.from_dict(spec)
     window = None
     if "window" in spec:
         lo, hi = spec["window"]
@@ -87,9 +93,10 @@ def _family_from_spec(spec: dict) -> tuple[MarginalFamily, IndexSet | None]:
     return family, window
 
 
+@_spec_errors()
 def _tower_from_spec(spec: dict) -> tuple[TowerSpec, LabeledPartition]:
-    height = int(_field(spec, "height"))
-    atoms = int(_field(spec, "atom_count"))
+    height = int(spec["height"])
+    atoms = int(spec["atom_count"])
     transfer_spec = spec.get("transfer", "identity")
     if transfer_spec == "identity":
         transfer = None
@@ -124,9 +131,10 @@ def _tower_from_spec(spec: dict) -> tuple[TowerSpec, LabeledPartition]:
 
 def _cmd_verify(args, spec):
     family, _ = _family_from_spec(spec)
-    c_prime = float(spec.get("c_prime", 1.0))
-    _, delta = thresholds(family.alpha, family.n_cap, c_prime)
-    delta = float(spec.get("delta", delta))
+    with _spec_errors():
+        c_prime = float(spec.get("c_prime", 1.0))
+        _, delta = thresholds(family.alpha, family.n_cap, c_prime)
+        delta = float(spec.get("delta", delta))
     report = verify_hypotheses(family, delta, tol=args.tol)
     return report.to_dict(), report.ok
 
@@ -135,7 +143,8 @@ def _cmd_extend(args, spec):
     family, window = _family_from_spec(spec)
     if window is None:
         raise DomainError("family spec needs a window for extend")
-    beta = float(spec.get("beta", thresholds(family.alpha, family.n_cap, 1.0)[0]))
+    with _spec_errors():
+        beta = float(spec.get("beta", thresholds(family.alpha, family.n_cap, 1.0)[0]))
     measure, trace = extend_family(family, window, beta, tol=args.tol)
     out = {
         "beta": beta,
@@ -154,11 +163,12 @@ def _cmd_oracle(args, spec):
 
 
 def _cmd_correct(args, spec):
-    nu = DenseMeasure.from_dict(_field(spec, "nu"))
-    marginals = None
-    if "marginals" in spec:
-        marginals = [DenseMeasure.from_dict(m) for m in spec["marginals"]]
-    t = float(_field(spec, "t"))
+    with _spec_errors():
+        nu = DenseMeasure.from_dict(spec["nu"])
+        marginals = None
+        if "marginals" in spec:
+            marginals = [DenseMeasure.from_dict(m) for m in spec["marginals"]]
+        t = float(spec["t"])
     xi = correcting_measure(nu, marginals, t, tol=args.tol)
     blend_gap = float(
         np.max(
@@ -173,13 +183,14 @@ def _cmd_correct(args, spec):
 
 
 def _cmd_paint(args, spec):
-    tower, partition = _tower_from_spec(_field(spec, "tower"))
-    offsets = IndexSet.of(spec.get("K", [0]))
-    if "m" not in spec and args.n is None:
-        raise DomainError("paint needs a fresh time (spec field 'm' or --n)")
-    m = int(spec["m"]) if "m" in spec else int(args.n)
-    epsilon = float(spec.get("epsilon", args.epsilon))
-    alpha = float(spec.get("alpha", partition.min_symbol_mass() - args.tol))
+    with _spec_errors():
+        tower, partition = _tower_from_spec(spec["tower"])
+        offsets = IndexSet.of(spec.get("K", [0]))
+        if "m" not in spec and args.n is None:
+            raise DomainError("paint needs a fresh time (spec field 'm' or --n)")
+        m = int(spec["m"]) if "m" in spec else int(args.n)
+        epsilon = float(spec.get("epsilon", args.epsilon))
+        alpha = float(spec.get("alpha", partition.min_symbol_mass() - args.tol))
     if spec.get("auto_flags", True):
         flags = flag_dependent_shifts(tower, partition, offsets.union((m,)), epsilon)
         tower = tower.with_flags(in_e1=tower.in_e1 | flags)
@@ -192,10 +203,11 @@ def _cmd_paint(args, spec):
 
 
 def _cmd_krengel(args, spec):
-    tower, partition = _tower_from_spec(_field(spec, "tower"))
-    times = [int(t) for t in spec.get("mixing_times", [])]
-    epsilon = float(spec.get("epsilon", args.epsilon))
-    steps = int(spec.get("steps", args.steps))
+    with _spec_errors():
+        tower, partition = _tower_from_spec(spec["tower"])
+        times = [int(t) for t in spec.get("mixing_times", [])]
+        epsilon = float(spec.get("epsilon", args.epsilon))
+        steps = int(spec.get("steps", args.steps))
     result = iterate_krengel(tower, partition, times, epsilon, steps, seed=args.seed, tol=args.tol)
     payload = result.to_dict()
     ok = result.cumulative_error_mass < epsilon
@@ -203,25 +215,27 @@ def _cmd_krengel(args, spec):
 
 
 def _cmd_counterexample(args, spec):
-    w = int(spec.get("W", args.w)) if spec else args.w
-    n = int(spec.get("n", args.n)) if spec else args.n
-    samples = int(spec.get("samples", args.samples)) if spec else args.samples
-    seed = int(spec.get("seed", args.seed)) if spec else args.seed
+    with _spec_errors():
+        w = int(spec.get("W", args.w)) if spec else args.w
+        n = int(spec.get("n", args.n)) if spec else args.n
+        samples = int(spec.get("samples", args.samples)) if spec else args.samples
+        seed = int(spec.get("seed", args.seed)) if spec else args.seed
+        mixing_args = None
+        if spec and "cylinders" in spec:
+            cyl_spec = spec["cylinders"]
+            mixing_args = (
+                SkewProduct(int(cyl_spec.get("fiber_lo", -64)), int(cyl_spec.get("fiber_hi", 64))),
+                Cylinder.of({int(k): int(v) for k, v in cyl_spec["A"].items()}),
+                Cylinder.of({int(k): int(v) for k, v in cyl_spec["B"].items()}),
+                int(cyl_spec.get("n", n)),
+            )
     if w is None or n is None:
         raise DomainError("counterexample needs --W and --n")
     report = counterexample_check(w, n, samples, seed)
     payload = report.to_dict()
-    payload["shift_distance"] = shift_distance(w)
-    if spec and "cylinders" in spec:
-        cyl_spec = spec["cylinders"]
-        system = SkewProduct(
-            int(cyl_spec.get("fiber_lo", -64)), int(cyl_spec.get("fiber_hi", 64))
-        )
-        a_cyl = Cylinder.of({int(k): int(v) for k, v in cyl_spec["A"].items()})
-        b_cyl = Cylinder.of({int(k): int(v) for k, v in cyl_spec["B"].items()})
-        mixing = relative_mixing_coefficient(
-            system, a_cyl, b_cyl, int(cyl_spec.get("n", n)), samples, seed
-        )
+    payload["shift_distance"] = report.shift_estimate
+    if mixing_args is not None:
+        mixing = relative_mixing_coefficient(*mixing_args, samples, seed)
         payload["mixing"] = mixing.to_dict()
     ok = report.preconditions_ok and report.contradiction_margin > 0
     return payload, ok

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse
-from scipy.optimize import linprog
 
 from .errors import (
     AnchorError,
@@ -657,6 +655,11 @@ def brute_force_extension_exists(
     each member, over the dense table on the window. Completely independent
     of the constructive engine.
     """
+    # imported here: scipy is most of the import time of the package, and
+    # only this oracle uses it
+    import scipy.sparse
+    from scipy.optimize import linprog
+
     window = IndexSet.of(window)
     if not family.union_support().issubset(window):
         raise DomainError("window must contain every member support")

@@ -115,11 +115,16 @@ class SkewProduct:
         return 0.5 ** len(merged)
 
 
+def _walk_count(steps: int, value: int) -> int:
+    """Number of ``steps``-step +-1 walks that sum to ``value``."""
+    if (steps + value) % 2 or abs(value) > steps:
+        return 0
+    return math.comb(steps, (steps + value) // 2)
+
+
 def _exact_walk_mass(steps: int, value: int) -> Fraction:
     """P[simple random walk of ``steps`` coin flips sums to ``value``]."""
-    if (steps + value) % 2 or abs(value) > steps:
-        return Fraction(0)
-    return Fraction(math.comb(steps, (steps + value) // 2), 2**steps)
+    return Fraction(_walk_count(steps, value), 2**steps)
 
 
 def shift_distance(
@@ -139,7 +144,8 @@ def shift_distance(
     if w < 3 or w % 2 == 0:
         raise DomainError(f"window must be odd and >= 3, got {w}")
     if method == "exact":
-        return float(_exact_walk_mass(w, 1) / 2)
+        # int / int is one correctly rounded division, as float(Fraction) is
+        return _walk_count(w, 1) / 2 ** (w + 1)
     if method == "montecarlo":
         if not samples or seed is None:
             raise DomainError("montecarlo needs samples and a seed")
@@ -164,22 +170,20 @@ def _sign_flip_probability(w: int, shift: int) -> float:
         # disjoint windows: two independent signs
         return 0.5
     # head H (first `shift` symbols), shared middle M, tail T (last `shift`):
-    # flip iff sign(H + M) != sign(M + T)
-    total = 0.0
+    # flip iff sign(H + M) != sign(M + T). Each term is an integer count of
+    # (H, M, T) walks over 2^(w + shift), divided once, as float(Fraction) is.
     mid_steps = w - shift
+    middle = {m: _walk_count(mid_steps, m) for m in range(1 - shift, shift)}
+    scale = 2 ** (w + shift)
+    total = 0.0
     for h in range(-shift, shift + 1, 2):
-        ph = _exact_walk_mass(shift, h)
-        if ph == 0:
-            continue
+        count_h = _walk_count(shift, h)
         for t in range(-shift, shift + 1, 2):
-            pt = _exact_walk_mass(shift, t)
-            if pt == 0 or h == t:
+            if h == t:
                 continue
             lo, hi = -max(h, t), -min(h, t)
-            inner = sum(
-                _exact_walk_mass(mid_steps, mvalue) for mvalue in range(lo + 1, hi)
-            )
-            total += float(ph * pt * inner)
+            inner = sum(middle[m] for m in range(lo + 1, hi))
+            total += count_h * _walk_count(shift, t) * inner / scale
     return total
 
 
@@ -251,10 +255,11 @@ def counterexample_check(
     words = rng.choice((-1, 1), size=(samples, n))
     displacement = words.sum(axis=1)
     in_set = displacement == delta if delta else displacement == 0
-    mass_exact = float(_exact_walk_mass(n, delta))
+    mass_exact = _walk_count(n, delta) / 2**n
     mass_empirical = float(np.mean(in_set))
 
-    fiber_distance = _sign_flip_probability(w, delta)
+    flip_one = _sign_flip_probability(w, 1)
+    fiber_distance = flip_one if delta else 0.0
     max_fiber = fiber_distance if int(np.sum(in_set)) else float("nan")
 
     forced = {
@@ -271,7 +276,7 @@ def counterexample_check(
         delta=delta,
         preconditions_ok=preconditions_ok,
         shift_estimate=d_shift,
-        shift_flip_probability=_sign_flip_probability(w, 1),
+        shift_flip_probability=flip_one,
         parity_set_mass_exact=mass_exact,
         parity_set_mass_empirical=mass_empirical,
         samples_in_set=int(np.sum(in_set)),
@@ -319,21 +324,34 @@ def relative_mixing_coefficient(
     """
     if n < 0:
         raise DomainError("n must be >= 0")
+    if samples < 1:
+        raise DomainError(f"need at least one sample, got {samples}")
     system.check_window(a_cyl)
     rng = np.random.default_rng(seed)
     words = rng.choice((-1, 1), size=(samples, max(n, 1)))
-    coeffs = np.empty(samples)
-    disps = np.empty(samples, dtype=np.int64)
-    mass_a = system.cylinder_mass(a_cyl)
-    for s in range(samples):
-        phi = int(words[s, :n].sum()) if n else 0
-        pulled = b_cyl.shifted(-phi)
-        system.check_window(pulled)
-        coeffs[s] = system.joint_mass(a_cyl, pulled) - mass_a * system.cylinder_mass(pulled)
-        disps[s] = phi
+    phi = words[:, :n].sum(axis=1)
+    b_coords = np.array(b_cyl.coordinates(), dtype=np.int64)
+    b_values = np.array([v for _, v in b_cyl.constraints], dtype=np.int64)
+    pulled = b_coords[None, :] - phi[:, None]
+    escapes = ((pulled < system.fiber_lo) | (pulled > system.fiber_hi)).any(axis=1)
+    if escapes.any():
+        # report the first escaping sample, as a per-sample check would
+        system.check_window(b_cyl.shifted(-int(phi[np.argmax(escapes)])))
+    # pins are distinct within a cylinder, so A and the pulled-back B pin
+    # |A| + |B| - overlaps coordinates together unless an overlap disagrees;
+    # ldexp gives the same exact power of two as joint_mass
+    overlaps = np.zeros(samples, dtype=np.int64)
+    conflict = np.zeros(samples, dtype=bool)
+    for i, v in a_cyl.constraints:
+        hit = pulled == i
+        overlaps += hit.sum(axis=1)
+        conflict |= (hit & (b_values != v)).any(axis=1)
+    size_a, size_b = len(a_cyl.constraints), len(b_cyl.constraints)
+    joint = np.where(conflict, 0.0, np.ldexp(1.0, overlaps - size_a - size_b))
+    coeffs = joint - system.cylinder_mass(a_cyl) * system.cylinder_mass(b_cyl)
     return MixingReport(
         coefficients=coeffs,
-        displacements=disps,
+        displacements=phi,
         max_abs=float(np.max(np.abs(coeffs))),
         mean_abs=float(np.mean(np.abs(coeffs))),
     )

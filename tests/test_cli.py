@@ -236,8 +236,25 @@ class TestPlumbing:
             ("krengel", {"mixing_times": [2]}),
             ("paint", [{"tower": {}}]),
             ("counterexample", {"W": 10001, "n": 10, "samples": 0}),
+            ("paint", {"tower": 5, "m": 2}),
+            (
+                "correct",
+                {
+                    "nu": {"alphabet_size": 2, "indices": [0, 1], "table": ["a", "b", "c", "d"]},
+                    "t": 0.1,
+                },
+            ),
+            ("counterexample", {"W": 101, "n": 2, "cylinders": 5}),
         ],
-        ids=["paint-no-tower", "krengel-no-tower", "top-level-list", "zero-samples"],
+        ids=[
+            "paint-no-tower",
+            "krengel-no-tower",
+            "top-level-list",
+            "zero-samples",
+            "paint-tower-not-object",
+            "correct-table-not-numeric",
+            "cylinders-not-object",
+        ],
     )
     def test_bad_spec_is_usage_error(self, tmp_path, command, spec):
         path = tmp_path / "spec.json"
@@ -261,6 +278,8 @@ class TestGoldenReports:
     Specs live in ``golden/specs``; after an intended output change,
     regenerate a report with
     ``margex <command> --input tests/golden/specs/<spec>.json --no-timestamp``.
+    A report is named after its command, or after its spec where the spec
+    name starts with the command (``counterexample_cylinders``).
     """
 
     @pytest.mark.parametrize(
@@ -272,6 +291,8 @@ class TestGoldenReports:
             ("correct", "correct"),
             ("paint", "paint"),
             ("krengel", "krengel"),
+            ("counterexample", "counterexample"),
+            ("counterexample", "counterexample_cylinders"),
         ],
     )
     def test_report_is_byte_identical(self, tmp_path, command, spec):
@@ -279,4 +300,5 @@ class TestGoldenReports:
         argv = [command, "--input", str(GOLDEN / "specs" / f"{spec}.json")]
         code = main([*argv, "--output", str(out), "--no-timestamp"])
         assert code == 0
-        assert out.read_bytes() == (GOLDEN / f"{command}.json").read_bytes()
+        name = spec if spec.startswith(command) else command
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

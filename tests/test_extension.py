@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import genutil
+import margex
 from margex import (
     Alphabet,
     AnchorError,
@@ -323,6 +329,23 @@ class TestOracle:
         family = MarginalFamily(A2, (), 0.5, 1)
         with pytest.raises(CapacityError):
             brute_force_extension_exists(family, range(17))
+
+    def test_import_leaves_scipy_unloaded(self):
+        # only the oracle needs scipy, so only the oracle imports it
+        src = str(Path(margex.__file__).resolve().parents[1])
+        code = (
+            "import sys, margex; "
+            "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_engine_and_oracle_agree(self, seed):

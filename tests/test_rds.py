@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,46 @@ from margex import (
     uniform_random_partition,
     relative_mixing_coefficient,
 )
-from margex.rds import _exact_walk_mass, _sign_flip_probability
+from margex.rds import _exact_walk_mass, _sign_flip_probability, _walk_count
+
+
+def fraction_walk_mass(steps, value):
+    if (steps + value) % 2 or abs(value) > steps:
+        return Fraction(0)
+    return Fraction(math.comb(steps, (steps + value) // 2), 2**steps)
+
+
+def sign_flip_reference(w, shift):
+    """The flip probability as a sum of float-rounded exact Fraction terms."""
+    if shift == 0:
+        return 0.0
+    if shift >= w:
+        return 0.5
+    total = 0.0
+    for h in range(-shift, shift + 1, 2):
+        for t in range(-shift, shift + 1, 2):
+            if h == t:
+                continue
+            lo, hi = -max(h, t), -min(h, t)
+            inner = sum(fraction_walk_mass(w - shift, m) for m in range(lo + 1, hi))
+            total += float(fraction_walk_mass(shift, h) * fraction_walk_mass(shift, t) * inner)
+    return total
+
+
+def mixing_reference(system, a_cyl, b_cyl, n, samples, seed):
+    """Per-sample coefficients from the public cylinder operations."""
+    rng = np.random.default_rng(seed)
+    words = rng.choice((-1, 1), size=(samples, max(n, 1)))
+    coeffs = np.empty(samples)
+    disps = np.empty(samples, dtype=np.int64)
+    for s in range(samples):
+        phi = int(words[s, :n].sum()) if n else 0
+        pulled = b_cyl.shifted(-phi)
+        system.check_window(pulled)
+        product = system.cylinder_mass(a_cyl) * system.cylinder_mass(pulled)
+        coeffs[s] = system.joint_mass(a_cyl, pulled) - product
+        disps[s] = phi
+    return coeffs, disps
 
 
 class TestShiftDistance:
@@ -62,6 +103,25 @@ class TestShiftDistance:
     def test_monte_carlo_needs_samples_and_seed(self):
         with pytest.raises(DomainError):
             shift_distance(101, "montecarlo")
+
+    def test_walk_count_divides_like_fraction(self):
+        for steps in range(61):
+            for value in range(-steps - 2, steps + 3):
+                exact = _walk_count(steps, value) / 2**steps
+                assert exact == float(_exact_walk_mass(steps, value))
+        for steps in range(11):
+            sums = [sum(word) for word in itertools.product((-1, 1), repeat=steps)]
+            for value in range(-steps - 1, steps + 2):
+                assert _walk_count(steps, value) == sums.count(value)
+
+    @pytest.mark.parametrize(
+        "w, shifts",
+        [(3, (0, 1, 2, 3, 4)), (101, (1, 2, 3, 7, 101)), (10001, (0, 1, 2, 5))],
+    )
+    def test_matches_fraction_reference(self, w, shifts):
+        assert shift_distance(w) == float(fraction_walk_mass(w, 1) / 2)
+        for shift in shifts:
+            assert _sign_flip_probability(w, shift) == sign_flip_reference(w, shift)
 
     def test_true_flip_probability_small_window(self):
         # exact event probability differs from the boundary estimate at w=3
@@ -135,6 +195,47 @@ class TestMixingCoefficient:
         b = Cylinder.of({0: 1})
         report = relative_mixing_coefficient(sp, b, b, n=1, samples=200, seed=4)
         assert report.max_abs == 0.0
+
+    @pytest.mark.parametrize(
+        "a, b, n, reached",
+        [
+            ({0: 1, 1: 1}, {0: 1}, 0, (0.125,)),
+            ({0: 1}, {0: 1}, 2, (0.25,)),
+            ({0: 1}, {0: -1}, 2, (-0.25,)),
+            ({-1: 1, 0: 1, 2: -1}, {0: 1, 1: -1, 3: 1}, 4, (-1 / 64, 1 / 64)),
+        ],
+        ids=["n-zero", "overlap-agrees", "overlap-conflicts", "multi-pin"],
+    )
+    def test_matches_per_sample_reference(self, a, b, n, reached):
+        sp = SkewProduct(-16, 16)
+        a_cyl, b_cyl = Cylinder.of(a), Cylinder.of(b)
+        report = relative_mixing_coefficient(sp, a_cyl, b_cyl, n=n, samples=500, seed=5)
+        coeffs, disps = mixing_reference(sp, a_cyl, b_cyl, n, 500, 5)
+        assert report.coefficients.tobytes() == coeffs.tobytes()
+        assert report.displacements.tobytes() == disps.tobytes()
+        assert report.max_abs == float(np.max(np.abs(coeffs)))
+        assert report.mean_abs == float(np.mean(np.abs(coeffs)))
+        # the samples reach the overlaps each case is named for
+        assert all(np.any(coeffs == value) for value in reached)
+
+    def test_window_error_names_first_escaping_sample(self):
+        # at seed 5 sample 0 stays inside and later escaping samples name
+        # other coordinates than the first one does
+        sp = SkewProduct(-2, 2)
+        a, b = Cylinder.of({0: 1}), Cylinder.of({0: 1, 1: -1})
+        with pytest.raises(WindowError) as expected:
+            mixing_reference(sp, a, b, 10, 64, 5)
+        with pytest.raises(WindowError) as got:
+            relative_mixing_coefficient(sp, a, b, n=10, samples=64, seed=5)
+        assert str(got.value) == str(expected.value)
+        assert "coordinate 6 " in str(got.value)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_needs_a_sample(self, samples):
+        sp = SkewProduct(-8, 8)
+        a = Cylinder.of({0: 1})
+        with pytest.raises(DomainError):
+            relative_mixing_coefficient(sp, a, a, n=1, samples=samples, seed=1)
 
     def test_window_error_advises(self):
         sp = SkewProduct(-2, 2)
