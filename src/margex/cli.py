@@ -47,6 +47,16 @@ from .towers import (
 
 USAGE_EXIT = 2
 MATH_EXIT = 1
+# structured fields an error may carry (PositivityError, IndependenceError,
+# MixingSupplyError), copied into a failure report's reason when set
+_REASON_FIELDS = {
+    "margin": float,
+    "cell": int,
+    "defect": float,
+    "budget": float,
+    "index": int,
+    "step": int,
+}
 
 
 def _digest(path: str | None) -> str | None:
@@ -69,6 +79,15 @@ def _load_json(path: str) -> dict:
     return spec
 
 
+def _reason(err: MargexError) -> dict:
+    reason = {"code": type(err).__name__, "message": str(err)}
+    for name, cast in _REASON_FIELDS.items():
+        value = getattr(err, name, None)
+        if value is not None:
+            reason[name] = cast(value)
+    return reason
+
+
 @contextmanager
 def _spec_errors():
     """Report a missing field or a value of the wrong type or form as a
@@ -79,7 +98,7 @@ def _spec_errors():
         raise
     except KeyError as err:
         raise DomainError(f"spec is missing field {err}") from None
-    except (AttributeError, TypeError, ValueError) as err:
+    except (AttributeError, OverflowError, TypeError, ValueError) as err:
         raise DomainError(f"malformed spec value: {err}") from None
 
 
@@ -220,6 +239,8 @@ def _cmd_counterexample(args, spec):
         n = int(spec.get("n", args.n)) if spec else args.n
         samples = int(spec.get("samples", args.samples)) if spec else args.samples
         seed = int(spec.get("seed", args.seed)) if spec else args.seed
+        if seed < 0:
+            raise DomainError(f"seed must be >= 0, got {seed}")
         mixing_args = None
         if spec and "cylinders" in spec:
             cyl_spec = spec["cylinders"]
@@ -288,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
 
     exit_code = 0
     try:
+        if args.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {args.seed}")
         spec = {}
         if args.input:
             spec = _load_json(args.input)
@@ -300,14 +323,11 @@ def main(argv: list[str] | None = None) -> int:
         if not ok:
             report["reason"] = {"code": "check_failed", "message": "a mathematical check failed"}
             exit_code = MATH_EXIT
-    except (CapacityError, DomainError, WindowError) as err:
-        report["status"] = "failed"
-        report["reason"] = {"code": type(err).__name__, "message": str(err)}
-        exit_code = USAGE_EXIT
     except MargexError as err:
         report["status"] = "failed"
-        report["reason"] = {"code": type(err).__name__, "message": str(err)}
-        exit_code = MATH_EXIT
+        report["reason"] = _reason(err)
+        usage = isinstance(err, (CapacityError, DomainError, WindowError))
+        exit_code = USAGE_EXIT if usage else MATH_EXIT
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:

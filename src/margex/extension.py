@@ -131,14 +131,11 @@ def inclusion_exclusion_extension(
 
 def _cell_codes(size: int, support: IndexSet, target: IndexSet) -> np.ndarray:
     """Lexicographic cell index in ``A^target`` of each cell of ``A^support``."""
-    n_cells = size ** len(support)
-    codes = np.zeros(n_cells, dtype=np.int64)
-    cells = np.arange(n_cells)
-    for tpos, idx in enumerate(target):
-        spos = support.position(idx)
-        digit = (cells // size ** (len(support) - 1 - spos)) % size
-        codes += digit * size ** (len(target) - 1 - tpos)
-    return codes
+    # the target's cell grid, with unit axes for the other coordinates,
+    # broadcast over the support: the digits of the kept axes, re-raveled
+    grid = np.arange(size ** len(target))
+    grid = grid.reshape([size if i in target else 1 for i in support])
+    return (grid + np.zeros((size,) * len(support), dtype=np.int64)).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -255,26 +252,29 @@ def bounded_right_inverse(
     if w.operator is not op and w.operator != op:
         raise DomainError("anchor family must belong to the operator")
     w_vec = w.vector()
-    w_norm = float(np.max(np.abs(w_vec))) if w_vec.size else 0.0
+    w_norm = float(np.abs(w_vec).max()) if w_vec.size else 0.0
     if w_norm == 0.0:
         raise DomainError("anchor family is zero; no anchored right inverse exists")
-    gap = float(np.max(np.abs(op.apply(v).vector() - w_vec)))
+    gap = float(np.abs(op.apply(v).vector() - w_vec).max())
     if gap > tol:
         raise AnchorError(f"operator applied to the anchor measure misses w by {gap}")
 
-    mat = op.matrix()
-    pinv = np.linalg.pinv(mat)
+    # one SVD gives the pseudo-inverse, formed as np.linalg.pinv forms it
+    # (same cutoff and products, so bit for bit), and the image basis
+    u_svd, s, vt = np.linalg.svd(op.matrix(), full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * 1e-12))
+    large = s > 1e-15 * s.max()
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
+    pinv = vt.T @ (s_inv[:, None] * u_svd.T)
     corr = v.table - pinv @ w_vec
     w_norm2 = float(w_vec @ w_vec)
 
     # measure the sup-operator norm on an orthonormal basis of the image
-    u_svd, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
     measured = 0.0
     for col in range(rank):
         u = u_svd[:, col]
         x = pinv @ u + corr * (w_vec @ u) / w_norm2
-        measured = max(measured, float(np.max(np.abs(x)) / np.max(np.abs(u))))
+        measured = max(measured, float(np.abs(x).max() / np.abs(u).max()))
     return RightInverse(op, v, w, pinv, corr, w_vec, w_norm2, measured)
 
 
@@ -321,15 +321,6 @@ class ExtensionTrace:
             "steps": [s.to_dict() for s in self.steps],
             "max_beta_defect": self.max_beta_defect(),
         }
-
-
-def _fix_last_coordinate(m: DenseMeasure, n: int, symbol: int) -> DenseMeasure:
-    """Slice of ``m`` at coordinate ``n = symbol`` as a signed measure."""
-    pos = m.support.position(n)
-    idx: list[object] = [slice(None)] * len(m.support)
-    idx[pos] = symbol
-    sub = m.as_array()[tuple(idx)]
-    return DenseMeasure(m.alphabet, m.support.difference((n,)), sub.reshape(-1), "signed")
 
 
 def _sigma_step(family, lam, n, tol, pos_tol=None):
@@ -388,17 +379,14 @@ def _sigma_step(family, lam, n, tol, pos_tol=None):
         )
     binv = bounded_right_inverse(op, v, w, tol=tol)
 
-    n_pos = s_bar.position(n)
+    # symbol a's family: each source table sliced at coordinate n = a
+    sources = [slice_sources[t.union((n,)).indices] for t in target_sets]
+    sources = [(src.as_array(), src.support.position(n)) for src in sources]
     slices = []
     for a in range(alphabet.size):
-        fam_a = op.family(
-            [
-                _fix_last_coordinate(slice_sources[t.union((n,)).indices], n, a)
-                for t in target_sets
-            ]
-        )
-        slices.append(binv.evaluate(fam_a).as_array())
-    sigma_arr = np.stack(slices, axis=n_pos)
+        u = np.concatenate([np.take(arr, a, axis=pos).reshape(-1) for arr, pos in sources])
+        slices.append(binv.evaluate(u).as_array())
+    sigma_arr = np.stack(slices, axis=s_bar.position(n))
     margin = float(sigma_arr.min())
     if margin < -pos_tol:
         raise PositivityError(
@@ -439,7 +427,7 @@ def _sigma_step(family, lam, n, tol, pos_tol=None):
     if not np.any(good):
         raise SingularityError("all atoms of the overlap have zero mass")
     cond = rows[good] / row_mass[good, None]
-    beta_defect = float(np.max(np.abs(cond - n_marg[None, :])))
+    beta_defect = float(np.abs(cond - n_marg[None, :]).max())
 
     step = ExtensionStep(
         index=n,

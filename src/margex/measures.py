@@ -6,8 +6,9 @@ lexicographic order over ascending coordinates: the smallest coordinate varies
 slowest (row-major). ``A^{}`` has a single point, so a measure on the empty
 support is a scalar; this is what disjoint-support consistency checks compare.
 
-All values here are immutable and every operation returns a fresh measure, so
-results can be shared freely across threads.
+All values here are immutable, so results (which may be an operation's own
+input, as for a projection onto the whole support) can be shared freely
+across threads.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ class IndexSet:
             return items
         return cls(tuple(sorted(int(i) for i in items)))
 
+    @classmethod
+    def _from_set(cls, items: set[int]) -> "IndexSet":
+        """Set of already-checked ints: sorted, unique by construction."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "indices", tuple(sorted(items)))
+        return out
+
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -83,13 +91,13 @@ class IndexSet:
         return bool(self.indices)
 
     def union(self, other: IndexLike) -> "IndexSet":
-        return IndexSet.of(set(self.indices) | set(IndexSet.of(other).indices))
+        return IndexSet._from_set(set(self.indices) | set(IndexSet.of(other).indices))
 
     def intersection(self, other: IndexLike) -> "IndexSet":
-        return IndexSet.of(set(self.indices) & set(IndexSet.of(other).indices))
+        return IndexSet._from_set(set(self.indices) & set(IndexSet.of(other).indices))
 
     def difference(self, other: IndexLike) -> "IndexSet":
-        return IndexSet.of(set(self.indices) - set(IndexSet.of(other).indices))
+        return IndexSet._from_set(set(self.indices) - set(IndexSet.of(other).indices))
 
     def issubset(self, other: IndexLike) -> bool:
         return set(self.indices) <= set(IndexSet.of(other).indices)
@@ -149,11 +157,14 @@ class DenseMeasure:
             )
         if self.kind not in ("probability", "signed"):
             raise DomainError(f"unknown measure kind {self.kind!r}")
-        if self.kind == "probability":
-            low = float(table.min()) if table.size else 0.0
+        # tol=inf (projections of checked measures) skips a check that cannot fire
+        if self.kind == "probability" and tol != np.inf:
+            total = float(table.sum())
+            if not np.isfinite(total):
+                raise DomainError(f"probability table has a non-finite entry (sum {total})")
+            low = float(table.min())
             if low < -tol:
                 raise DomainError(f"probability table has entry {low} < 0")
-            total = float(table.sum())
             if abs(total - 1.0) > max(tol, 1e-12 * table.size):
                 raise DomainError(f"probability table sums to {total}, not 1")
         table = table.copy()
@@ -172,10 +183,7 @@ class DenseMeasure:
         support = IndexSet.of(support)
         cells = _cell_count(alphabet.size, support)
         table = np.zeros(cells)
-        flat = 0
-        for v in cell:
-            flat = flat * alphabet.size + int(v)
-        table[flat] = 1.0
+        table[np.ravel_multi_index(tuple(cell), (alphabet.size,) * len(support))] = 1.0
         return cls(alphabet, support, table, "probability")
 
     @classmethod
@@ -237,14 +245,16 @@ def project(m: DenseMeasure, target: IndexLike) -> DenseMeasure:
     """Push ``m`` forward onto the coordinates in ``target``.
 
     Preserves kind and total mass; projecting to the empty set yields the
-    scalar total-mass measure.
+    scalar total-mass measure. Projecting onto the whole support returns
+    ``m`` itself.
     """
     target = IndexSet.of(target)
+    if target == m.support:
+        return m
     if not target.issubset(m.support):
         raise DomainError(f"{tuple(target)} is not a subset of {tuple(m.support)}")
     drop = tuple(p for p, i in enumerate(m.support) if i not in target)
-    arr = m.as_array()
-    out = arr.sum(axis=drop) if drop else arr
+    out = m.as_array().sum(axis=drop)
     return DenseMeasure(m.alphabet, target, out.reshape(-1), m.kind, tol=np.inf)
 
 
@@ -288,7 +298,7 @@ def sup_distance(m1: DenseMeasure, m2: DenseMeasure) -> float:
     """Sup-norm distance between two measures on the same support."""
     if m1.alphabet != m2.alphabet or m1.support != m2.support:
         raise DomainError("sup_distance requires identical alphabet and support")
-    return float(np.max(np.abs(m1.table - m2.table)))
+    return float(np.abs(m1.table - m2.table).max())
 
 
 def is_consistent(m1: DenseMeasure, m2: DenseMeasure, tol: float = DEFAULT_TOL) -> bool:

@@ -122,6 +122,13 @@ def _walk_count(steps: int, value: int) -> int:
     return math.comb(steps, (steps + value) // 2)
 
 
+def _boundary_walk_counts(w: int) -> tuple[int, int]:
+    """``(_walk_count(w, 1), _walk_count(w - 1, 0))`` for odd ``w`` from one
+    binomial, as ``C(w, (w+1)/2) = C(w-1, (w-1)/2) * 2w / (w+1)`` exactly."""
+    middle = _walk_count(w - 1, 0)
+    return middle * 2 * w // (w + 1), middle
+
+
 def _exact_walk_mass(steps: int, value: int) -> Fraction:
     """P[simple random walk of ``steps`` coin flips sums to ``value``]."""
     return Fraction(_walk_count(steps, value), 2**steps)
@@ -248,7 +255,11 @@ def counterexample_check(
     if w < 3 or w % 2 == 0:
         raise DomainError(f"window must be odd and >= 3, got {w}")
     delta = n % 2
-    d_shift = shift_distance(w)
+    # shift_distance(w) and _sign_flip_probability(w, 1), each one correctly
+    # rounded int / 2**k division of the counts they would compute
+    boundary, middle = _boundary_walk_counts(w)
+    d_shift = boundary / 2 ** (w + 1)
+    flip_one = middle / 2**w
     preconditions_ok = d_shift < 0.01
 
     rng = np.random.default_rng(seed)
@@ -258,7 +269,6 @@ def counterexample_check(
     mass_exact = _walk_count(n, delta) / 2**n
     mass_empirical = float(np.mean(in_set))
 
-    flip_one = _sign_flip_probability(w, 1)
     fiber_distance = flip_one if delta else 0.0
     max_fiber = fiber_distance if int(np.sum(in_set)) else float("nan")
 

@@ -1,7 +1,10 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from margex.cli import main
 
@@ -245,6 +248,17 @@ class TestPlumbing:
                 },
             ),
             ("counterexample", {"W": 101, "n": 2, "cylinders": 5}),
+            ("counterexample", {"W": 101, "n": float("inf")}),
+            ("counterexample", {"W": 101, "n": 2, "seed": -1}),
+            (
+                "verify",
+                {
+                    "alphabet_size": 2,
+                    "alpha": 0.3,
+                    "N": 1,
+                    "members": [{"indices": [0], "table": [float("nan"), 1.0]}],
+                },
+            ),
         ],
         ids=[
             "paint-no-tower",
@@ -254,6 +268,9 @@ class TestPlumbing:
             "paint-tower-not-object",
             "correct-table-not-numeric",
             "cylinders-not-object",
+            "infinite-integer",
+            "negative-seed",
+            "nan-table",
         ],
     )
     def test_bad_spec_is_usage_error(self, tmp_path, command, spec):
@@ -270,6 +287,57 @@ class TestPlumbing:
         assert "timestamp" in json.loads(out.read_text())
         main(["verify", "--input", str(family_file), "--output", str(out), "--no-timestamp"])
         assert "timestamp" not in json.loads(out.read_text())
+
+
+class TestFailureReasons:
+    """A failed check's report carries the structured fields of its error."""
+
+    def _run_spec(self, tmp_path, command, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return run(tmp_path, command, "--input", str(path))
+
+    def test_positivity_margin_and_cell(self, tmp_path):
+        spec = {
+            "nu": {"alphabet_size": 2, "indices": [0, 1], "table": [0.4, 0.1, 0.1, 0.4]},
+            "t": 0.1,
+        }
+        code, report = self._run_spec(tmp_path, "correct", spec)
+        assert code == 1
+        reason = report["reason"]
+        assert set(reason) == {"code", "message", "margin", "cell"}
+        assert reason["code"] == "PositivityError"
+        assert reason["margin"] == pytest.approx(-1.1) and reason["cell"] == 0
+
+    def test_independence_defect_budget_index(self, tmp_path):
+        spec = json.loads((GOLDEN / "specs" / "family.json").read_text())
+        spec["beta"] = 1e-12
+        code, report = self._run_spec(tmp_path, "extend", spec)
+        assert code == 1
+        reason = report["reason"]
+        assert set(reason) == {"code", "message", "defect", "budget", "index"}
+        assert reason["code"] == "IndependenceError"
+        assert reason["budget"] == 1e-12 and reason["defect"] > reason["budget"]
+        assert reason["index"] == 1
+
+    def test_mixing_supply_step(self, tmp_path):
+        spec = json.loads((GOLDEN / "specs" / "krengel.json").read_text())
+        spec.update(mixing_times=[1], epsilon=0.01)
+        code, report = self._run_spec(tmp_path, "krengel", spec)
+        assert code == 1
+        reason = report["reason"]
+        assert set(reason) == {"code", "message", "step"}
+        assert reason["code"] == "MixingSupplyError" and reason["step"] == 1
+
+    def test_other_errors_keep_code_and_message(self, tmp_path, infeasible_family_file):
+        code, report = run(tmp_path, "extend", "--input", str(infeasible_family_file))
+        assert code == 1
+        assert set(report["reason"]) == {"code", "message"}
+
+    def test_negative_seed_is_usage_error(self, tmp_path, tower_file):
+        code, report = run(tmp_path, "paint", "--input", str(tower_file), "--seed", "-1")
+        assert code == 2
+        assert report["reason"]["code"] == "DomainError"
 
 
 class TestGoldenReports:
@@ -302,3 +370,92 @@ class TestGoldenReports:
         assert code == 0
         name = spec if spec.startswith(command) else command
         assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+class TestSpecFuzz:
+    """Mutated golden specs and arbitrary JSON keep the 0/1/2 contract and
+    always produce a parseable JSON report."""
+
+    TARGETS = [
+        ("verify", "family"),
+        ("extend", "family"),
+        ("oracle", "family"),
+        ("correct", "correct"),
+        ("paint", "paint"),
+        ("krengel", "krengel"),
+        ("counterexample", "counterexample"),
+        ("counterexample", "counterexample_cylinders"),
+    ]
+    # towers, the counterexample window and the sample count are capped so
+    # one example runs in well under a second
+    CAPS = {"atom_count": 1024, "height": 8, "W": 1001, "samples": 200}
+    # out-of-range and wrong-typed replacements; every number is small, so no
+    # mutation asks for a huge table, window or loop
+    WILD = st.one_of(
+        st.sampled_from([None, True, "", "x", [], {}, [1, "a"], {"a": 1}]),
+        st.sampled_from([0, -1, 1, 2, 17, -0.5, 0.5, 1.5, math.nan, math.inf, -math.inf]),
+    )
+
+    @staticmethod
+    def _spec(name):
+        spec = json.loads((GOLDEN / "specs" / f"{name}.json").read_text())
+        for part in (spec, spec.get("tower", {})):
+            for key, cap in TestSpecFuzz.CAPS.items():
+                if key in part:
+                    part[key] = min(part[key], cap)
+        return spec
+
+    @staticmethod
+    def _slots(node, path=()):
+        """Every key path to a dict value or list element in the spec."""
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield path + (key,)
+            if isinstance(value, (dict, list)):
+                yield from TestSpecFuzz._slots(value, path + (key,))
+
+    @staticmethod
+    def _check(tmp_path, command, payload):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "report.json"
+        code = main([command, "--input", str(path), "--output", str(out), "--no-timestamp"])
+        report = json.loads(out.read_text())
+        assert code in (0, 1, 2)
+        assert report["status"] == ("ok" if code == 0 else "failed")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_golden_spec(self, tmp_path_factory, data):
+        command, name = data.draw(st.sampled_from(self.TARGETS))
+        spec = self._spec(name)
+        for _ in range(data.draw(st.integers(1, 3))):
+            slots = list(self._slots(spec))
+            if not slots:
+                break
+            *parents, key = data.draw(st.sampled_from(slots))
+            parent = spec
+            for p in parents:
+                parent = parent[p]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[key]
+            else:
+                parent[key] = copy.deepcopy(data.draw(self.WILD))
+        self._check(tmp_path_factory.mktemp("fuzz"), command, spec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        command=st.sampled_from(sorted({c for c, _ in TARGETS})),
+        payload=st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers(-5, 1001)
+            | st.floats()
+            | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+            max_leaves=12,
+        ),
+    )
+    def test_arbitrary_json(self, tmp_path_factory, command, payload):
+        self._check(tmp_path_factory.mktemp("fuzz"), command, payload)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -189,6 +190,52 @@ class TestRightInverse:
             u = u_svd[:, col]
             assert np.max(np.abs(mat @ b.evaluate(u).table - u)) <= 1e-9
         assert np.isfinite(b.measured_norm) and b.measured_norm > 0
+
+
+    @pytest.mark.parametrize(
+        "size, domain, targets",
+        [
+            (2, (1, 2), ((1, 2),)),
+            (3, (1, 2), ((1,), (2,))),
+            (2, (0, 1, 2), ((0, 1), (1,), (1, 2))),
+        ],
+        ids=["identity", "disjoint", "overlapping"],
+    )
+    def test_one_svd_matches_pinv_and_per_column_norm(self, size, domain, targets):
+        alphabet = Alphabet(size)
+        op = ProjectionOperator(alphabet, IndexSet(domain), tuple(IndexSet(t) for t in targets))
+        v = genutil.random_measure(np.random.default_rng(len(targets)), alphabet, op.domain)
+        w = op.apply(v)
+        b = bounded_right_inverse(op, v, w)
+        mat = op.matrix()
+        pinv = np.linalg.pinv(mat)
+        assert b._pinv.tobytes() == pinv.tobytes()
+        u_svd, s, _ = np.linalg.svd(mat, full_matrices=False)
+        rank = int(np.sum(s > s[0] * 1e-12))
+        if len(targets) == 3:
+            assert rank < mat.shape[0]
+        w_vec = w.vector()
+        corr = v.table - pinv @ w_vec
+        norm = 0.0
+        for col in range(rank):
+            u = u_svd[:, col]
+            x = pinv @ u + corr * (w_vec @ u) / float(w_vec @ w_vec)
+            norm = max(norm, float(np.max(np.abs(x)) / np.max(np.abs(u))))
+        assert b.measured_norm == norm
+
+    @pytest.mark.parametrize(
+        "domain, target", [((0, 1, 2), (0, 2)), ((0, 1, 2), ()), ((3, 5), (3, 5)), ((), ())]
+    )
+    def test_matrix_rows_are_projection_digits(self, domain, target):
+        op = ProjectionOperator(Alphabet(3), IndexSet(domain), (IndexSet(target),))
+        keep = [domain.index(i) for i in target]
+        expected = np.zeros((3 ** len(target), 3 ** len(domain)))
+        for col, cell in enumerate(itertools.product(range(3), repeat=len(domain))):
+            row = 0
+            for pos in keep:
+                row = row * 3 + cell[pos]
+            expected[row, col] = 1.0
+        assert np.array_equal(op.matrix(), expected)
 
 
 class TestExtendOneIndex:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,11 +65,45 @@ class TestIndexSet:
         assert k.positions([2, 5]) == (1, 2)
         assert k.shift(3).indices == (4, 5, 8)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(st.integers(-20, 20)), st.sets(st.integers(-20, 20)))
+    def test_set_algebra_matches_python_sets(self, a, b):
+        k = IndexSet.of(a)
+        as_numpy = np.array(sorted(b), dtype=np.int64)
+        for other in (IndexSet.of(b), sorted(b, reverse=True), as_numpy):
+            for got, want in (
+                (k.union(other), a | b),
+                (k.intersection(other), a & b),
+                (k.difference(other), a - b),
+            ):
+                assert got == IndexSet.of(want)
+                assert all(type(i) is int for i in got)
+            assert k.issubset(other) == (a <= b)
+
+    def test_bad_input_keeps_its_message(self):
+        with pytest.raises(DomainError, match=r"^duplicate coordinates in \(1, 1\)$"):
+            IndexSet((1, 1))
+        message = "coordinates must be strictly increasing, got (2, 1)"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            IndexSet((2, 1))
+        with pytest.raises(DomainError, match=r"^duplicate coordinates in \(3, 3\)$"):
+            IndexSet.of([3, 3])
+        for op in ("union", "intersection", "difference", "issubset"):
+            with pytest.raises(DomainError, match=r"^duplicate coordinates in \(3, 3\)$"):
+                getattr(IndexSet.of([1]), op)([3, 3])
+
 
 class TestProjection:
     def test_identity(self):
         m = measure(A2, [1, 2], [0.2, 0.1, 0.4, 0.3])
         assert project(m, [1, 2]).allclose(m, tol=0)
+
+    def test_whole_support_returns_the_measure(self):
+        m = measure(A2, [1, 2], [0.2, 0.1, 0.4, 0.3])
+        assert project(m, m.support) is m
+        assert project(m, [2, 1]) is m
+        scalar = DenseMeasure.unit(A2)
+        assert project(scalar, EMPTY) is scalar
 
     def test_product_marginal(self):
         m = tensor(measure(A2, [1], [0.3, 0.7]), measure(A2, [2], [0.6, 0.4]))
@@ -290,6 +326,18 @@ class TestCapacityAndValidation:
             DenseMeasure(A2, IndexSet.of([0]), [0.6, 0.6])
         with pytest.raises(DomainError):
             DenseMeasure(A2, IndexSet.of([0]), [-0.1, 1.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            DenseMeasure(A2, IndexSet.of([0]), [bad, 1.0])
+
+    def test_point(self):
+        m = DenseMeasure.point(A3, [2, 5], (1, 2))
+        assert m.table.tolist() == [0, 0, 0, 0, 0, 1.0, 0, 0, 0]
+        assert DenseMeasure.point(A2, [], ()).table.tolist() == [1.0]
+        with pytest.raises(ValueError):
+            DenseMeasure.point(A2, [0, 1], (0, 2))
 
     def test_signed_mass_free(self):
         s = DenseMeasure(A2, IndexSet.of([0]), [-1.0, 3.0], "signed")

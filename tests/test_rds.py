@@ -20,7 +20,12 @@ from margex import (
     uniform_random_partition,
     relative_mixing_coefficient,
 )
-from margex.rds import _exact_walk_mass, _sign_flip_probability, _walk_count
+from margex.rds import (
+    _boundary_walk_counts,
+    _exact_walk_mass,
+    _sign_flip_probability,
+    _walk_count,
+)
 
 
 def fraction_walk_mass(steps, value):
@@ -122,6 +127,15 @@ class TestShiftDistance:
         assert shift_distance(w) == float(fraction_walk_mass(w, 1) / 2)
         for shift in shifts:
             assert _sign_flip_probability(w, shift) == sign_flip_reference(w, shift)
+
+    def test_boundary_count_derived_from_middle_count(self):
+        for w in range(3, 2002, 2):
+            boundary, middle = _boundary_walk_counts(w)
+            assert boundary == math.comb(w, (w + 1) // 2)
+            assert middle == math.comb(w - 1, (w - 1) // 2)
+            # the two values counterexample_check takes from these counts
+            assert boundary / 2 ** (w + 1) == shift_distance(w)
+            assert middle / 2**w == _sign_flip_probability(w, 1)
 
     def test_true_flip_probability_small_window(self):
         # exact event probability differs from the boundary estimate at w=3
