@@ -49,7 +49,6 @@ from .measures import (
 )
 from .extension import (
     ChainExtension,
-    ConsistentFamily,
     ExtensionTrace,
     HypothesisReport,
     ProjectionOperator,

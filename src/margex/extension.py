@@ -42,6 +42,7 @@ from .measures import (
     IndexLike,
     IndexSet,
     MarginalFamily,
+    _glue,
     conditional_rows,
     consistency_gap,
     delta_independence,
@@ -142,8 +143,9 @@ def _cell_codes(size: int, support: IndexSet, target: IndexSet) -> np.ndarray:
 class ProjectionOperator:
     """The linear map sending a measure on ``A^domain`` to its projections.
 
-    ``targets`` is the family of coordinate sets to project onto; the image of
-    a measure is always a consistent family over those targets.
+    ``targets`` is the family of coordinate sets to project onto. A family
+    over the targets is one flat array: their tables concatenated in target
+    order, which is the row order of :meth:`matrix`.
     """
 
     alphabet: Alphabet
@@ -165,10 +167,6 @@ class ProjectionOperator:
     def domain_cells(self) -> int:
         return self.alphabet.size ** len(self.domain)
 
-    @property
-    def target_cells(self) -> list[int]:
-        return [self.alphabet.size ** len(t) for t in self.targets]
-
     def matrix(self) -> np.ndarray:
         rows = []
         for t in self.targets:
@@ -178,38 +176,10 @@ class ProjectionOperator:
             rows.append(block)
         return np.vstack(rows)
 
-    def apply(self, m: DenseMeasure) -> "ConsistentFamily":
+    def apply(self, m: DenseMeasure) -> np.ndarray:
         if m.support != self.domain:
             raise DomainError("measure support does not match the operator domain")
-        return ConsistentFamily(self, tuple(project(m, t) for t in self.targets))
-
-    def family(self, measures: list[DenseMeasure]) -> "ConsistentFamily":
-        if len(measures) != len(self.targets):
-            raise DomainError("one measure per target required")
-        for t, mu in zip(self.targets, measures):
-            if mu.support != t:
-                raise DomainError(f"measure on {tuple(mu.support)} does not match target {tuple(t)}")
-        return ConsistentFamily(self, tuple(measures))
-
-
-@dataclass(frozen=True, eq=False)
-class ConsistentFamily:
-    """A tuple of signed measures aligned with an operator's targets."""
-
-    operator: ProjectionOperator
-    measures: tuple[DenseMeasure, ...]
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([mu.table for mu in self.measures])
-
-    def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.vector())))
-
-    def max_pairwise_gap(self) -> float:
-        gap = 0.0
-        for m1, m2 in combinations(self.measures, 2):
-            gap = max(gap, consistency_gap(m1, m2))
-        return gap
+        return np.concatenate([project(m, t).table for t in self.targets])
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,16 +193,14 @@ class RightInverse:
     """
 
     operator: ProjectionOperator
-    anchor_v: DenseMeasure
-    anchor_w: ConsistentFamily
     _pinv: np.ndarray
     _corr: np.ndarray
     _w_vec: np.ndarray
     _w_norm2: float
     measured_norm: float
 
-    def evaluate(self, family: ConsistentFamily | np.ndarray) -> DenseMeasure:
-        u = family.vector() if isinstance(family, ConsistentFamily) else np.asarray(family)
+    def evaluate(self, family: np.ndarray) -> DenseMeasure:
+        u = np.asarray(family)
         x = self._pinv @ u + self._corr * (self._w_vec @ u) / self._w_norm2
         return DenseMeasure(self.operator.alphabet, self.operator.domain, x, "signed")
 
@@ -240,28 +208,29 @@ class RightInverse:
 def bounded_right_inverse(
     op: ProjectionOperator,
     v: DenseMeasure,
-    w: ConsistentFamily,
+    w: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> RightInverse:
     """Right inverse of ``op`` with ``B(w) = v``, plus its measured sup-norm.
 
-    Requires ``op(v) = w`` within ``tol`` and ``w != 0``.
+    ``w`` is a family over the operator's targets in :meth:`ProjectionOperator.apply`
+    form. Requires ``op(v) = w`` within ``tol`` and ``w != 0``.
     """
     if v.support != op.domain:
         raise DomainError("anchor measure must live on the operator domain")
-    if w.operator is not op and w.operator != op:
+    mat = op.matrix()
+    w_vec = np.asarray(w, dtype=np.float64)
+    if w_vec.shape != mat.shape[:1]:
         raise DomainError("anchor family must belong to the operator")
-    w_vec = w.vector()
-    w_norm = float(np.abs(w_vec).max()) if w_vec.size else 0.0
-    if w_norm == 0.0:
+    if float(np.abs(w_vec).max()) == 0.0:
         raise DomainError("anchor family is zero; no anchored right inverse exists")
-    gap = float(np.abs(op.apply(v).vector() - w_vec).max())
+    gap = float(np.abs(mat @ v.table - w_vec).max())
     if gap > tol:
         raise AnchorError(f"operator applied to the anchor measure misses w by {gap}")
 
     # one SVD gives the pseudo-inverse, formed as np.linalg.pinv forms it
     # (same cutoff and products, so bit for bit), and the image basis
-    u_svd, s, vt = np.linalg.svd(op.matrix(), full_matrices=False)
+    u_svd, s, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(s > s[0] * 1e-12))
     large = s > 1e-15 * s.max()
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
@@ -275,7 +244,7 @@ def bounded_right_inverse(
         u = u_svd[:, col]
         x = pinv @ u + corr * (w_vec @ u) / w_norm2
         measured = max(measured, float(np.abs(x).max() / np.abs(u).max()))
-    return RightInverse(op, v, w, pinv, corr, w_vec, w_norm2, measured)
+    return RightInverse(op, pinv, corr, w_vec, w_norm2, measured)
 
 
 # -- one-coordinate extension step -----------------------------------------------
@@ -311,7 +280,6 @@ class ExtensionStep:
 @dataclass(frozen=True, eq=False)
 class ExtensionTrace:
     steps: tuple[ExtensionStep, ...]
-    final: DenseMeasure
 
     def max_beta_defect(self) -> float:
         return max((s.beta_defect for s in self.steps), default=0.0)
@@ -327,8 +295,9 @@ def _sigma_step(family, lam, n, tol, pos_tol=None):
     """Construct the prospective marginal on the reach of coordinate ``n``.
 
     ``lam`` holds at least the prior coordinates of the members through
-    ``n``. Returns ``(sigma, ExtensionStep)`` where ``sigma`` lives on the
-    union of the clipped member supports through ``n``. Negative cells beyond
+    ``n``. Returns ``(sigma, v, ExtensionStep)`` where ``sigma`` lives on the
+    union of the clipped member supports through ``n`` and ``v`` is ``lam``'s
+    projection onto the prior part of that union. Negative cells beyond
     ``pos_tol`` (default ``tol``) are a hard error; smaller ones are clipped,
     renormalized, and recorded on the step.
     """
@@ -359,18 +328,16 @@ def _sigma_step(family, lam, n, tol, pos_tol=None):
         r_bar = r_bar.union(t)
     s_bar = r_bar.union((n,))
 
-    nu_list = [
-        project(slice_sources[t.union((n,)).indices], t) for t in target_sets
-    ]
+    nu = np.concatenate(
+        [project(slice_sources[t.union((n,)).indices], t).table for t in target_sets]
+    )
     op = ProjectionOperator(alphabet, r_bar, target_sets)
     v = project(lam, r_bar)
     # anchor at the prior measure's own projections, which match the members'
     # marginals exactly in exact arithmetic; any quantization drift between
     # the two is measured and absorbed into the identity tolerances below
     w = op.apply(v)
-    drift = max(
-        (sup_distance(a, b) for a, b in zip(w.measures, nu_list)), default=0.0
-    )
+    drift = float(np.abs(w - nu).max())
     if pos_tol is None:
         pos_tol = tol
     if drift > max(tol, 4 * pos_tol * v.table.size):
@@ -441,7 +408,7 @@ def _sigma_step(family, lam, n, tol, pos_tol=None):
         clipped=clipped,
         restriction_gap=back,
     )
-    return sigma, step
+    return sigma, v, step
 
 
 def _extension_step(family, lam, n, beta, tol, pos_tol):
@@ -464,7 +431,7 @@ def _extension_step(family, lam, n, beta, tol, pos_tol):
         )
         return tensor(lam, sigma), step
 
-    sigma, step = _sigma_step(family, lam, n, tol, pos_tol)
+    sigma, v, step = _sigma_step(family, lam, n, tol, pos_tol)
     if beta is not None and step.beta_defect > beta + tol:
         raise IndependenceError(
             f"coordinate {n} is only {step.beta_defect}-independent of the prior block "
@@ -476,7 +443,9 @@ def _extension_step(family, lam, n, beta, tol, pos_tol):
     glue_tol = max(tol, 1e-7)
     if pos_tol is not None:
         glue_tol = max(glue_tol, 2.0 * step.restriction_gap)
-    return relative_product(lam, sigma, tol=glue_tol), step
+    # v is lam's projection onto the overlap r_bar, and the restriction gap
+    # its distance from sigma's, so lam is projected once per step
+    return _glue(lam, sigma, v, step.restriction_gap, glue_tol), step
 
 
 def _extend(family, window, beta, tol, pos_tol, span):
@@ -540,7 +509,7 @@ def extend_family(
     if family.alphabet.size ** len(window) > CELL_CAP:
         raise CapacityError(f"window of {len(window)} coordinates exceeds the dense cap")
     lam, steps = _extend(family, window, beta, tol, None, None)
-    return lam, ExtensionTrace(steps, lam)
+    return lam, ExtensionTrace(steps)
 
 
 # -- streaming extension with bounded memory -------------------------------------

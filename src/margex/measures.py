@@ -219,9 +219,6 @@ class DenseMeasure:
     def product_of_marginals(self) -> "DenseMeasure":
         return product_of_marginals(self)
 
-    def conditional(self, given: IndexLike, value: Sequence[int]) -> "DenseMeasure":
-        return conditional_dist(self, given, value)
-
     def to_dict(self) -> dict:
         return {
             "alphabet_size": self.alphabet.size,
@@ -362,21 +359,26 @@ def relative_product(
         raise DomainError("relative_product requires a shared alphabet")
     if lam.kind != "probability" or sigma.kind != "probability":
         raise DomainError("relative_product needs probability measures")
-    overlap = lam.support.intersection(sigma.support)
-    rho_l = project(lam, overlap)
-    rho_s = project(sigma, overlap)
-    gap = sup_distance(rho_l, rho_s)
+    rho = project(lam, lam.support.intersection(sigma.support))
+    return _glue(lam, sigma, rho, sup_distance(rho, project(sigma, rho.support)), tol)
+
+
+def _glue(
+    lam: DenseMeasure, sigma: DenseMeasure, rho: DenseMeasure, gap: float, tol: float
+) -> DenseMeasure:
+    """:func:`relative_product` given ``rho``, ``lam``'s projection onto the
+    overlap, and ``gap``, its sup distance from ``sigma``'s."""
     if gap > tol:
         raise ConsistencyError(
-            f"projections onto {tuple(overlap)} differ by {gap} (tol {tol})"
+            f"projections onto {tuple(rho.support)} differ by {gap} (tol {tol})"
         )
-    if rho_l.min_entry() <= 0.0:
+    if rho.min_entry() <= 0.0:
         raise SingularityError(
-            f"overlap projection onto {tuple(overlap)} has a nonpositive cell"
+            f"overlap projection onto {tuple(rho.support)} has a nonpositive cell"
         )
     union = lam.support.union(sigma.support)
     _cell_count(lam.alphabet.size, union)
-    out = _embed(lam, union) * _embed(sigma, union) / _embed(rho_l, union)
+    out = _embed(lam, union) * _embed(sigma, union) / _embed(rho, union)
     return DenseMeasure(lam.alphabet, union, out.reshape(-1), "probability", tol=1e-6)
 
 
@@ -509,9 +511,6 @@ class MarginalFamily:
             raise DomainError(f"n_cap must be >= 1, got {self.n_cap}")
         self.alphabet.check_alpha(self.alpha)
         object.__setattr__(self, "members", members)
-
-    def supports(self) -> list[IndexSet]:
-        return [mu.support for mu in self.members]
 
     def union_support(self) -> IndexSet:
         out = EMPTY

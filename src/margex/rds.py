@@ -17,8 +17,18 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, WindowError
-from .towers import FiberSpace, TowerSpec, seeded_permutation_transfer
+from .errors import CapacityError, DomainError, WindowError
+from .measures import CELL_CAP
+from .towers import FiberSpace, TowerSpec, _check_tower_cells, seeded_permutation_transfer
+
+# exact walk counts are binomials of at most this many steps: math.comb at
+# 2^18 steps takes 1.3 s on a 2-core Xeon, and about 3.6x longer per doubling
+WALK_STEP_CAP = 2**18
+
+
+def _check_odd_window(w: int) -> None:
+    if w < 3 or w % 2 == 0:
+        raise DomainError(f"window must be odd and >= 3, got {w}")
 
 
 class Cocycle:
@@ -49,8 +59,7 @@ class SignPartition:
     window: int
 
     def __post_init__(self):
-        if self.window < 3 or self.window % 2 == 0:
-            raise DomainError(f"window must be odd and >= 3, got {self.window}")
+        _check_odd_window(self.window)
 
 
 @dataclass(frozen=True)
@@ -115,8 +124,23 @@ class SkewProduct:
         return 0.5 ** len(merged)
 
 
+def _check_samples(samples: int, n: int) -> None:
+    """At least one sample, and at most ``CELL_CAP`` sampled base symbols."""
+    if samples < 1:
+        raise DomainError(f"need at least one sample, got {samples}")
+    symbols = max(n, 1)
+    if samples * symbols > CELL_CAP:
+        raise CapacityError(
+            f"{samples} samples of {symbols} base symbols exceed the cap of {CELL_CAP}"
+        )
+
+
 def _walk_count(steps: int, value: int) -> int:
     """Number of ``steps``-step +-1 walks that sum to ``value``."""
+    if steps > WALK_STEP_CAP:
+        raise CapacityError(
+            f"exact walk counts are capped at {WALK_STEP_CAP} steps, got {steps}"
+        )
     if (steps + value) % 2 or abs(value) > steps:
         return 0
     return math.comb(steps, (steps + value) // 2)
@@ -148,8 +172,7 @@ def shift_distance(
     simulates the flip event itself (the two agree to ``O(1/w)``; see the
     notes in the tests).
     """
-    if w < 3 or w % 2 == 0:
-        raise DomainError(f"window must be odd and >= 3, got {w}")
+    _check_odd_window(w)
     if method == "exact":
         # int / int is one correctly rounded division, as float(Fraction) is
         return _walk_count(w, 1) / 2 ** (w + 1)
@@ -250,10 +273,8 @@ def counterexample_check(
     """
     if n < 1:
         raise DomainError("need at least one iterate")
-    if samples < 1:
-        raise DomainError(f"need at least one sample, got {samples}")
-    if w < 3 or w % 2 == 0:
-        raise DomainError(f"window must be odd and >= 3, got {w}")
+    _check_samples(samples, n)
+    _check_odd_window(w)
     delta = n % 2
     # shift_distance(w) and _sign_flip_probability(w, 1), each one correctly
     # rounded int / 2**k division of the counts they would compute
@@ -334,8 +355,7 @@ def relative_mixing_coefficient(
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    if samples < 1:
-        raise DomainError(f"need at least one sample, got {samples}")
+    _check_samples(samples, n)
     system.check_window(a_cyl)
     rng = np.random.default_rng(seed)
     words = rng.choice((-1, 1), size=(samples, max(n, 1)))
@@ -380,6 +400,7 @@ def build_tower_from_base(
     atom ring by the base symbol, the two-sided shift at atom resolution), or
     ``seeded_permutation`` (a fresh seeded permutation per level).
     """
+    _check_tower_cells(height, atom_count)
     orbit = np.asarray(orbit)
     if len(orbit) < height:
         raise DomainError(f"orbit of length {len(orbit)} is shorter than the tower ({height})")

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    CapacityError,
     DomainError,
     MixingSupplyError,
     PositivityError,
@@ -47,6 +48,18 @@ from .measures import (
     sup_distance,
 )
 
+# height x atom_count; 2^28 admits a 256-level tower over 2^20 atoms
+TOWER_CELL_CAP = 2**28
+
+
+def _check_tower_cells(height: int, atoms: int) -> None:
+    """Reject a tower whose per-level atom tables would exceed the cap."""
+    if height * atoms > TOWER_CELL_CAP:
+        raise CapacityError(
+            f"tower of height {height} over {atoms} atoms has {height * atoms} cells "
+            f"(cap {TOWER_CELL_CAP})"
+        )
+
 
 @dataclass(frozen=True)
 class FiberSpace:
@@ -57,10 +70,6 @@ class FiberSpace:
     def __post_init__(self):
         if self.atom_count < 1:
             raise DomainError(f"fiber needs at least one atom, got {self.atom_count}")
-
-    @property
-    def atom_mass(self) -> float:
-        return 1.0 / self.atom_count
 
 
 @dataclass(eq=False)
@@ -86,6 +95,7 @@ class TowerSpec:
         if self.height < 1:
             raise DomainError(f"tower height must be >= 1, got {self.height}")
         n = self.fiber.atom_count
+        _check_tower_cells(self.height, n)
         if self.transfer is not None:
             transfer = np.array(self.transfer, dtype=np.int32)
             if transfer.shape != (self.height - 1, n):
@@ -145,6 +155,7 @@ class TowerSpec:
 def seeded_permutation_transfer(height: int, atoms: int, seed: int) -> np.ndarray:
     """Transfer maps of a tower whose every level step is a fresh seeded
     permutation of the atoms, drawn in level order; ``(0, atoms)`` at height 1."""
+    _check_tower_cells(height, atoms)
     rng = np.random.default_rng(seed)
     transfer = np.empty((max(height - 1, 0), atoms), dtype=np.int32)
     for row in transfer:
@@ -186,12 +197,6 @@ class LabeledPartition:
 
     def min_symbol_mass(self) -> float:
         return float(self.distributions().min())
-
-    def distance(self, other: "LabeledPartition") -> np.ndarray:
-        """Per-level mass where the two symbol maps disagree."""
-        if self.labels.shape != other.labels.shape:
-            raise DomainError("partitions live on different towers")
-        return (self.labels != other.labels).mean(axis=1)
 
 
 def base_aligned_labels(tower: TowerSpec, partition: LabeledPartition) -> np.ndarray:

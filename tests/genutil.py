@@ -19,6 +19,14 @@ from margex import (
 from margex.towers import labels_from_base, seeded_permutation_transfer
 
 
+class NoNumpy:
+    """Stands in for a module's numpy: any use fails the test, which shows
+    that a capacity check ran before the first array was made."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used before the capacity check")
+
+
 def random_measure(rng, alphabet: Alphabet, support, floor: float = 0.02) -> DenseMeasure:
     support = IndexSet.of(support)
     cells = alphabet.size ** len(support)

@@ -181,6 +181,25 @@ class TestPaintAndKrengel:
         assert code == 2
         assert report["reason"]["code"] == "WindowError"
 
+    @pytest.mark.parametrize("command", ["paint", "krengel"])
+    @pytest.mark.parametrize("transfer", ["identity", "seeded_permutation:5"])
+    def test_tower_over_cell_cap_is_usage_error(self, tmp_path, command, transfer):
+        spec = {
+            "tower": {
+                "height": 64,
+                "atom_count": 2**40,
+                "transfer": transfer,
+                "labels": {"generator": "seeded_uniform:3", "alphabet_size": 2},
+            },
+            "m": 2,
+            "mixing_times": [2],
+        }
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(spec))
+        code, report = run(tmp_path, command, "--input", str(path))
+        assert code == 2
+        assert report["reason"]["code"] == "CapacityError"
+
 
 class TestCounterexampleCommand:
     def test_report_values(self, tmp_path):
@@ -203,6 +222,23 @@ class TestCounterexampleCommand:
         )
         assert code == 1
         assert report["result"]["preconditions_ok"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--W", "10001", "--n", "10", "--samples", "100000000000"),
+            ("--W", "1048577", "--n", "10", "--samples", "10"),
+        ],
+        ids=["samples", "window"],
+    )
+    def test_over_cap_is_usage_error(self, tmp_path, monkeypatch, argv):
+        def forbidden(*args):
+            raise AssertionError("binomial computed before the walk cap")
+
+        monkeypatch.setattr(math, "comb", forbidden)
+        code, report = run(tmp_path, "counterexample", *argv)
+        assert code == 2
+        assert report["reason"]["code"] == "CapacityError"
 
 
 class TestPlumbing:

@@ -144,13 +144,13 @@ class TestRightInverse:
         op = ProjectionOperator(A2, dom, (dom,))
         v = measure(A2, dom, [0.2, 0.1, 0.4, 0.3])
         b = bounded_right_inverse(op, v, op.apply(v))
-        u = op.family([measure(A2, dom, [0.25] * 4)])
+        u = np.array([0.25] * 4)
         assert np.allclose(b.evaluate(u).table, [0.25] * 4)
 
     def test_anchor_pair(self):
         op = ProjectionOperator(A2, IndexSet.of([1, 2]), (IndexSet.of([1]), IndexSet.of([2])))
         v = measure(A2, [1, 2], [0.20, 0.10, 0.40, 0.30])
-        w = op.family([measure(A2, [1], [0.3, 0.7]), measure(A2, [2], [0.6, 0.4])])
+        w = np.array([0.3, 0.7, 0.6, 0.4])
         b = bounded_right_inverse(op, v, w)
         assert np.max(np.abs(b.evaluate(w).table - v.table)) <= 1e-12
 
@@ -163,9 +163,32 @@ class TestRightInverse:
     def test_bad_anchor_rejected(self):
         op = ProjectionOperator(A2, IndexSet.of([0, 1]), (IndexSet.of([0]),))
         v = DenseMeasure.uniform(A2, [0, 1])
-        w = op.family([measure(A2, [0], [0.3, 0.7])])
+        w = np.array([0.3, 0.7])
         with pytest.raises(AnchorError):
             bounded_right_inverse(op, v, w)
+
+    @pytest.mark.parametrize("cells", [1, 3, 4])
+    def test_wrong_length_anchor_rejected(self, cells):
+        op = ProjectionOperator(A2, IndexSet.of([0, 1]), (IndexSet.of([0]),))
+        v = DenseMeasure.uniform(A2, [0, 1])
+        with pytest.raises(DomainError, match="anchor family must belong to the operator"):
+            bounded_right_inverse(op, v, np.full(cells, 0.5))
+
+    def test_anchor_is_not_projected_again(self, monkeypatch):
+        # the caller already holds w = op.apply(v); the anchor check reads the
+        # operator matrix instead of projecting v a second time
+        op = ProjectionOperator(A2, IndexSet.of([0, 1, 2]), (IndexSet.of([0, 1]), IndexSet.of([1, 2])))
+        v = genutil.random_measure(np.random.default_rng(3), A2, op.domain)
+        w = op.apply(v)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bounded_right_inverse projected a measure")
+
+        monkeypatch.setattr(margex.measures, "project", forbidden)
+        monkeypatch.setattr(margex.extension, "project", forbidden)
+        monkeypatch.setattr(ProjectionOperator, "apply", forbidden)
+        b = bounded_right_inverse(op, v, w)
+        assert np.max(np.abs(b.evaluate(w).table - v.table)) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_right_inverse_contract(self, seed):
@@ -214,12 +237,11 @@ class TestRightInverse:
         rank = int(np.sum(s > s[0] * 1e-12))
         if len(targets) == 3:
             assert rank < mat.shape[0]
-        w_vec = w.vector()
-        corr = v.table - pinv @ w_vec
+        corr = v.table - pinv @ w
         norm = 0.0
         for col in range(rank):
             u = u_svd[:, col]
-            x = pinv @ u + corr * (w_vec @ u) / float(w_vec @ w_vec)
+            x = pinv @ u + corr * (w @ u) / float(w @ w)
             norm = max(norm, float(np.max(np.abs(x)) / np.max(np.abs(u))))
         assert b.measured_norm == norm
 
@@ -236,6 +258,8 @@ class TestRightInverse:
                 row = row * 3 + cell[pos]
             expected[row, col] = 1.0
         assert np.array_equal(op.matrix(), expected)
+        m = genutil.random_measure(np.random.default_rng(len(domain)), op.alphabet, op.domain)
+        assert np.max(np.abs(op.apply(m) - op.matrix() @ m.table)) <= 1e-12
 
 
 class TestExtendOneIndex:
@@ -308,6 +332,37 @@ class TestExtendFamily:
         assert trace.max_beta_defect() <= beta
         for mu in family.members:
             assert consistency_gap(out, mu) <= 1e-9
+
+    def test_each_prior_measure_projected_once(self, monkeypatch):
+        # the step's overlap projection of the prior measure feeds both the
+        # right inverse's anchor and the glue. Where the overlap is the whole
+        # prior support that projection is the prior measure itself, so only
+        # steps with a smaller overlap are counted
+        rng = np.random.default_rng(5)
+        family = genutil.near_product_family(rng, A2, window_size=6, alpha=0.3)
+        priors, projected = [], []
+        step, proj = margex.extension._extension_step, margex.measures.project
+
+        def recording_step(family, lam, n, *args):
+            out = step(family, lam, n, *args)
+            priors.append((lam, out[1]))
+            return out
+
+        def counting_project(m, target):
+            projected.append(m)
+            return proj(m, target)
+
+        monkeypatch.setattr(margex.extension, "_extension_step", recording_step)
+        monkeypatch.setattr(margex.extension, "project", counting_project)
+        monkeypatch.setattr(margex.measures, "project", counting_project)
+        extend_family(family, range(7), thresholds(family.alpha, family.n_cap, 1.0)[0])
+        assert [s.trivial for _, s in priors] == [False] * 6 + [True]
+        counts = [
+            sum(m is lam for m in projected)
+            for lam, s in priors
+            if not s.trivial and s.r_bar != lam.support
+        ]
+        assert counts == [1] * 4
 
     def test_audit_annotates_failing_index(self):
         rng = np.random.default_rng(3)

@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import genutil
 from margex import (
     Alphabet,
+    CapacityError,
     Cocycle,
     Cylinder,
     DomainError,
@@ -20,7 +22,10 @@ from margex import (
     uniform_random_partition,
     relative_mixing_coefficient,
 )
+from margex import rds
+from margex.measures import CELL_CAP
 from margex.rds import (
+    WALK_STEP_CAP,
     _boundary_walk_counts,
     _exact_walk_mass,
     _sign_flip_probability,
@@ -289,6 +294,44 @@ class TestCounterexample:
             "symmetric_difference_sum": 1.0,
             "stated": 0.25,
         }
+
+
+class TestCapacity:
+    def test_sample_cap_fires_before_any_array(self, monkeypatch):
+        monkeypatch.setattr(rds, "np", genutil.NoNumpy())
+        with pytest.raises(CapacityError):
+            counterexample_check(10001, 10, samples=10**11, seed=1)
+        a = Cylinder.of({0: 1})
+        with pytest.raises(CapacityError):
+            relative_mixing_coefficient(SkewProduct(), a, a, n=10, samples=10**11, seed=1)
+        with pytest.raises(CapacityError):
+            relative_mixing_coefficient(SkewProduct(), a, a, n=0, samples=CELL_CAP + 1, seed=1)
+        rds._check_samples(CELL_CAP // 16, 16)
+        with pytest.raises(CapacityError):
+            rds._check_samples(CELL_CAP // 16 + 1, 16)
+
+    def test_walk_cap_fires_before_any_binomial(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("binomial computed before the walk cap")
+
+        monkeypatch.setattr(math, "comb", forbidden)
+        with pytest.raises(CapacityError):
+            shift_distance(WALK_STEP_CAP + 1)
+        with pytest.raises(CapacityError):
+            counterexample_check(2 * WALK_STEP_CAP + 1, 10, samples=10, seed=1)
+        with pytest.raises(CapacityError):
+            _walk_count(WALK_STEP_CAP + 1, 1)
+        assert WALK_STEP_CAP >= 100001  # the benchmark's longest window
+
+    def test_walk_cap_covers_the_iterate(self):
+        with pytest.raises(CapacityError):
+            counterexample_check(101, WALK_STEP_CAP + 1, samples=1, seed=1)
+
+    def test_tower_cap_fires_before_any_array(self, monkeypatch):
+        monkeypatch.setattr(rds, "np", genutil.NoNumpy())
+        for rule in ("identity", "plus_minus_shift", "seeded_permutation"):
+            with pytest.raises(CapacityError):
+                build_tower_from_base([], 64, 2**40, rule)
 
 
 class TestBuildTower:

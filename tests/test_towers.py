@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import genutil
 from margex import (
     Alphabet,
+    CapacityError,
     DenseMeasure,
     DomainError,
     FiberSpace,
@@ -82,6 +83,17 @@ class TestTowerSpec:
         tower = genutil.permutation_tower(5, 64, seed=1)
         with pytest.raises(ValueError):
             tower.transfer[0, 0] = tower.transfer[0, 1]
+
+    def test_cell_cap_fires_before_any_array(self, monkeypatch):
+        monkeypatch.setattr(towers, "np", genutil.NoNumpy())
+        with pytest.raises(CapacityError):
+            TowerSpec(64, FiberSpace(2**40))
+        with pytest.raises(CapacityError):
+            towers.seeded_permutation_transfer(64, 2**40, seed=1)
+        # 256 levels over 2^20 atoms stay legal (checked, not built)
+        towers._check_tower_cells(256, 2**20)
+        with pytest.raises(CapacityError):
+            towers._check_tower_cells(256, 2**20 + 1)
 
 
 class TestNameDistribution:
