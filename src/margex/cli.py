@@ -31,7 +31,7 @@ from .extension import (
     thresholds,
     verify_hypotheses,
 )
-from .measures import Alphabet, DenseMeasure, IndexSet, MarginalFamily
+from .measures import CELL_CAP, Alphabet, DenseMeasure, IndexSet, MarginalFamily
 from .rds import Cylinder, SkewProduct, counterexample_check, relative_mixing_coefficient
 from .towers import (
     FiberSpace,
@@ -103,13 +103,24 @@ def _spec_errors():
 
 
 @_spec_errors()
-def _family_from_spec(spec: dict) -> tuple[MarginalFamily, IndexSet | None]:
+def _family_from_spec(
+    spec: dict, command: str | None = None
+) -> tuple[MarginalFamily, IndexSet | None]:
+    """The spec's family and, for ``command`` (extend or oracle), its window.
+    A window longer than ``CELL_CAP.bit_length()`` coordinates exceeds the
+    dense cap at every alphabet size, so it is rejected before it is built."""
     family = MarginalFamily.from_dict(spec)
-    window = None
-    if "window" in spec:
-        lo, hi = spec["window"]
-        window = IndexSet.of(range(int(lo), int(hi) + 1))
-    return family, window
+    if command is None:
+        return family, None
+    if "window" not in spec:
+        raise DomainError(f"family spec needs a window for {command}")
+    lo, hi = map(int, spec["window"])
+    if hi - lo + 1 > CELL_CAP.bit_length():
+        raise CapacityError(
+            f"window [{lo}, {hi}] has {hi - lo + 1} coordinates "
+            f"(cap {CELL_CAP.bit_length()})"
+        )
+    return family, IndexSet.of(range(lo, hi + 1))
 
 
 @_spec_errors()
@@ -159,9 +170,7 @@ def _cmd_verify(args, spec):
 
 
 def _cmd_extend(args, spec):
-    family, window = _family_from_spec(spec)
-    if window is None:
-        raise DomainError("family spec needs a window for extend")
+    family, window = _family_from_spec(spec, "extend")
     with _spec_errors():
         beta = float(spec.get("beta", thresholds(family.alpha, family.n_cap, 1.0)[0]))
     measure, trace = extend_family(family, window, beta, tol=args.tol)
@@ -174,9 +183,7 @@ def _cmd_extend(args, spec):
 
 
 def _cmd_oracle(args, spec):
-    family, window = _family_from_spec(spec)
-    if window is None:
-        raise DomainError("family spec needs a window for oracle")
+    family, window = _family_from_spec(spec, "oracle")
     result = brute_force_extension_exists(family, window)
     return result.to_dict(), result.feasible
 

@@ -18,7 +18,7 @@ fails loudly when a budget is violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -37,13 +37,14 @@ from .measures import (
     CELL_CAP,
     DEFAULT_TOL,
     EMPTY,
+    SCAN_ALL_LIMIT,
     Alphabet,
     DenseMeasure,
     IndexLike,
     IndexSet,
     MarginalFamily,
     _glue,
-    conditional_rows,
+    conditional_gap,
     consistency_gap,
     delta_independence,
     project,
@@ -388,13 +389,9 @@ def _sigma_step(family, lam, n, tol, pos_tol=None):
             )
 
     # defect of the fresh coordinate against the atoms of A^{r_bar}
-    rows, row_mass = conditional_rows(sigma, n)
-    n_marg = project(sigma, (n,)).table
-    good = row_mass > 0.0
-    if not np.any(good):
+    beta_defect, _ = conditional_gap(sigma, r_bar.indices, n)
+    if beta_defect == np.inf:
         raise SingularityError("all atoms of the overlap have zero mass")
-    cond = rows[good] / row_mass[good, None]
-    beta_defect = float(np.abs(cond - n_marg[None, :]).max())
 
     step = ExtensionStep(
         index=n,
@@ -670,12 +667,7 @@ class Violation:
     limit: float
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "location": self.location,
-            "magnitude": self.magnitude,
-            "limit": self.limit,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -746,7 +738,7 @@ def verify_hypotheses(
     defects = []
     for i, mu in enumerate(family.members):
         defect = delta_independence(mu, "ascending")
-        if defect > delta and len(mu.support) <= 8:
+        if defect > delta and len(mu.support) <= SCAN_ALL_LIMIT:
             defect = min(defect, delta_independence(mu, "scan_all"))
         defects.append(defect)
         max_defect = max(max_defect, defect)

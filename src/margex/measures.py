@@ -392,57 +392,53 @@ def conditional_rows(m: DenseMeasure, coord: int) -> tuple[np.ndarray, np.ndarra
     return rows, rows.sum(axis=1)
 
 
-def _block_defect(m: DenseMeasure, prefix: tuple[int, ...], nxt: int) -> float | None:
-    """Worst conditional gap of coordinate ``nxt`` given the atoms of ``prefix``.
+def conditional_gap(m: DenseMeasure, prefix: tuple[int, ...], nxt: int) -> tuple[float, bool]:
+    """Worst gap between the law of ``nxt`` given an atom of ``prefix`` and
+    its own law, and whether some atom of ``prefix`` has zero mass.
 
-    Returns ``None`` when some prefix atom has zero mass, in which case no
-    conditional is defined there.
+    The one zero-mass rule: an atom without mass has no conditional law, so
+    the gap runs over the atoms that carry mass and is ``inf`` when none does.
     """
     rows, row_mass = conditional_rows(project(m, prefix + (nxt,)), nxt)
-    if np.any(row_mass <= 0.0):
-        return None
-    marg = project(m, (nxt,)).table
-    cond = rows / row_mass[:, None]
-    return float(np.max(np.abs(cond - marg[None, :])))
+    good = row_mass > 0.0
+    if not good.any():
+        return np.inf, True
+    cond = rows[good] / row_mass[good, None]
+    gap = float(np.max(np.abs(cond - project(m, (nxt,)).table[None, :])))
+    return gap, not good.all()
 
 
 def _ordering_defect(m: DenseMeasure, order: tuple[int, ...]) -> float:
     worst = 0.0
     for i in range(1, len(order)):
-        d = _block_defect(m, tuple(sorted(order[:i])), order[i])
-        if d is None:
+        gap, has_zero_atom = conditional_gap(m, tuple(sorted(order[:i])), order[i])
+        if has_zero_atom:
             raise ZeroMassError(
                 f"ordering {order} conditions on a zero-mass atom of {order[:i]}"
             )
-        worst = max(worst, d)
+        worst = max(worst, gap)
     return worst
 
 
 def _scan_all_defect(m: DenseMeasure) -> float:
-    """Minimum over all orderings of the worst conditional gap, by subset DP."""
+    """Minimum over all orderings of the worst conditional gap, by a DP over
+    coordinate subsets that computes a gap only for subsets it can reach."""
     coords = tuple(m.support)
     n = len(coords)
-    pair: dict[tuple[int, int], float] = {}
-    for mask in range(1, 2**n):
-        for j in range(n):
-            if mask & (1 << j):
-                continue
-            prefix = tuple(coords[b] for b in range(n) if mask & (1 << b))
-            d = _block_defect(m, prefix, coords[j])
-            pair[(mask, j)] = np.inf if d is None else d
     best = np.full(2**n, np.inf)
     for j in range(n):
         best[1 << j] = 0.0
     for mask in range(1, 2**n):
-        if best[mask] == np.inf and bin(mask).count("1") == 1:
+        if best[mask] == np.inf:
             continue
+        prefix = tuple(c for b, c in enumerate(coords) if mask & (1 << b))
         for j in range(n):
             bit = 1 << j
-            if mask & bit or best[mask] == np.inf:
+            if mask & bit:
                 continue
-            cand = max(best[mask], pair[(mask, j)])
-            if cand < best[mask | bit]:
-                best[mask | bit] = cand
+            gap, has_zero_atom = conditional_gap(m, prefix, coords[j])
+            if not has_zero_atom:
+                best[mask | bit] = min(best[mask | bit], max(best[mask], gap))
     result = best[2**n - 1]
     if not np.isfinite(result):
         raise ZeroMassError("every ordering conditions on a zero-mass atom")
@@ -459,6 +455,11 @@ def delta_independence(
     ``|dist(h_i | q) - dist(h_i)|``. ``"ascending"`` uses the natural
     coordinate order. ``"scan_all"`` minimizes over every ordering and is
     gated at ``|K| <= 8``.
+
+    Zero mass follows :func:`conditional_gap`: an ordering that conditions
+    on a zero-mass atom has no defect, so an explicit ordering raises
+    :class:`ZeroMassError` and ``"scan_all"`` raises only when every
+    ordering does.
     """
     if m.kind != "probability":
         raise DomainError("delta_independence needs a probability measure")

@@ -11,7 +11,7 @@ seed-deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -236,23 +236,7 @@ class CounterexampleReport:
     contradiction_margin_measured: float
 
     def to_dict(self) -> dict:
-        return {
-            "w": self.w,
-            "n": self.n,
-            "delta": self.delta,
-            "preconditions_ok": self.preconditions_ok,
-            "shift_estimate": self.shift_estimate,
-            "shift_flip_probability": self.shift_flip_probability,
-            "parity_set_mass_exact": self.parity_set_mass_exact,
-            "parity_set_mass_empirical": self.parity_set_mass_empirical,
-            "samples_in_set": self.samples_in_set,
-            "max_fiber_distance": self.max_fiber_distance,
-            "forced_distance": self.forced_distance,
-            "perturbation_bound": self.perturbation_bound,
-            "measured_bound": self.measured_bound,
-            "contradiction_margin": self.contradiction_margin,
-            "contradiction_margin_measured": self.contradiction_margin_measured,
-        }
+        return asdict(self)
 
 
 def counterexample_check(

@@ -36,12 +36,14 @@ from .errors import (
 )
 from .extension import ChainExtension, ExtensionStep, extend_family_chain
 from .measures import (
+    CELL_CAP,
     DEFAULT_TOL,
     Alphabet,
     DenseMeasure,
     IndexLike,
     IndexSet,
     MarginalFamily,
+    conditional_gap,
     conditional_rows,
     delta_independence,
     product_measure,
@@ -50,6 +52,9 @@ from .measures import (
 
 # height x atom_count; 2^28 admits a 256-level tower over 2^20 atoms
 TOWER_CELL_CAP = 2**28
+# fraction of the smallest product cell an amplified window deviation may
+# reach before flag_dependent_shifts flags the shift
+FLAG_SAFETY = 0.9
 
 
 def _check_tower_cells(height: int, atoms: int) -> None:
@@ -222,6 +227,16 @@ def uniform_random_partition(tower: TowerSpec, alphabet: Alphabet, seed: int) ->
     return LabeledPartition(alphabet, labels)
 
 
+def _window_offsets(offsets: IndexLike) -> IndexSet:
+    """Offsets of a window read upward from each shift: nonempty, none below 0."""
+    offsets = IndexSet.of(offsets)
+    if not offsets:
+        raise DomainError("offsets must be nonempty")
+    if min(offsets) < 0:
+        raise DomainError(f"offsets must be >= 0, got {min(offsets)}")
+    return offsets
+
+
 def _window_codes(base_labels: np.ndarray, levels: Sequence[int], size: int) -> np.ndarray:
     codes = np.zeros(base_labels.shape[1], dtype=np.int64)
     for lvl in levels:
@@ -230,8 +245,12 @@ def _window_codes(base_labels: np.ndarray, levels: Sequence[int], size: int) -> 
 
 
 def _joint_counts(base: np.ndarray, levels: Sequence[int], size: int) -> np.ndarray:
-    codes = _window_codes(base, levels, size)
-    return np.bincount(codes, minlength=size ** len(levels))
+    cells = size ** len(levels)
+    if cells > CELL_CAP:
+        raise CapacityError(
+            f"window law on levels {tuple(levels)} would need {cells} cells (cap {CELL_CAP})"
+        )
+    return np.bincount(_window_codes(base, levels, size), minlength=cells)
 
 
 def _level_counts(base: np.ndarray, size: int) -> np.ndarray:
@@ -274,7 +293,10 @@ def name_distribution(
     offsets = IndexSet.of(offsets)
     if not offsets:
         raise DomainError("need at least one offset")
-    if base_level < 0 or base_level + max(offsets) >= tower.height:
+    if (
+        min(base_level, base_level + min(offsets)) < 0
+        or base_level + max(offsets) >= tower.height
+    ):
         raise WindowError(
             f"window {base_level}+{tuple(offsets)} exceeds tower height {tower.height}"
         )
@@ -346,23 +368,12 @@ def correcting_measure(
 def window_deviation(
     tower: TowerSpec, partition: LabeledPartition, shift: int, offsets: IndexLike
 ) -> tuple[float, float]:
-    """(sup distance to the product law, worst conditional defect of the last
-    offset against the preceding block) for one window."""
+    """(sup distance to the product law, worst conditional gap of the last
+    offset against the preceding block; 0 on one offset) for one window."""
     nu = name_distribution(tower, partition, shift, offsets)
-    return sup_distance(nu, nu.product_of_marginals()), _conditional_defect(nu)
-
-
-def _conditional_defect(nu: DenseMeasure) -> float:
-    """Worst gap between the law of ``nu``'s last coordinate conditioned on a
-    cell of the preceding block and its unconditioned law; 0 on one coordinate."""
-    if len(nu.support) == 1:
-        return 0.0
-    last = max(nu.support)
-    rows, mass = conditional_rows(nu, last)
-    marg = nu.project((last,)).table
-    good = mass > 0
-    cond = np.max(np.abs(rows[good] / mass[good, None] - marg[None, :])) if good.any() else np.inf
-    return float(cond)
+    *prefix, last = nu.support
+    gap = conditional_gap(nu, tuple(prefix), last)[0] if prefix else 0.0
+    return sup_distance(nu, nu.product_of_marginals()), gap
 
 
 def flag_dependent_shifts(
@@ -371,30 +382,32 @@ def flag_dependent_shifts(
     offsets: IndexLike,
     epsilon: float,
     eta: float | None = None,
-    safety: float = 0.9,
 ) -> np.ndarray:
     """Flags for shifts whose measured window deviation a paint step at budget
     ``epsilon`` could not absorb.
 
     A shift is flagged when the amplified deviation ``(10/epsilon - 1) * sup``
-    reaches ``safety`` times the smallest product cell (the positivity budget
-    of the correcting measure), or when ``eta`` is given and the conditional
-    mixing defect exceeds it.
+    reaches ``FLAG_SAFETY`` times the smallest product cell (the positivity
+    budget of the correcting measure), or when ``eta`` is given and the
+    conditional gap of the last offset (0 on one offset) exceeds it.
 
     The labels are aligned to the base once per call, and each shift's
     window law is built once from that alignment.
     """
-    offsets = IndexSet.of(offsets)
+    offsets = _window_offsets(offsets)
+    if not epsilon > 0.0:
+        raise DomainError(f"epsilon must be positive, got {epsilon}")
     base = base_aligned_labels(tower, partition)
     flags = np.zeros(tower.height, dtype=bool)
     amplify = 10.0 / epsilon - 1.0
     for j in range(tower.height - max(offsets)):
         nu = _name_law(base, partition.alphabet, j, offsets)
         prod = nu.product_of_marginals()
-        if amplify * sup_distance(nu, prod) >= safety * prod.min_entry():
+        if amplify * sup_distance(nu, prod) >= FLAG_SAFETY * prod.min_entry():
             flags[j] = True
-        elif eta is not None and _conditional_defect(nu) > eta:
-            flags[j] = True
+        elif eta is not None:
+            *prefix, last = nu.support
+            flags[j] = (conditional_gap(nu, tuple(prefix), last)[0] if prefix else 0.0) > eta
     return flags
 
 
@@ -550,9 +563,7 @@ def paint_tower(
     plus the top ``m`` levels are exempt. ``strict_budget`` additionally
     enforces ``height > 10 m / epsilon``.
     """
-    offsets = IndexSet.of(offsets)
-    if not offsets:
-        raise DomainError("offsets must be nonempty")
+    offsets = _window_offsets(offsets)
     if m <= max(offsets):
         raise DomainError(f"fresh time {m} must exceed max offset {max(offsets)}")
     height, atoms = tower.height, tower.atom_count
@@ -843,9 +854,7 @@ def fiber_surgery(
     (``on_indivisible="round"`` instead does a best-effort largest-remainder
     assignment).
     """
-    offsets = IndexSet.of(offsets)
-    if not offsets:
-        raise DomainError("offsets must be nonempty")
+    offsets = _window_offsets(offsets)
     if on_indivisible not in ("error", "round"):
         raise DomainError(f"unknown indivisible policy {on_indivisible!r}")
     span = max(offsets)

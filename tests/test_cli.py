@@ -3,10 +3,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from margex import IndexSet, cli, towers
 from margex.cli import main
+from margex.measures import CELL_CAP
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -103,6 +106,27 @@ class TestExtendAndOracle:
         assert code == 1
         assert report["reason"]["code"] in ("ConsistencyError", "AnchorError")
 
+    @pytest.mark.parametrize("command", ["extend", "oracle", "verify"])
+    def test_window_length_checked_before_it_is_built(self, tmp_path, monkeypatch, command):
+        class GuardedIndexSet:
+            @staticmethod
+            def of(items):
+                assert len(items) <= 64, "window built before its length was checked"
+                return IndexSet.of(items)
+
+        monkeypatch.setattr(cli, "IndexSet", GuardedIndexSet)
+        spec = json.loads((GOLDEN / "specs" / "family.json").read_text())
+        spec["window"] = [0, 10**12]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(spec))
+        code, report = run(tmp_path, command, "--input", str(path))
+        if command == "verify":
+            # verify reads no window
+            assert code == 0
+        else:
+            assert code == 2
+            assert report["reason"]["code"] == "CapacityError"
+
 
 class TestCorrectCommand:
     def test_worked_example(self, tmp_path):
@@ -197,6 +221,29 @@ class TestPaintAndKrengel:
         path = tmp_path / "tower.json"
         path.write_text(json.dumps(spec))
         code, report = run(tmp_path, command, "--input", str(path))
+        assert code == 2
+        assert report["reason"]["code"] == "CapacityError"
+
+    def test_window_law_over_cell_cap_is_usage_error(self, tmp_path, monkeypatch):
+        bincount = np.bincount
+
+        def guarded(x, weights=None, minlength=0):
+            assert minlength <= CELL_CAP, "joint-count table allocated before the cap"
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(towers.np, "bincount", guarded)
+        spec = {
+            "tower": {
+                "height": 8,
+                "atom_count": 1024,
+                "transfer": "seeded_permutation:5",
+                "labels": {"generator": "seeded_uniform:3", "alphabet_size": 6000},
+            },
+            "m": 2,
+        }
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(spec))
+        code, report = run(tmp_path, "paint", "--input", str(path))
         assert code == 2
         assert report["reason"]["code"] == "CapacityError"
 
@@ -425,11 +472,13 @@ class TestSpecFuzz:
     # towers, the counterexample window and the sample count are capped so
     # one example runs in well under a second
     CAPS = {"atom_count": 1024, "height": 8, "W": 1001, "samples": 200}
-    # out-of-range and wrong-typed replacements; every number is small, so no
-    # mutation asks for a huge table, window or loop
+    # out-of-range and wrong-typed replacements; every number is either small
+    # or so large in magnitude that a cap or a check rejects it, so no
+    # mutation runs a huge table, window or loop
     WILD = st.one_of(
         st.sampled_from([None, True, "", "x", [], {}, [1, "a"], {"a": 1}]),
         st.sampled_from([0, -1, 1, 2, 17, -0.5, 0.5, 1.5, math.nan, math.inf, -math.inf]),
+        st.sampled_from([2**31, 2**31 + 1, 2**40, 10**18, -(2**40)]),
     )
 
     @staticmethod

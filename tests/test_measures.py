@@ -10,12 +10,19 @@ from margex import (
     ConsistencyError,
     DenseMeasure,
     DomainError,
+    FiberSpace,
     IndexSet,
+    LabeledPartition,
+    MarginalFamily,
     SingularityError,
+    TowerSpec,
     ZeroMassError,
     conditional_dist,
     delta_independence,
+    extend_one_index,
+    extension,
     is_consistent,
+    name_distribution,
     product_of_marginals,
     project,
     relative_product,
@@ -23,6 +30,7 @@ from margex import (
     tensor,
 )
 from margex.measures import EMPTY
+from margex.towers import window_deviation
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -275,6 +283,65 @@ class TestDeltaIndependence:
                 if d > 0:
                     worst = max(worst, ds / d)
         assert worst < 10.0  # sanity ceiling only
+
+
+def _gap_over_massive_atoms(arr):
+    """Reference: worst gap of the last axis given a cell of the others,
+    over the cells that carry mass."""
+    rows = arr.reshape(-1, arr.shape[-1])
+    mass = rows.sum(axis=1)
+    cond = rows[mass > 0] / mass[mass > 0, None]
+    return float(np.abs(cond - rows.sum(axis=0)).max())
+
+
+class TestZeroMassRule:
+    """Every caller of the conditional gap treats zero-mass atoms alike: the
+    gap runs over the atoms that carry mass, and each caller decides what a
+    zero-mass atom means for it."""
+
+    # coordinate 0 never takes symbol 1; coordinate 1 takes every symbol
+    ROWS = [[0.2, 0.1, 0.1], [0.0, 0.0, 0.0], [0.1, 0.2, 0.3]]
+
+    def test_ascending_raises(self):
+        m = measure(A3, [0, 1], np.ravel(self.ROWS))
+        with pytest.raises(ZeroMassError, match="zero-mass atom"):
+            delta_independence(m, "ascending")
+
+    def test_scan_all_takes_the_finite_ordering(self):
+        m = measure(A3, [0, 1], np.ravel(self.ROWS))
+        expected = _gap_over_massive_atoms(np.asarray(self.ROWS).T)
+        assert delta_independence(m, "scan_all") == pytest.approx(expected, abs=1e-15)
+        assert delta_independence(m, "scan_all") == delta_independence(m, (1, 0))
+
+    def test_scan_all_raises_when_every_ordering_does(self):
+        table = np.zeros((3, 3))
+        table[:2, :2] = [[0.1, 0.2], [0.3, 0.4]]
+        with pytest.raises(ZeroMassError, match="every ordering"):
+            delta_independence(measure(A3, [0, 1], table.ravel()), "scan_all")
+
+    def test_extension_step_skips_zero_mass_overlap_atoms(self):
+        mu = measure(A3, [0, 1], np.ravel(self.ROWS))
+        family = MarginalFamily(A3, (mu,), alpha=0.1, n_cap=2)
+        lam = project(mu, [0])
+        _, _, step = extension._sigma_step(family, lam, 1, 1e-9)
+        expected = _gap_over_massive_atoms(np.asarray(self.ROWS))
+        assert step.beta_defect == pytest.approx(expected, abs=1e-12)
+        # the step's defect does not raise; gluing onto a zero-mass overlap
+        # cell is what fails
+        with pytest.raises(SingularityError, match="nonpositive cell"):
+            extend_one_index(family, lam, 1, beta=1.0)
+
+    def test_window_deviation_gap_over_massive_atoms(self):
+        labels = np.array(
+            [[0, 0, 2, 2, 0, 2], [0, 1, 2, 2, 1, 0], [1, 0, 1, 0, 2, 2]], dtype=np.int16
+        )
+        tower = TowerSpec(3, FiberSpace(6))
+        partition = LabeledPartition(A3, labels)
+        nu = name_distribution(tower, partition, 0, [0, 1])
+        assert np.any(nu.as_array().sum(axis=1) == 0.0)
+        _, gap = window_deviation(tower, partition, 0, [0, 1])
+        assert gap == pytest.approx(_gap_over_massive_atoms(nu.as_array()), abs=1e-15)
+        assert np.isfinite(gap)
 
 
 class TestRelativeProduct:

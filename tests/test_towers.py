@@ -117,6 +117,14 @@ class TestNameDistribution:
         with pytest.raises(WindowError):
             name_distribution(tower, partition, 2, [0, 2])
 
+    @pytest.mark.parametrize("base_level, offsets", [(0, [-1]), (1, [-2, 0])])
+    def test_window_below_level_zero(self, base_level, offsets):
+        # numpy would read a negative level as one counted from the top
+        tower = genutil.permutation_tower(4, 32, seed=5)
+        partition = uniform_random_partition(tower, A2, seed=6)
+        with pytest.raises(WindowError):
+            name_distribution(tower, partition, base_level, offsets)
+
     def test_random_labels_near_uniform(self):
         tower = genutil.permutation_tower(8, 2**16, seed=11)
         partition = uniform_random_partition(tower, A2, seed=12)
@@ -296,6 +304,17 @@ class TestFlagging:
         paint_tower(tower.with_flags(in_e1=flags), partition, [0], 2, epsilon=0.4, alpha=0.3)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize(
+        "offsets, epsilon", [([-1, 2], 0.4), ([-(2**40), 2], 0.4), ([0, 2], 0.0)]
+    )
+    def test_negative_offset_or_budget_rejected(self, offsets, epsilon):
+        # a negative offset would read below level 0, through numpy's
+        # wrap-around; a zero budget cannot be amplified
+        tower = genutil.permutation_tower(8, 64, seed=1)
+        partition = uniform_random_partition(tower, A2, seed=2)
+        with pytest.raises(DomainError):
+            flag_dependent_shifts(tower, partition, offsets, epsilon)
+
 
 class TestPaintTower:
     def test_degenerate_split(self):
@@ -331,6 +350,11 @@ class TestPaintTower:
         tower, partition = big_tower
         with pytest.raises(DomainError):
             paint_tower(tower, partition, [0, 4], 3, epsilon=0.4, alpha=0.4)
+
+    def test_negative_offset_rejected(self, big_tower):
+        tower, partition = big_tower
+        with pytest.raises(DomainError, match="offsets must be >= 0"):
+            paint_tower(tower, partition, [-1, 0], 2, epsilon=0.4, alpha=0.4)
 
     def test_alpha_floor_checked(self, big_tower):
         tower, partition = big_tower
