@@ -153,7 +153,7 @@ def _tower_from_spec(spec: dict) -> tuple[TowerSpec, LabeledPartition]:
         alphabet = Alphabet(int(labels_spec.get("alphabet_size", 2)))
         partition = uniform_random_partition(tower, alphabet, int(generator.split(":", 1)[1]))
     else:
-        labels = np.asarray(labels_spec, dtype=np.int16)
+        labels = np.asarray(labels_spec)
         alphabet = Alphabet(int(spec.get("alphabet_size", int(labels.max()) + 1)))
         partition = LabeledPartition(alphabet, labels)
     return tower, partition

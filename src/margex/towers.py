@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,6 +57,18 @@ TOWER_CELL_CAP = 2**28
 FLAG_SAFETY = 0.9
 
 
+def _checked_indices(values, bound: int, name: str) -> np.ndarray:
+    """``values`` as an array, each entry checked to be an integer in
+    ``[0, bound)`` before any narrowing cast could truncate or wrap it."""
+    table = np.asarray(values)
+    kind = table.dtype.kind
+    if kind not in "biuf" or (kind == "f" and not np.array_equal(table, np.trunc(table))):
+        raise DomainError(f"{name} must be integers")
+    if table.size and (table.min() < 0 or table.max() >= bound):
+        raise DomainError(f"{name} outside [0, {bound})")
+    return table
+
+
 def _check_tower_cells(height: int, atoms: int) -> None:
     """Reject a tower whose per-level atom tables would exceed the cap."""
     if height * atoms > TOWER_CELL_CAP:
@@ -82,36 +94,42 @@ class TowerSpec:
     """A tower of ``height`` equal fibers with bijective transfer maps.
 
     ``transfer[j]`` maps the atom index at level ``j`` to its image index at
-    level ``j + 1``; ``None`` means the identity at every step. ``in_e`` and
-    ``in_e1`` flag shifts whose windows are exempt from independence claims
-    (established by the caller from measured defects). ``residual_mass`` is
-    the mass not covered by the tower. The transfer maps are copied, checked and kept read-only.
+    level ``j + 1``; ``None`` means the identity at every step. The tower keeps
+    only their composition, the read-only ``positions[j][b]``: the level-``j``
+    index of the atom based at ``b``. ``in_e`` and ``in_e1`` flag shifts whose
+    windows are exempt from independence claims (established by the caller
+    from measured defects). ``residual_mass`` is the mass not covered.
     """
 
     height: int
     fiber: FiberSpace
-    transfer: np.ndarray | None = None
+    transfer: InitVar[np.ndarray | None] = None
     in_e: np.ndarray | None = None
     in_e1: np.ndarray | None = None
     residual_mass: float = 0.0
-    _positions: np.ndarray | None = field(default=None, repr=False, compare=False)
+    positions: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, transfer):
         if self.height < 1:
             raise DomainError(f"tower height must be >= 1, got {self.height}")
         n = self.fiber.atom_count
         _check_tower_cells(self.height, n)
-        if self.transfer is not None:
-            transfer = np.array(self.transfer, dtype=np.int32)
+        pos = np.empty((self.height, n), dtype=np.int32)
+        pos[0] = np.arange(n, dtype=np.int32)
+        if transfer is None:
+            pos[1:] = pos[0]
+        else:
+            transfer = _checked_indices(transfer, n, "transfer").astype(np.int32, copy=False)
             if transfer.shape != (self.height - 1, n):
                 raise DomainError(
                     f"transfer must have shape {(self.height - 1, n)}, got {transfer.shape}"
                 )
-            for j in range(self.height - 1):
-                if np.bincount(transfer[j], minlength=n).max() != 1:
+            for j, step in enumerate(transfer):
+                if np.bincount(step, minlength=n).max() != 1:
                     raise DomainError(f"transfer at level {j} is not a bijection")
-            transfer.setflags(write=False)
-            self.transfer = transfer
+                pos[j + 1] = step[pos[j]]
+        pos.setflags(write=False)
+        self.positions = pos
         self._set_flags(self.in_e, self.in_e1)
         if not 0.0 <= self.residual_mass < 1.0:
             raise DomainError("residual mass must lie in [0, 1)")
@@ -130,25 +148,11 @@ class TowerSpec:
     def atom_count(self) -> int:
         return self.fiber.atom_count
 
-    def positions(self) -> np.ndarray:
-        """``positions[j][b]``: level-``j`` index of the atom based at ``b``."""
-        if self._positions is None:
-            n = self.atom_count
-            pos = np.empty((self.height, n), dtype=np.int32)
-            pos[0] = np.arange(n, dtype=np.int32)
-            for j in range(self.height - 1):
-                step = self.transfer[j] if self.transfer is not None else None
-                pos[j + 1] = pos[j] if step is None else step[pos[j]]
-            pos.setflags(write=False)
-            self._positions = pos
-        return self._positions
-
     def with_flags(
         self, in_e: np.ndarray | None = None, in_e1: np.ndarray | None = None
     ) -> "TowerSpec":
         """This tower with other exemption flags (``None`` copies the current
-        ones), sharing the checked read-only transfer and positions table."""
-        self.positions()
+        ones), sharing the read-only positions table."""
         tower = copy.copy(self)
         tower._set_flags(
             self.in_e.copy() if in_e is None else in_e,
@@ -176,12 +180,12 @@ class LabeledPartition:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int16)
+        # symbols are stored as int16
+        bound = min(self.alphabet.size, np.iinfo(np.int16).max + 1)
+        labels = _checked_indices(self.labels, bound, "labels")
         if labels.ndim != 2:
             raise DomainError("labels must be a (height, atom_count) array")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.alphabet.size):
-            raise DomainError("labels outside the alphabet")
-        labels = labels.copy()
+        labels = labels.astype(np.int16)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
@@ -206,18 +210,19 @@ class LabeledPartition:
 
 def base_aligned_labels(tower: TowerSpec, partition: LabeledPartition) -> np.ndarray:
     """Labels re-indexed by base atom: row ``j`` is the level-``j`` symbol map
-    composed with the orbit of each base atom."""
+    composed with the orbit of each base atom.
+
+    The result is a fresh array that the caller owns; paint and surgery write
+    into it."""
     if partition.height != tower.height or partition.atom_count != tower.atom_count:
         raise DomainError("partition does not match the tower")
-    pos = tower.positions()
-    return np.take_along_axis(partition.labels, pos, axis=1)
+    return np.take_along_axis(partition.labels, tower.positions, axis=1)
 
 
 def labels_from_base(tower: TowerSpec, base_labels: np.ndarray, alphabet: Alphabet) -> LabeledPartition:
     """Inverse of :func:`base_aligned_labels`."""
-    pos = tower.positions()
     out = np.empty_like(base_labels)
-    np.put_along_axis(out, pos, base_labels, axis=1)
+    np.put_along_axis(out, tower.positions, base_labels, axis=1)
     return LabeledPartition(alphabet, out)
 
 
@@ -624,12 +629,11 @@ def paint_tower(
             engine_max_defect=0.0,
             engine_max_b_norm=0.0,
         )
-    kept = np.setdiff1d(np.arange(atoms), painted, assume_unique=True)
     t_hat = m0 / atoms
 
-    kept_base = base[:, kept]
+    painted_base = base[:, painted]
     full_counts = _level_counts(base, size)
-    painted_counts = full_counts - _level_counts(kept_base, size)
+    painted_counts = _level_counts(painted_base, size)
     if painted_counts.min() <= 0:
         raise QuantizationError(
             "the painted slice misses a symbol on some level; increase the atom count"
@@ -643,7 +647,8 @@ def paint_tower(
     positivity_margins: dict[int, float] = {}
     for j in valid:
         levels = [j + k for k in window]
-        nu_kept = _joint_counts(kept_base, levels, size) / len(kept)
+        kept_counts = _joint_counts(base, levels, size) - _joint_counts(painted_base, levels, size)
+        nu_kept = kept_counts / (atoms - m0)
         prod_full = _level_product(full_counts, levels, atoms)
         xi_table, worst, margin = _blend_correction(prod_full, nu_kept, t_hat)
         positivity_margins[j] = margin
@@ -663,7 +668,6 @@ def paint_tower(
                 tol=1e-6,
             )
         )
-    del kept_base
     members.extend(slice_marginals)
 
     alpha_family = min(mu.min_entry() for mu in slice_marginals)
@@ -682,18 +686,16 @@ def paint_tower(
         family, range(height), beta=None, tol=max(tol, 1e-7), pos_tol=pos_slack
     )
 
-    names = _paint_names(chain, m0, seed)
-    new_base = base.copy()
-    new_base[:, painted] = names.T
-    q = labels_from_base(tower, new_base, partition.alphabet)
-
-    per_level_distance = (new_base != base).mean(axis=1)
-    per_level_gap = np.abs(_level_counts(new_base, size) - full_counts).max(axis=1) / atoms
+    names = _paint_names(chain, m0, seed).T
+    per_level_distance = np.count_nonzero(names != painted_base, axis=1) / atoms
+    base[:, painted] = names
+    q = labels_from_base(tower, base, partition.alphabet)
+    per_level_gap = np.abs(_level_counts(base, size) - full_counts).max(axis=1) / atoms
 
     window_defects: dict[int, float] = {}
     window_sup_gaps: dict[int, float] = {}
     for j in valid:
-        nu_new = _name_law(new_base, partition.alphabet, j, window)
+        nu_new = _name_law(base, partition.alphabet, j, window)
         window_sup_gaps[j] = sup_distance(nu_new, nu_new.product_of_marginals())
         window_defects[j] = delta_independence(nu_new, "ascending")
 
@@ -865,7 +867,7 @@ def fiber_surgery(
     eligible = range(height - span)
     declared = {int(i) for i in bad_levels if int(i) in eligible}
 
-    base = base_aligned_labels(tower, partition).astype(np.int64)
+    base = base_aligned_labels(tower, partition)
     counts = _level_counts(base, size)
 
     def measured_bad() -> list[int]:
@@ -900,11 +902,7 @@ def fiber_surgery(
             }
             - set(block)
         )
-        halo_codes = (
-            _window_codes(base, halo, size)
-            if halo
-            else np.zeros(atoms, dtype=np.int64)
-        )
+        halo_codes = _window_codes(base, halo, size)
         cells = list(itertools.product(range(size), repeat=len(block)))
         cell_mass = [math.prod(int(counts[lvl][a]) for lvl, a in zip(block, c)) for c in cells]
         den = atoms ** len(block)
@@ -932,4 +930,4 @@ def fiber_surgery(
         for lvl in block:
             counts[lvl] = np.bincount(base[lvl], minlength=size)
 
-    return labels_from_base(tower, base.astype(np.int16), partition.alphabet)
+    return labels_from_base(tower, base, partition.alphabet)

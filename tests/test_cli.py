@@ -342,6 +342,13 @@ class TestPlumbing:
                     "members": [{"indices": [0], "table": [float("nan"), 1.0]}],
                 },
             ),
+            (
+                "paint",
+                {
+                    "tower": {"height": 4, "atom_count": 256, "labels": [[0.5, 1.9] * 128] * 4},
+                    "m": 2,
+                },
+            ),
         ],
         ids=[
             "paint-no-tower",
@@ -354,6 +361,7 @@ class TestPlumbing:
             "infinite-integer",
             "negative-seed",
             "nan-table",
+            "fractional-labels",
         ],
     )
     def test_bad_spec_is_usage_error(self, tmp_path, command, spec):

@@ -337,13 +337,12 @@ class TestCapacity:
 class TestBuildTower:
     def test_identity_rule(self):
         tower = build_tower_from_base(np.ones(8), 4, 16, "identity")
-        assert tower.transfer is None
-        assert np.array_equal(tower.positions()[3], np.arange(16))
+        assert all(np.array_equal(row, np.arange(16)) for row in tower.positions)
 
     def test_plus_minus_shift_rotates(self):
         orbit = np.array([1, -1, 1, 1])
         tower = build_tower_from_base(orbit, 4, 8, "plus_minus_shift")
-        pos = tower.positions()
+        pos = tower.positions
         assert np.array_equal(pos[1], (np.arange(8) + 1) % 8)
         assert np.array_equal(pos[2], np.arange(8))
         assert np.array_equal(pos[3], (np.arange(8) + 1) % 8)

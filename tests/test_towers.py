@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,10 +54,24 @@ class TestTowerSpec:
         with pytest.raises(DomainError):
             TowerSpec(2, FiberSpace(4), bad)
 
+    @pytest.mark.parametrize(
+        "transfer",
+        [
+            [[1, 2, 3, 4]],
+            [[-1, 0, 1, 2]],
+            [[0.9, 1.2, 2.5, 3.0]],
+            np.array([[0, 2**32 + 1, 2, 3]], dtype=np.int64),
+        ],
+        ids=["past-last-atom", "negative", "fractional", "wraps-in-int32"],
+    )
+    def test_transfer_entries_must_be_atom_indices(self, transfer):
+        with pytest.raises(DomainError):
+            TowerSpec(2, FiberSpace(4), transfer)
+
     def test_positions_compose_transfer(self):
         transfer = np.array([[1, 2, 3, 0], [2, 3, 0, 1]], dtype=np.int32)
         tower = TowerSpec(3, FiberSpace(4), transfer)
-        pos = tower.positions()
+        pos = tower.positions
         assert list(pos[0]) == [0, 1, 2, 3]
         assert list(pos[1]) == [1, 2, 3, 0]
         assert list(pos[2]) == [3, 0, 1, 2]
@@ -69,8 +86,8 @@ class TestTowerSpec:
     def test_with_flags_shares_positions(self):
         tower = genutil.permutation_tower(5, 64, seed=1)
         flagged = tower.with_flags(in_e1=[False, True, False, False, False])
-        assert flagged.positions() is tower.positions()
-        assert flagged.transfer is tower.transfer
+        assert flagged.positions is tower.positions
+        assert not flagged.positions.flags.writeable
         assert list(flagged.in_e1) == [False, True, False, False, False]
         assert not tower.in_e1.any()
 
@@ -82,7 +99,7 @@ class TestTowerSpec:
     def test_transfer_is_read_only(self):
         tower = genutil.permutation_tower(5, 64, seed=1)
         with pytest.raises(ValueError):
-            tower.transfer[0, 0] = tower.transfer[0, 1]
+            tower.positions[1, 0] = tower.positions[1, 1]
 
     def test_cell_cap_fires_before_any_array(self, monkeypatch):
         monkeypatch.setattr(towers, "np", genutil.NoNumpy())
@@ -94,6 +111,21 @@ class TestTowerSpec:
         towers._check_tower_cells(256, 2**20)
         with pytest.raises(CapacityError):
             towers._check_tower_cells(256, 2**20 + 1)
+
+
+class TestLabeledPartition:
+    @pytest.mark.parametrize(
+        "alphabet, labels",
+        [
+            (A2, np.array([[0, 1, 65536]], dtype=np.int64)),
+            (Alphabet(70000), np.array([[0, 1, 65537]], dtype=np.int64)),
+            (A2, [[0.5, 1.9, 0.0]]),
+        ],
+        ids=["wraps-in-int16", "symbol-past-int16", "fractional"],
+    )
+    def test_labels_checked_before_narrowing(self, alphabet, labels):
+        with pytest.raises(DomainError):
+            LabeledPartition(alphabet, labels)
 
 
 class TestNameDistribution:
@@ -498,3 +530,78 @@ class TestFiberSurgery:
         out = fiber_surgery(tower, partition, [0, 2], [1], on_indivisible="round")
         nd = name_distribution(tower, out, 1, [0, 2])
         assert sup_distance(nd, nd.product_of_marginals()) <= 0.1
+
+
+def _digest(partition):
+    return hashlib.sha256(partition.labels.tobytes()).hexdigest()
+
+
+class TestPinnedLabels:
+    """SHA-256 of the labels that paint, Krengel and surgery write. The
+    values were recorded while paint still copied the kept and new bases, so
+    a change to how the tower tables are held must keep these bits."""
+
+    def test_paint_golden_tower(self):
+        tower = genutil.permutation_tower(16, 2**14, seed=5)
+        partition = uniform_random_partition(tower, A2, seed=3)
+        flags = flag_dependent_shifts(tower, partition, [0, 2], 0.4)
+        report = paint_tower(
+            tower.with_flags(in_e1=flags),
+            partition,
+            [0],
+            2,
+            epsilon=0.4,
+            alpha=partition.min_symbol_mass() - 1e-9,
+            seed=20210607,
+        )
+        assert _digest(report.q) == (
+            "6b845c2d286e333eec7d64ac5b5975c329948f6ef12fe25cf26c15ea681aedc2"
+        )
+
+    def test_two_step_krengel(self):
+        tower = genutil.permutation_tower(24, 2**14, seed=5)
+        partition = genutil.bit_slice_partition(tower, A2, bits=14)
+        res = iterate_krengel(tower, partition, [2, 3, 4], epsilon=0.8, steps=2, seed=11)
+        assert res.chosen_times == (2, 3)
+        assert _digest(res.q) == (
+            "ccef7e36eb5abf6260b9a829ae1e882ceb93cd7a7f6e8e7e0b2ad4b4d8752e88"
+        )
+
+    def test_surgery_both_policies(self):
+        tower = genutil.permutation_tower(12, 4096, seed=53)
+        partition = genutil.bit_slice_partition(tower, A2, bits=12)
+        corrupted = genutil.copy_corrupt(tower, partition, 7, 4, 1.0, seed=3)
+        exact = fiber_surgery(tower, corrupted, [0, 3], [4])
+        assert _digest(exact) == (
+            "49ce20b4abd8eff7a3b92ecbcbf5f437405247e58720cb7f0aa26e8943346ef6"
+        )
+        tower = genutil.permutation_tower(8, 64, seed=6)
+        partition = uniform_random_partition(tower, A2, seed=7)
+        rounded = fiber_surgery(tower, partition, [0, 1], [0, 3], on_indivisible="round")
+        assert _digest(rounded) == (
+            "ca1a23de8f0907e22bf54fa0dc3ce9e8c75bbc63d3ba390c0d69a72f8389684f"
+        )
+
+
+def test_tower_tables_kept_once():
+    """A tower keeps one int32 positions table, and paint owns one int16
+    aligned base: bounds in traced bytes per label cell."""
+    height, atoms = 32, 2**14
+    cells = height * atoms
+    transfer = towers.seeded_permutation_transfer(height, atoms, seed=5)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tower = TowerSpec(height, FiberSpace(atoms), transfer)
+        flagged = tower.with_flags(in_e1=np.zeros(height, dtype=bool))
+        retained = tracemalloc.get_traced_memory()[0] - start
+        partition = genutil.bit_slice_partition(flagged, A2, bits=14)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        report = paint_tower(flagged, partition, [0], 2, epsilon=0.4, alpha=0.4)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert not report.degenerate
+    assert retained / cells <= 4.5
+    assert peak / cells <= 10.0
