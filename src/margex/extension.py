@@ -43,13 +43,15 @@ from .measures import (
     IndexLike,
     IndexSet,
     MarginalFamily,
+    _cell_count,
+    _conditional_gap,
+    _embed,
     _glue,
-    conditional_gap,
+    _sum_out,
     consistency_gap,
     delta_independence,
     project,
     relative_product,
-    sup_distance,
     tensor,
 )
 
@@ -201,9 +203,48 @@ class RightInverse:
     measured_norm: float
 
     def evaluate(self, family: np.ndarray) -> DenseMeasure:
+        return DenseMeasure(self.operator.alphabet, self.operator.domain, self._image(family), "signed")
+
+    def _image(self, family: np.ndarray) -> np.ndarray:
         u = np.asarray(family)
-        x = self._pinv @ u + self._corr * (self._w_vec @ u) / self._w_norm2
-        return DenseMeasure(self.operator.alphabet, self.operator.domain, x, "signed")
+        return self._pinv @ u + self._corr * (self._w_vec @ u) / self._w_norm2
+
+
+def _structure(op: ProjectionOperator) -> tuple:
+    """The anchor-free part of a right inverse of ``op``: its matrix, the
+    pseudo-inverse and, per column ``u`` of an orthonormal image basis,
+    ``(u, pinv @ u, |u|.max())``. It depends only on the alphabet size, the
+    domain length and the target positions. One SVD gives the pseudo-inverse,
+    formed as np.linalg.pinv forms it (so bit for bit), and the basis."""
+    mat = op.matrix()
+    u_svd, s, vt = np.linalg.svd(mat, full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * 1e-12))
+    large = s > 1e-15 * s.max()
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
+    pinv = vt.T @ (s_inv[:, None] * u_svd.T)
+    return mat, pinv, [(u, pinv @ u, np.abs(u).max()) for u in u_svd.T[:rank]]
+
+
+def _anchored(op: ProjectionOperator, structure: tuple, v: np.ndarray, w, tol: float) -> RightInverse:
+    """The right inverse on ``op``'s structure with ``B(w) = v`` (a flat table)."""
+    mat, pinv, basis = structure
+    w_vec = np.asarray(w, dtype=np.float64)
+    if w_vec.shape != mat.shape[:1]:
+        raise DomainError("anchor family must belong to the operator")
+    if float(np.abs(w_vec).max()) == 0.0:
+        raise DomainError("anchor family is zero; no anchored right inverse exists")
+    gap = float(np.abs(mat @ v - w_vec).max())
+    if gap > tol:
+        raise AnchorError(f"operator applied to the anchor measure misses w by {gap}")
+    corr = v - pinv @ w_vec
+    w_norm2 = float(w_vec @ w_vec)
+
+    # measure the sup-operator norm on an orthonormal basis of the image
+    measured = 0.0
+    for u, pinv_u, u_max in basis:
+        x = pinv_u + corr * (w_vec @ u) / w_norm2
+        measured = max(measured, float(np.abs(x).max() / u_max))
+    return RightInverse(op, pinv, corr, w_vec, w_norm2, measured)
 
 
 def bounded_right_inverse(
@@ -219,33 +260,16 @@ def bounded_right_inverse(
     """
     if v.support != op.domain:
         raise DomainError("anchor measure must live on the operator domain")
-    mat = op.matrix()
-    w_vec = np.asarray(w, dtype=np.float64)
-    if w_vec.shape != mat.shape[:1]:
-        raise DomainError("anchor family must belong to the operator")
-    if float(np.abs(w_vec).max()) == 0.0:
-        raise DomainError("anchor family is zero; no anchored right inverse exists")
-    gap = float(np.abs(mat @ v.table - w_vec).max())
-    if gap > tol:
-        raise AnchorError(f"operator applied to the anchor measure misses w by {gap}")
+    return _anchored(op, _structure(op), v.table, w, tol)
 
-    # one SVD gives the pseudo-inverse, formed as np.linalg.pinv forms it
-    # (same cutoff and products, so bit for bit), and the image basis
-    u_svd, s, vt = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.count_nonzero(s > s[0] * 1e-12))
-    large = s > 1e-15 * s.max()
-    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
-    pinv = vt.T @ (s_inv[:, None] * u_svd.T)
-    corr = v.table - pinv @ w_vec
-    w_norm2 = float(w_vec @ w_vec)
 
-    # measure the sup-operator norm on an orthonormal basis of the image
-    measured = 0.0
-    for col in range(rank):
-        u = u_svd[:, col]
-        x = pinv @ u + corr * (w_vec @ u) / w_norm2
-        measured = max(measured, float(np.abs(x).max() / np.abs(u).max()))
-    return RightInverse(op, pinv, corr, w_vec, w_norm2, measured)
+def _step_right_inverse(op, v, w, tol, structures):
+    """:func:`bounded_right_inverse` of the flat table ``v``, its structure
+    cached in ``structures``, a dict that lives for one extension loop."""
+    key = (op.alphabet.size, len(op.domain), tuple(op.domain.positions(t) for t in op.targets))
+    if key not in structures:
+        structures[key] = _structure(op)
+    return _anchored(op, structures[key], v, w, tol)
 
 
 # -- one-coordinate extension step -----------------------------------------------
@@ -292,68 +316,60 @@ class ExtensionTrace:
         }
 
 
-def _sigma_step(family, lam, n, tol, pos_tol=None):
+def _sigma_step(family, lam, support, n, tol, pos_tol, structures):
     """Construct the prospective marginal on the reach of coordinate ``n``.
 
-    ``lam`` holds at least the prior coordinates of the members through
-    ``n``. Returns ``(sigma, v, ExtensionStep)`` where ``sigma`` lives on the
-    union of the clipped member supports through ``n`` and ``v`` is ``lam``'s
-    projection onto the prior part of that union. Negative cells beyond
-    ``pos_tol`` (default ``tol``) are a hard error; smaller ones are clipped,
-    renormalized, and recorded on the step.
+    ``lam`` is a table over ``support`` (ascending coordinates) holding at
+    least the prior coordinates of the members through ``n``. Returns
+    ``(sigma, v, ExtensionStep)`` where ``sigma`` lives on the union of the
+    clipped member supports through ``n`` and ``v`` is ``lam`` summed onto
+    the prior part of that union. Negative cells beyond ``pos_tol`` (default
+    ``tol``) are a hard error; smaller ones are clipped, renormalized, and
+    recorded on the step.
     """
     alphabet = family.alphabet
     members_n = sorted(family.members_containing(n), key=lambda mu: mu.support.indices)
-    extended = lam.support.union((n,))
+    extended = set(support) | {n}
 
-    slice_sources: dict[tuple[int, ...], DenseMeasure] = {}
+    # each member's table on the coordinates known after this step
+    slice_sources: dict[tuple[int, ...], np.ndarray] = {}
     for mu in members_n:
-        s_set = mu.support.intersection(extended)
-        restricted = project(mu, s_set)
-        stored = slice_sources.get(s_set.indices)
-        if stored is None:
-            slice_sources[s_set.indices] = restricted
-        else:
-            gap = sup_distance(stored, restricted)
+        s_idx = tuple(i for i in mu.support if i in extended)
+        restricted = _sum_out(mu.as_array(), mu.support, s_idx)
+        stored = slice_sources.setdefault(s_idx, restricted)
+        if stored is not restricted:
+            gap = float(np.abs(stored - restricted).max())
             if gap > max(tol, 1e-9):
-                raise ConsistencyError(
-                    f"two members prescribe different laws on {s_set.indices} (gap {gap})"
-                )
+                raise ConsistencyError(f"two members prescribe different laws on {s_idx} (gap {gap})")
 
-    targets = sorted(
-        {IndexSet.of(set(s) - {n}).indices for s in slice_sources},
-    )
-    target_sets = tuple(IndexSet(t) for t in targets)
-    r_bar = EMPTY
-    for t in target_sets:
-        r_bar = r_bar.union(t)
-    s_bar = r_bar.union((n,))
+    # every source holds n; its target is the rest of its support
+    sources = {tuple(i for i in s if i != n): s for s in slice_sources}
+    targets = sorted(sources)
+    r_bar = IndexSet._from_set(set().union(*targets))
+    s_bar = IndexSet._from_set(set(r_bar.indices) | {n})
 
-    nu = np.concatenate(
-        [project(slice_sources[t.union((n,)).indices], t).table for t in target_sets]
-    )
-    op = ProjectionOperator(alphabet, r_bar, target_sets)
-    v = project(lam, r_bar)
+    nu = np.concatenate([_sum_out(slice_sources[sources[t]], sources[t], t).reshape(-1) for t in targets])
+    v = _sum_out(lam, support, r_bar)
     # anchor at the prior measure's own projections, which match the members'
     # marginals exactly in exact arithmetic; any quantization drift between
     # the two is measured and absorbed into the identity tolerances below
-    w = op.apply(v)
+    w = np.concatenate([_sum_out(v, r_bar, t).reshape(-1) for t in targets])
     drift = float(np.abs(w - nu).max())
     if pos_tol is None:
         pos_tol = tol
-    if drift > max(tol, 4 * pos_tol * v.table.size):
+    if drift > max(tol, 4 * pos_tol * v.size):
         raise AnchorError(
             f"prior measure and prescriptions disagree on the overlap by {drift}"
         )
-    binv = bounded_right_inverse(op, v, w, tol=tol)
+    op = ProjectionOperator(alphabet, r_bar, tuple(IndexSet._from_set(set(t)) for t in targets))
+    binv = _step_right_inverse(op, v.reshape(-1), w, tol, structures)
 
     # symbol a's family: each source table sliced at coordinate n = a
-    sources = [slice_sources[t.union((n,)).indices] for t in target_sets]
-    sources = [(src.as_array(), src.support.position(n)) for src in sources]
+    sliced = [(slice_sources[sources[t]], sources[t].index(n)) for t in targets]
     slices = []
     for a in range(alphabet.size):
-        u = np.concatenate([np.take(arr, a, axis=pos).reshape(-1) for arr, pos in sources])
-        slices.append(binv.evaluate(u).as_array())
+        u = np.concatenate([np.take(arr, a, axis=pos).reshape(-1) for arr, pos in sliced])
+        slices.append(binv._image(u).reshape(v.shape))
     sigma_arr = np.stack(slices, axis=s_bar.position(n))
     margin = float(sigma_arr.min())
     if margin < -pos_tol:
@@ -366,8 +382,8 @@ def _sigma_step(family, lam, n, tol, pos_tol=None):
     if margin < 0.0:
         clipped = -margin
         sigma_arr = np.clip(sigma_arr, 0.0, None)
-        sigma_arr *= v.total_mass() / sigma_arr.sum()
-    sigma = DenseMeasure(alphabet, s_bar, sigma_arr.reshape(-1), "probability", tol=1e-6)
+        sigma_arr *= float(v.reshape(-1).sum()) / sigma_arr.sum()
+    sigma = DenseMeasure._owned(alphabet, s_bar, sigma_arr, "probability", 1e-6)
 
     # the two projection identities the construction promises
     check_tol = max(
@@ -376,20 +392,18 @@ def _sigma_step(family, lam, n, tol, pos_tol=None):
         4 * clipped * sigma_arr.size,
         4 * drift * max(binv.measured_norm, 1.0),
     )
-    back = sup_distance(project(sigma, r_bar), v)
+    back = float(np.abs(_sum_out(sigma_arr, s_bar, r_bar) - v).max())
     if back > check_tol:
         raise ConsistencyError(
             f"sigma does not restrict to the prior measure on {tuple(r_bar)} (gap {back})"
         )
     for s_idx, mu_s in slice_sources.items():
-        gap = sup_distance(project(sigma, IndexSet(s_idx)), mu_s)
+        gap = float(np.abs(_sum_out(sigma_arr, s_bar, s_idx) - mu_s).max())
         if gap > check_tol:
-            raise ConsistencyError(
-                f"sigma misses the prescription on {s_idx} by {gap}"
-            )
+            raise ConsistencyError(f"sigma misses the prescription on {s_idx} by {gap}")
 
     # defect of the fresh coordinate against the atoms of A^{r_bar}
-    beta_defect, _ = conditional_gap(sigma, r_bar.indices, n)
+    beta_defect, _ = _conditional_gap(sigma, n, _sum_out(sigma_arr, s_bar, (n,)))
     if beta_defect == np.inf:
         raise SingularityError("all atoms of the overlap have zero mass")
 
@@ -408,8 +422,9 @@ def _sigma_step(family, lam, n, tol, pos_tol=None):
     return sigma, v, step
 
 
-def _extension_step(family, lam, n, beta, tol, pos_tol):
-    """Extend ``lam`` by coordinate ``n``; the step of every driver.
+def _extension_step(family, lam, support, n, beta, tol, pos_tol, structures):
+    """Extend the table ``lam`` over ``support`` by coordinate ``n``: the step
+    of every driver, returning ``(table, support, step)``.
 
     ``beta=None`` records the defect without enforcing it. The glue tolerance
     admits the step's restriction gap only when ``pos_tol`` allows clipping.
@@ -426,9 +441,12 @@ def _extension_step(family, lam, n, beta, tol, pos_tol):
             b_norm=1.0,
             trivial=True,
         )
-        return tensor(lam, sigma), step
+        union = tuple(sorted(support + (n,)))
+        _cell_count(family.alphabet.size, union)
+        out = _embed(lam, support, union) * _embed(sigma.as_array(), (n,), union)
+        return out, union, step
 
-    sigma, v, step = _sigma_step(family, lam, n, tol, pos_tol)
+    sigma, v, step = _sigma_step(family, lam, support, n, tol, pos_tol, structures)
     if beta is not None and step.beta_defect > beta + tol:
         raise IndependenceError(
             f"coordinate {n} is only {step.beta_defect}-independent of the prior block "
@@ -440,28 +458,32 @@ def _extension_step(family, lam, n, beta, tol, pos_tol):
     glue_tol = max(tol, 1e-7)
     if pos_tol is not None:
         glue_tol = max(glue_tol, 2.0 * step.restriction_gap)
-    # v is lam's projection onto the overlap r_bar, and the restriction gap
-    # its distance from sigma's, so lam is projected once per step
-    return _glue(lam, sigma, v, step.restriction_gap, glue_tol), step
+    # v is lam summed onto the overlap r_bar, and the restriction gap its
+    # distance from sigma's, so lam is reduced once per step
+    size, s_bar, gap = family.alphabet.size, step.s_bar.indices, step.restriction_gap
+    return (*_glue(size, lam, support, sigma.as_array(), s_bar, v, gap, glue_tol), step)
 
 
 def _extend(family, window, beta, tol, pos_tol, span):
-    """The coordinate-extension loop: ``(final measure, steps)``.
+    """The coordinate-extension loop on tables: ``(final measure, steps)``.
 
     ``span=None`` keeps every coordinate (dense); an integer keeps only the
     trailing ``span`` (chain). A failing step's error names its coordinate.
     """
-    lam = DenseMeasure.unit(family.alphabet)
+    table, support = np.ones(()), ()
+    structures: dict = {}
     steps = []
     for n in window:
         try:
-            lam, step = _extension_step(family, lam, n, beta, tol, pos_tol)
+            table, support, step = _extension_step(family, table, support, n, beta, tol, pos_tol, structures)
         except (PositivityError, IndependenceError, ConsistencyError, SingularityError) as err:
             err.args = (f"extension failed at coordinate {n}: {err}", *err.args[1:])
             raise
         steps.append(step)
         if span is not None:
-            lam = project(lam, IndexSet.of({i for i in lam.support if i > n - span}))
+            keep = tuple(i for i in support if i > n - span)
+            table, support = _sum_out(table, support, keep), keep
+    lam = DenseMeasure._owned(family.alphabet, IndexSet(support), table, "probability", 1e-6)
     return lam, tuple(steps)
 
 
@@ -484,7 +506,10 @@ def extend_one_index(
         raise DomainError(f"coordinate {n} already belongs to the partial measure")
     if lam.kind != "probability":
         raise DomainError("partial measure must be a probability measure")
-    return _extension_step(family, lam, n, beta, tol, None)
+    table, support, step = _extension_step(
+        family, lam.as_array(), lam.support.indices, n, beta, tol, None, {}
+    )
+    return DenseMeasure._owned(family.alphabet, IndexSet(support), table, "probability", 1e-6), step
 
 
 def extend_family(
@@ -709,9 +734,18 @@ def verify_hypotheses(
                 Violation("overlap_bound", f"coordinate {n}", float(reach), float(family.n_cap))
             )
 
+    # a disjoint pair's common projection is the total mass: each member's
+    # total is summed once, by project's reduction, and only overlapping
+    # pairs are projected
+    members = family.members
+    supports = [set(mu.support) for mu in members]
+    totals = [_sum_out(mu.as_array(), mu.support, EMPTY) for mu in members]
     worst_gap = 0.0
-    for i, j in combinations(range(len(family.members)), 2):
-        gap = consistency_gap(family.members[i], family.members[j])
+    for i, j in combinations(range(len(members)), 2):
+        if supports[i] & supports[j]:
+            gap = consistency_gap(members[i], members[j])
+        else:
+            gap = float(abs(totals[i] - totals[j]))
         worst_gap = max(worst_gap, gap)
         if gap > tol:
             violations.append(

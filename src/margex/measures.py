@@ -116,13 +116,34 @@ class IndexSet:
 EMPTY = IndexSet(())
 
 
-def _cell_count(size: int, support: IndexSet) -> int:
+def _cell_count(size: int, support: IndexLike) -> int:
     cells = size ** len(support)
     if cells > CELL_CAP:
         raise CapacityError(
             f"table on A^{tuple(support)} would need {cells} cells (cap {CELL_CAP})"
         )
     return cells
+
+
+def _checked_table(alphabet: Alphabet, support: IndexSet, table, kind: str, tol: float) -> np.ndarray:
+    """``table`` as a flat float64 array, checked against ``A^support`` and ``kind``."""
+    cells = _cell_count(alphabet.size, support)
+    table = np.asarray(table, dtype=np.float64).reshape(-1)
+    if table.shape != (cells,):
+        raise DomainError(f"table has {table.size} entries, expected {cells} for A^{tuple(support)}")
+    if kind not in ("probability", "signed"):
+        raise DomainError(f"unknown measure kind {kind!r}")
+    # tol=inf (projections of checked measures) skips a check that cannot fire
+    if kind == "probability" and tol != np.inf:
+        total = float(table.sum())
+        if not np.isfinite(total):
+            raise DomainError(f"probability table has a non-finite entry (sum {total})")
+        low = float(table.min())
+        if low < -tol:
+            raise DomainError(f"probability table has entry {low} < 0")
+        if abs(total - 1.0) > max(tol, 1e-12 * table.size):
+            raise DomainError(f"probability table sums to {total}, not 1")
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,27 +170,18 @@ class DenseMeasure:
     def __post_init__(self, tol):
         support = IndexSet.of(self.support)
         object.__setattr__(self, "support", support)
-        cells = _cell_count(self.alphabet.size, support)
-        table = np.asarray(self.table, dtype=np.float64).reshape(-1)
-        if table.shape != (cells,):
-            raise DomainError(
-                f"table has {table.size} entries, expected {cells} for A^{tuple(support)}"
-            )
-        if self.kind not in ("probability", "signed"):
-            raise DomainError(f"unknown measure kind {self.kind!r}")
-        # tol=inf (projections of checked measures) skips a check that cannot fire
-        if self.kind == "probability" and tol != np.inf:
-            total = float(table.sum())
-            if not np.isfinite(total):
-                raise DomainError(f"probability table has a non-finite entry (sum {total})")
-            low = float(table.min())
-            if low < -tol:
-                raise DomainError(f"probability table has entry {low} < 0")
-            if abs(total - 1.0) > max(tol, 1e-12 * table.size):
-                raise DomainError(f"probability table sums to {total}, not 1")
-        table = table.copy()
+        table = _checked_table(self.alphabet, support, self.table, self.kind, tol).copy()
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
+
+    @classmethod
+    def _owned(cls, alphabet, support: IndexSet, table, kind: str, tol: float) -> "DenseMeasure":
+        """A measure on a table its caller just made and hands over: checked, not copied."""
+        out = object.__new__(cls)
+        table = _checked_table(alphabet, support, table, kind, tol)
+        table.setflags(write=False)
+        out.__dict__.update(alphabet=alphabet, support=support, table=table, kind=kind)
+        return out
 
     # -- construction helpers ------------------------------------------------
     @classmethod
@@ -250,9 +262,16 @@ def project(m: DenseMeasure, target: IndexLike) -> DenseMeasure:
         return m
     if not target.issubset(m.support):
         raise DomainError(f"{tuple(target)} is not a subset of {tuple(m.support)}")
-    drop = tuple(p for p, i in enumerate(m.support) if i not in target)
-    out = m.as_array().sum(axis=drop)
-    return DenseMeasure(m.alphabet, target, out.reshape(-1), m.kind, tol=np.inf)
+    return DenseMeasure._owned(
+        m.alphabet, target, _sum_out(m.as_array(), m.support, target), m.kind, np.inf
+    )
+
+
+def _sum_out(arr: np.ndarray, support: Sequence[int], target) -> np.ndarray:
+    """The table ``arr`` over ``support`` summed onto those coordinates in
+    ``target``, by :func:`project`'s reduction; ``arr`` itself if none drop."""
+    drop = tuple(p for p, i in enumerate(support) if i not in target)
+    return arr.sum(axis=drop) if drop else arr
 
 
 def tensor(m1: DenseMeasure, m2: DenseMeasure) -> DenseMeasure:
@@ -263,9 +282,10 @@ def tensor(m1: DenseMeasure, m2: DenseMeasure) -> DenseMeasure:
         raise DomainError("tensor requires disjoint supports")
     union = m1.support.union(m2.support)
     _cell_count(m1.alphabet.size, union)
-    out = _embed(m1, union) * _embed(m2, union)
+    out = _embed(m1.as_array(), m1.support.indices, union)
+    out = out * _embed(m2.as_array(), m2.support.indices, union)
     kind = "probability" if (m1.kind == m2.kind == "probability") else "signed"
-    return DenseMeasure(m1.alphabet, union, out.reshape(-1), kind, tol=1e-6)
+    return DenseMeasure._owned(m1.alphabet, union, out, kind, 1e-6)
 
 
 def product_measure(marginals: Sequence[DenseMeasure]) -> DenseMeasure:
@@ -276,10 +296,12 @@ def product_measure(marginals: Sequence[DenseMeasure]) -> DenseMeasure:
     return out
 
 
-def _embed(m: DenseMeasure, union: IndexSet) -> np.ndarray:
-    """View of ``m``'s table shaped to broadcast over ``A^union``."""
-    shape = [m.alphabet.size if i in m.support else 1 for i in union]
-    return m.as_array().reshape(shape)
+def _embed(arr, support: tuple[int, ...], order: Sequence[int]) -> np.ndarray:
+    """View of the table ``arr`` over ``support`` shaped to broadcast over
+    the coordinates ``order``, which may list them in any order."""
+    arr = np.asarray(arr).transpose([support.index(i) for i in order if i in support])
+    sizes = iter(arr.shape)
+    return arr.reshape([next(sizes) if i in support else 1 for i in order])
 
 
 def product_of_marginals(m: DenseMeasure) -> DenseMeasure:
@@ -359,27 +381,34 @@ def relative_product(
         raise DomainError("relative_product requires a shared alphabet")
     if lam.kind != "probability" or sigma.kind != "probability":
         raise DomainError("relative_product needs probability measures")
-    rho = project(lam, lam.support.intersection(sigma.support))
-    return _glue(lam, sigma, rho, sup_distance(rho, project(sigma, rho.support)), tol)
+    lam_arr, sigma_arr = lam.as_array(), sigma.as_array()
+    rho = _sum_out(lam_arr, lam.support, sigma.support)
+    gap = float(np.abs(rho - _sum_out(sigma_arr, sigma.support, lam.support)).max())
+    size, lam_support, sigma_support = lam.alphabet.size, lam.support.indices, sigma.support.indices
+    out, union = _glue(size, lam_arr, lam_support, sigma_arr, sigma_support, rho, gap, tol)
+    return DenseMeasure._owned(lam.alphabet, IndexSet._from_set(set(union)), out, "probability", 1e-6)
 
 
-def _glue(
-    lam: DenseMeasure, sigma: DenseMeasure, rho: DenseMeasure, gap: float, tol: float
-) -> DenseMeasure:
-    """:func:`relative_product` given ``rho``, ``lam``'s projection onto the
-    overlap, and ``gap``, its sup distance from ``sigma``'s."""
+def _glue(size, lam, lam_support, sigma, sigma_support, rho, gap, tol):
+    """:func:`relative_product` on tables over ascending coordinates, given
+    ``rho``, ``lam`` summed onto the overlap, and ``gap``, its sup distance
+    from ``sigma``'s: ``(table, support)``. The ufuncs iterate with sigma's
+    coordinates first and lam's own last, so the inner loop runs along lam's
+    long axis, and write through a transposed view of the output; each cell
+    is the same product and quotient, so the bits do not change."""
+    overlap = tuple(i for i in sigma_support if i in lam_support)
     if gap > tol:
-        raise ConsistencyError(
-            f"projections onto {tuple(rho.support)} differ by {gap} (tol {tol})"
-        )
-    if rho.min_entry() <= 0.0:
-        raise SingularityError(
-            f"overlap projection onto {tuple(rho.support)} has a nonpositive cell"
-        )
-    union = lam.support.union(sigma.support)
-    _cell_count(lam.alphabet.size, union)
-    out = _embed(lam, union) * _embed(sigma, union) / _embed(rho, union)
-    return DenseMeasure(lam.alphabet, union, out.reshape(-1), "probability", tol=1e-6)
+        raise ConsistencyError(f"projections onto {overlap} differ by {gap} (tol {tol})")
+    if np.min(rho) <= 0.0:
+        raise SingularityError(f"overlap projection onto {overlap} has a nonpositive cell")
+    union = tuple(sorted(set(lam_support) | set(sigma_support)))
+    _cell_count(size, union)
+    order = sigma_support + tuple(i for i in lam_support if i not in sigma_support)
+    out = np.empty((size,) * len(union))
+    view = out.transpose([union.index(i) for i in order])
+    np.multiply(_embed(lam, lam_support, order), _embed(sigma, sigma_support, order), out=view, order="C")
+    np.divide(view, _embed(rho, overlap, order), out=view, order="C")
+    return out, union
 
 
 # -- approximate independence -------------------------------------------------
@@ -399,12 +428,17 @@ def conditional_gap(m: DenseMeasure, prefix: tuple[int, ...], nxt: int) -> tuple
     The one zero-mass rule: an atom without mass has no conditional law, so
     the gap runs over the atoms that carry mass and is ``inf`` when none does.
     """
-    rows, row_mass = conditional_rows(project(m, prefix + (nxt,)), nxt)
+    return _conditional_gap(project(m, prefix + (nxt,)), nxt, project(m, (nxt,)).table)
+
+
+def _conditional_gap(joint: DenseMeasure, nxt: int, law: np.ndarray) -> tuple[float, bool]:
+    """:func:`conditional_gap` given the law of prefix and ``nxt`` and the table of ``nxt``'s."""
+    rows, row_mass = conditional_rows(joint, nxt)
     good = row_mass > 0.0
     if not good.any():
         return np.inf, True
     cond = rows[good] / row_mass[good, None]
-    gap = float(np.max(np.abs(cond - project(m, (nxt,)).table[None, :])))
+    gap = float(np.max(np.abs(cond - law[None, :])))
     return gap, not good.all()
 
 
@@ -422,8 +456,10 @@ def _ordering_defect(m: DenseMeasure, order: tuple[int, ...]) -> float:
 
 def _scan_all_defect(m: DenseMeasure) -> float:
     """Minimum over all orderings of the worst conditional gap, by a DP over
-    coordinate subsets that computes a gap only for subsets it can reach."""
+    coordinate subsets that computes a gap only for subsets it can reach.
+    Each coordinate's own law is projected once per scan."""
     coords = tuple(m.support)
+    laws = [project(m, (c,)).table for c in coords]
     n = len(coords)
     best = np.full(2**n, np.inf)
     for j in range(n):
@@ -436,7 +472,8 @@ def _scan_all_defect(m: DenseMeasure) -> float:
             bit = 1 << j
             if mask & bit:
                 continue
-            gap, has_zero_atom = conditional_gap(m, prefix, coords[j])
+            joint = project(m, prefix + (coords[j],))
+            gap, has_zero_atom = _conditional_gap(joint, coords[j], laws[j])
             if not has_zero_atom:
                 best[mask | bit] = min(best[mask | bit], max(best[mask], gap))
     result = best[2**n - 1]

@@ -180,14 +180,16 @@ class LabeledPartition:
     labels: np.ndarray
 
     def __post_init__(self):
-        # symbols are stored as int16
-        bound = min(self.alphabet.size, np.iinfo(np.int16).max + 1)
-        labels = _checked_indices(self.labels, bound, "labels")
-        if labels.ndim != 2:
-            raise DomainError("labels must be a (height, atom_count) array")
-        labels = labels.astype(np.int16)
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        # a caller's array is copied, so a partition never aliases it
+        object.__setattr__(self, "labels", _label_table(self.alphabet, self.labels, copy=True))
+
+    @classmethod
+    def _owned(cls, alphabet: Alphabet, labels: np.ndarray) -> "LabeledPartition":
+        """A partition on labels its caller has just made and hands over:
+        checked as the constructor checks them, not copied if already int16."""
+        out = object.__new__(cls)
+        out.__dict__.update(alphabet=alphabet, labels=_label_table(alphabet, labels, copy=False))
+        return out
 
     @property
     def height(self) -> int:
@@ -208,6 +210,16 @@ class LabeledPartition:
         return float(self.distributions().min())
 
 
+def _label_table(alphabet: Alphabet, labels, copy: bool) -> np.ndarray:
+    """Labels as a read-only int16 table, checked before the narrowing cast."""
+    labels = _checked_indices(labels, min(alphabet.size, np.iinfo(np.int16).max + 1), "labels")
+    if labels.ndim != 2:
+        raise DomainError("labels must be a (height, atom_count) array")
+    labels = labels.astype(np.int16, copy=copy)
+    labels.setflags(write=False)
+    return labels
+
+
 def base_aligned_labels(tower: TowerSpec, partition: LabeledPartition) -> np.ndarray:
     """Labels re-indexed by base atom: row ``j`` is the level-``j`` symbol map
     composed with the orbit of each base atom.
@@ -223,13 +235,13 @@ def labels_from_base(tower: TowerSpec, base_labels: np.ndarray, alphabet: Alphab
     """Inverse of :func:`base_aligned_labels`."""
     out = np.empty_like(base_labels)
     np.put_along_axis(out, tower.positions, base_labels, axis=1)
-    return LabeledPartition(alphabet, out)
+    return LabeledPartition._owned(alphabet, out)
 
 
 def uniform_random_partition(tower: TowerSpec, alphabet: Alphabet, seed: int) -> LabeledPartition:
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, alphabet.size, size=(tower.height, tower.atom_count), dtype=np.int16)
-    return LabeledPartition(alphabet, labels)
+    return LabeledPartition._owned(alphabet, labels)
 
 
 def _window_offsets(offsets: IndexLike) -> IndexSet:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -36,7 +38,7 @@ from margex import (
     thresholds,
     verify_hypotheses,
 )
-from margex.measures import EMPTY
+from margex.measures import DEFAULT_TOL, EMPTY
 
 A2 = Alphabet(2)
 
@@ -334,33 +336,32 @@ class TestExtendFamily:
             assert consistency_gap(out, mu) <= 1e-9
 
     def test_each_prior_measure_projected_once(self, monkeypatch):
-        # the step's overlap projection of the prior measure feeds both the
+        # the step's overlap reduction of the prior table feeds both the
         # right inverse's anchor and the glue. Where the overlap is the whole
-        # prior support that projection is the prior measure itself, so only
+        # prior support that reduction is the prior table itself, so only
         # steps with a smaller overlap are counted
         rng = np.random.default_rng(5)
         family = genutil.near_product_family(rng, A2, window_size=6, alpha=0.3)
-        priors, projected = [], []
-        step, proj = margex.extension._extension_step, margex.measures.project
+        priors, reduced = [], []
+        step, sum_out = margex.extension._extension_step, margex.extension._sum_out
 
-        def recording_step(family, lam, n, *args):
-            out = step(family, lam, n, *args)
-            priors.append((lam, out[1]))
+        def recording_step(family, lam, support, n, *args):
+            out = step(family, lam, support, n, *args)
+            priors.append((lam, support, out[2]))
             return out
 
-        def counting_project(m, target):
-            projected.append(m)
-            return proj(m, target)
+        def counting_sum_out(arr, support, target):
+            reduced.append(arr)
+            return sum_out(arr, support, target)
 
         monkeypatch.setattr(margex.extension, "_extension_step", recording_step)
-        monkeypatch.setattr(margex.extension, "project", counting_project)
-        monkeypatch.setattr(margex.measures, "project", counting_project)
+        monkeypatch.setattr(margex.extension, "_sum_out", counting_sum_out)
         extend_family(family, range(7), thresholds(family.alpha, family.n_cap, 1.0)[0])
-        assert [s.trivial for _, s in priors] == [False] * 6 + [True]
+        assert [s.trivial for _, _, s in priors] == [False] * 6 + [True]
         counts = [
-            sum(m is lam for m in projected)
-            for lam, s in priors
-            if not s.trivial and s.r_bar != lam.support
+            sum(arr is lam for arr in reduced)
+            for lam, support, s in priors
+            if not s.trivial and s.r_bar.indices != support
         ]
         assert counts == [1] * 4
 
@@ -382,6 +383,55 @@ class TestExtendFamily:
         assert err.value.defect > err.value.budget
         assert err.value.index == 1
         assert str(err.value).startswith("extension failed at coordinate 1: ")
+
+
+class TestStructureCache:
+    """Each extension loop runs one SVD per operator structure; the cached
+    structure must give every step the bits of the public right inverse."""
+
+    FAMILIES = [(2, 18, 0.3), (3, 12, 0.2)]
+
+    @pytest.mark.parametrize("size, width, alpha", FAMILIES, ids=["binary-18", "ternary-12"])
+    def test_steps_match_public_right_inverse(self, monkeypatch, size, width, alpha):
+        family = genutil.near_product_family(
+            np.random.default_rng(width), Alphabet(size), window_size=width, alpha=alpha
+        )
+        beta, _ = thresholds(family.alpha, family.n_cap, 1.0)
+
+        def run():
+            dense, trace = extend_family(family, range(width), beta)
+            chain = extend_family_chain(family, range(width), beta)
+            steps = trace.steps + chain.steps
+            return dense.table.tobytes(), [
+                (s.sigma.table.tobytes(), np.float64(s.b_norm).tobytes()) for s in steps
+            ]
+
+        cached = run()
+
+        def public(op, v, w, tol, structures):
+            return bounded_right_inverse(op, DenseMeasure(op.alphabet, op.domain, v, "signed"), w, tol)
+
+        monkeypatch.setattr(margex.extension, "_step_right_inverse", public)
+        assert run() == cached
+
+    def test_one_svd_per_structure_per_loop(self, monkeypatch):
+        # a chain of pairs has three structures: the first coordinate (one
+        # empty target), the interior (targets () and the previous
+        # coordinate) and the last (the previous coordinate alone)
+        family = genutil.near_product_family(np.random.default_rng(1), A2, window_size=10, alpha=0.3)
+        beta, _ = thresholds(family.alpha, family.n_cap, 1.0)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        extend_family(family, range(10), beta)
+        assert len(calls) == 3
+        extend_family_chain(family, range(10), beta)
+        assert len(calls) == 6
 
 
 class TestChainExtension:
@@ -509,3 +559,80 @@ class TestVerifyHypotheses:
         assert report.stats["max_defect"] == pytest.approx(
             delta_independence(m, "scan_all")
         )
+
+    def test_disjoint_pairs_compare_totals(self):
+        # members on disjoint supports agree when their totals do; totals
+        # that differ in the last bits show up only at a tight tolerance
+        rng = np.random.default_rng(11)
+        chain = genutil.near_product_family(rng, A2, window_size=7, alpha=0.3)
+        parts, _ = genutil.consistent_parts(rng, Alphabet(3), 5, 6)
+        scaled = tuple(
+            DenseMeasure(A2, (2 * i, 2 * i + 1), np.full(4, 0.25) * (1 + 3e-10 * i))
+            for i in range(4)
+        )
+        families = [
+            (chain, DEFAULT_TOL),
+            (MarginalFamily(Alphabet(3), tuple(parts), 0.01, 6), DEFAULT_TOL),
+            (MarginalFamily(A2, scaled, 0.2, 2), 1e-12),
+        ]
+        for family, tol in families:
+            report = verify_hypotheses(family, 1e-3, tol=tol).to_dict()
+            gaps = {
+                (i, j): consistency_gap(family.members[i], family.members[j])
+                for i, j in itertools.combinations(range(len(family.members)), 2)
+            }
+            assert report["stats"]["worst_consistency_gap"] == max(gaps.values())
+            assert [v for v in report["violations"] if v["check"] == "consistency"] == [
+                {"check": "consistency", "location": f"members {i},{j}", "magnitude": g, "limit": tol}
+                for (i, j), g in gaps.items()
+                if g > tol
+            ]
+        assert any(v["check"] == "consistency" for v in report["violations"])
+
+    def test_chain_projects_only_overlapping_pairs(self, monkeypatch):
+        family = genutil.near_product_family(np.random.default_rng(2), A2, window_size=18, alpha=0.3)
+        pairs, empty = [], []
+        gap, proj = margex.extension.consistency_gap, margex.measures.project
+
+        def counting_gap(m1, m2):
+            pairs.append((m1, m2))
+            return gap(m1, m2)
+
+        def counting_project(m, target):
+            if not IndexSet.of(target):
+                empty.append(m)
+            return proj(m, target)
+
+        monkeypatch.setattr(margex.extension, "consistency_gap", counting_gap)
+        monkeypatch.setattr(margex.measures, "project", counting_project)
+        verify_hypotheses(family, thresholds(family.alpha, family.n_cap, 1.0)[1])
+        assert len(family.members) == 17 and len(pairs) == 16
+        assert empty == []
+
+
+# SHA-256 over the engine's outputs on four seeded near-product families, one
+# per (alphabet, window length) class, written by the code before the
+# extension step moved to tables. A refactor of the engine must keep it.
+ENGINE_DIGEST = "c4b123e129539d0538a42e01c266e902410de9503fdf2432b0d93e25d13cff88"
+
+
+def test_engine_digest_pinned():
+    h = hashlib.sha256()
+    shapes = [(2, 6, 0.3), (2, 11, 0.3), (3, 5, 0.2), (3, 8, 0.2)]
+    for k, (size, width, alpha) in enumerate(shapes):
+        family = genutil.near_product_family(np.random.default_rng(90 + k), Alphabet(size), width, alpha)
+        beta, delta = thresholds(family.alpha, family.n_cap, 1.0)
+        dense, trace = extend_family(family, range(width), beta)
+        chain = extend_family_chain(family, range(width), beta)
+        h.update(dense.table.tobytes())
+        h.update(json.dumps(trace.to_dict()).encode())
+        for s in chain.steps:
+            h.update(s.sigma.table.tobytes())
+            h.update(np.array([s.b_norm, s.beta_defect, s.positivity_margin, s.restriction_gap]).tobytes())
+        h.update(chain.dense().table.tobytes())
+        # the tiny delta sends every member through the scan_all ordering search
+        for d in (delta, delta * 1e-6):
+            h.update(json.dumps(verify_hypotheses(family, d).to_dict()).encode())
+    m = genutil.random_measure(np.random.default_rng(99), A2, range(8))
+    h.update(np.float64(delta_independence(m, "scan_all")).tobytes())
+    assert h.hexdigest() == ENGINE_DIGEST

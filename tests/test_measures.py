@@ -2,8 +2,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import genutil
 from margex import (
     Alphabet,
     CapacityError,
@@ -29,7 +30,8 @@ from margex import (
     sup_distance,
     tensor,
 )
-from margex.measures import EMPTY
+from margex import measures
+from margex.measures import EMPTY, conditional_gap
 from margex.towers import window_deviation
 
 A2 = Alphabet(2)
@@ -294,6 +296,41 @@ def _gap_over_massive_atoms(arr):
     return float(np.abs(cond - rows.sum(axis=0)).max())
 
 
+def _scan_all_by_public_gaps(m):
+    """The subset DP of scan_all, written with the public conditional_gap."""
+    coords = tuple(m.support)
+    best = {1 << j: 0.0 for j in range(len(coords))}
+    for mask in range(1, 2 ** len(coords)):
+        if mask not in best:
+            continue
+        prefix = tuple(c for b, c in enumerate(coords) if mask & (1 << b))
+        for j, c in enumerate(coords):
+            if not mask & (1 << j):
+                gap, has_zero_atom = conditional_gap(m, prefix, c)
+                if not has_zero_atom:
+                    best[mask | 1 << j] = min(best.get(mask | 1 << j, np.inf), max(best[mask], gap))
+    return best[2 ** len(coords) - 1]
+
+
+class TestScanAllProjections:
+    def test_one_law_per_coordinate(self, monkeypatch):
+        # 8 binary coordinates: one projection per reachable (prefix, next)
+        # pair plus one per coordinate's own law
+        m = genutil.random_measure(np.random.default_rng(8), A2, range(8))
+        expected = _scan_all_by_public_gaps(m)
+        calls = []
+        real = measures.project
+
+        def counting(mu, target):
+            calls.append(target)
+            return real(mu, target)
+
+        monkeypatch.setattr(measures, "project", counting)
+        defect = delta_independence(m, "scan_all")
+        assert len(calls) <= 1024 + 8
+        assert np.float64(defect).tobytes() == np.float64(expected).tobytes()
+
+
 class TestZeroMassRule:
     """Every caller of the conditional gap treats zero-mass atoms alike: the
     gap runs over the atoms that carry mass, and each caller decides what a
@@ -323,7 +360,9 @@ class TestZeroMassRule:
         mu = measure(A3, [0, 1], np.ravel(self.ROWS))
         family = MarginalFamily(A3, (mu,), alpha=0.1, n_cap=2)
         lam = project(mu, [0])
-        _, _, step = extension._sigma_step(family, lam, 1, 1e-9)
+        _, _, step = extension._sigma_step(
+            family, lam.as_array(), lam.support.indices, 1, 1e-9, None, {}
+        )
         expected = _gap_over_massive_atoms(np.asarray(self.ROWS))
         assert step.beta_defect == pytest.approx(expected, abs=1e-12)
         # the step's defect does not raise; gluing onto a zero-mass overlap
@@ -381,6 +420,38 @@ class TestRelativeProduct:
         out = relative_product(lam, sigma)
         assert sup_distance(project(out, lam.support), lam) <= 1e-12
         assert sup_distance(project(out, sigma.support), sigma) <= 1e-12
+
+
+class TestGlueAxisOrder:
+    """relative_product computes in sigma-first axis order; every cell must
+    carry the bits of the broadcast in the union's own order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.sets(st.integers(0, 5), min_size=1, max_size=4),
+        st.sets(st.integers(0, 5), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(2, {0, 1}, {2, 3}, 1)  # empty overlap
+    @example(3, {0, 1, 2}, {1, 2}, 2)  # sigma inside lam
+    @example(2, {0, 2, 4}, {1, 2, 3}, 3)  # interleaved coordinates
+    @example(3, {1}, {0, 1, 2}, 4)  # lam inside sigma
+    def test_matches_union_order_broadcast(self, size, lam_support, sigma_support, seed):
+        rng = np.random.default_rng(seed)
+        alphabet = Alphabet(size)
+        lam = genutil.random_measure(rng, alphabet, lam_support)
+        sigma = genutil.random_measure(rng, alphabet, sigma_support)
+        union = lam.support.union(sigma.support)
+        rho = project(lam, lam.support.intersection(sigma.support))
+
+        def embed(m):
+            return m.as_array().reshape([size if i in m.support else 1 for i in union])
+
+        expected = (embed(lam) * embed(sigma) / embed(rho)).reshape(-1)
+        out = relative_product(lam, sigma, tol=1.0)
+        assert out.support == union
+        assert out.table.tobytes() == expected.tobytes()
 
 
 class TestCapacityAndValidation:

@@ -127,6 +127,39 @@ class TestLabeledPartition:
         with pytest.raises(DomainError):
             LabeledPartition(alphabet, labels)
 
+    def test_caller_labels_copied_made_labels_handed_over(self):
+        # a caller's array is copied, never aliased; labels_from_base and
+        # uniform_random_partition hand over the int16 table they just made
+        tower = genutil.permutation_tower(32, 2**14, seed=1)
+        cells = 32 * 2**14
+        own = np.zeros((32, 2**14), dtype=np.int16)
+        partition = LabeledPartition(A2, own)
+        own[0, 0] = 1
+        assert partition.labels[0, 0] == 0 and not partition.labels.flags.writeable
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            drawn = uniform_random_partition(tower, A2, seed=3)
+            drawn_peak = tracemalloc.get_traced_memory()[1] - start
+            base = base_aligned_labels(tower, drawn)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            back = labels_from_base(tower, base, A2)
+            back_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert drawn_peak / cells <= 2.5 and back_peak / cells <= 2.5
+        assert np.array_equal(back.labels, drawn.labels)
+        assert not np.shares_memory(back.labels, base)
+        assert not back.labels.flags.writeable and not drawn.labels.flags.writeable
+
+    def test_handed_over_labels_still_checked(self):
+        tower = genutil.permutation_tower(4, 8, seed=1)
+        base = np.full((4, 8), 2, dtype=np.int16)
+        with pytest.raises(DomainError, match="outside"):
+            labels_from_base(tower, base, A2)
+
 
 class TestNameDistribution:
     def test_single_offset_is_level_distribution(self):
