@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -242,10 +243,12 @@ def _cmd_krengel(args, spec):
 
 def _cmd_counterexample(args, spec):
     with _spec_errors():
-        w = int(spec.get("W", args.w)) if spec else args.w
-        n = int(spec.get("n", args.n)) if spec else args.n
-        samples = int(spec.get("samples", args.samples)) if spec else args.samples
-        seed = int(spec.get("seed", args.seed)) if spec else args.seed
+        w, n = spec.get("W", args.w), spec.get("n", args.n)
+        if w is None or n is None:
+            raise DomainError("counterexample needs --W and --n")
+        w, n = int(w), int(n)
+        samples = int(spec.get("samples", args.samples))
+        seed = int(spec.get("seed", args.seed))
         if seed < 0:
             raise DomainError(f"seed must be >= 0, got {seed}")
         mixing_args = None
@@ -257,8 +260,6 @@ def _cmd_counterexample(args, spec):
                 Cylinder.of({int(k): int(v) for k, v in cyl_spec["B"].items()}),
                 int(cyl_spec.get("n", n)),
             )
-    if w is None or n is None:
-        raise DomainError("counterexample needs --W and --n")
     report = counterexample_check(w, n, samples, seed)
     payload = report.to_dict()
     payload["shift_distance"] = report.shift_estimate
@@ -318,6 +319,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed < 0:
             raise DomainError(f"seed must be >= 0, got {args.seed}")
+        if not math.isfinite(args.tol) or args.tol < 0:
+            raise DomainError(f"tol must be finite and >= 0, got {args.tol}")
         spec = {}
         if args.input:
             spec = _load_json(args.input)

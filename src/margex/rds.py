@@ -21,9 +21,12 @@ from .errors import CapacityError, DomainError, WindowError
 from .measures import CELL_CAP
 from .towers import FiberSpace, TowerSpec, _check_tower_cells, seeded_permutation_transfer
 
-# exact walk counts are binomials of at most this many steps: math.comb at
-# 2^18 steps takes 1.3 s on a 2-core Xeon, and about 3.6x longer per doubling
+# caps W and n of the counterexample, `_walk_count` and the exact fallback of
+# `_central_walk_mass`: math.comb at 2^18 steps takes 1.3 s on a 2-core Xeon,
+# and about 3.6x longer per doubling
 WALK_STEP_CAP = 2**18
+# fraction bits of `_central_walk_mass`'s bracket, and factors per step
+_MASS_BITS, _MASS_BLOCK = 160, 16
 
 
 def _check_odd_window(w: int) -> None:
@@ -135,22 +138,44 @@ def _check_samples(samples: int, n: int) -> None:
         )
 
 
-def _walk_count(steps: int, value: int) -> int:
-    """Number of ``steps``-step +-1 walks that sum to ``value``."""
+def _check_walk_steps(steps: int) -> None:
     if steps > WALK_STEP_CAP:
         raise CapacityError(
             f"exact walk counts are capped at {WALK_STEP_CAP} steps, got {steps}"
         )
+
+
+def _walk_count(steps: int, value: int) -> int:
+    """Number of ``steps``-step +-1 walks that sum to ``value``."""
+    _check_walk_steps(steps)
     if (steps + value) % 2 or abs(value) > steps:
         return 0
     return math.comb(steps, (steps + value) // 2)
 
 
-def _boundary_walk_counts(w: int) -> tuple[int, int]:
-    """``(_walk_count(w, 1), _walk_count(w - 1, 0))`` for odd ``w`` from one
-    binomial, as ``C(w, (w+1)/2) = C(w-1, (w-1)/2) * 2w / (w+1)`` exactly."""
-    middle = _walk_count(w - 1, 0)
-    return middle * 2 * w // (w + 1), middle
+def _central_walk_mass(steps: int) -> float:
+    """``P[S_steps = steps % 2]``, correctly rounded, without the exact binomial.
+
+    ``C(2k, k) / 4^k``, ``k = steps // 2``, is the product of ``(2i-1) / (2i)``;
+    it is bracketed in fixed point, rounding the lower end down and the upper
+    up, and an odd walk scales it by ``steps / (steps + 1)``. Rounding is
+    monotone, so when both ends round to one double that is the mass;
+    otherwise the exact ``C(2k, k)`` decides, so only ``2k`` meets the cap.
+    """
+    k = steps // 2
+    _check_walk_steps(2 * k)
+    lo = hi = 1 << _MASS_BITS
+    for i in range(1, k + 1, _MASS_BLOCK):
+        j = min(i + _MASS_BLOCK, k + 1)
+        num = math.prod(range(2 * i - 1, 2 * j - 1, 2))
+        den = math.prod(range(2 * i, 2 * j, 2))
+        lo, hi = lo * num // den, -(-hi * num // den)
+    num, den = (steps, steps + 1) if steps % 2 else (1, 1)
+    # int / int is one correctly rounded division, as float(Fraction) is
+    mass = lo * num / (den << _MASS_BITS)
+    if mass == hi * num / (den << _MASS_BITS):
+        return mass
+    return _walk_count(2 * k, 0) * num / (den << 2 * k)
 
 
 def _exact_walk_mass(steps: int, value: int) -> Fraction:
@@ -168,14 +193,17 @@ def shift_distance(
 
     ``exact`` evaluates the boundary estimate ``P[|S_w| = 1] / 2`` where
     ``S_w`` is the ``w``-step walk: a sign flip needs the window sum at its
-    minimum magnitude and an unfavorable boundary pair. ``montecarlo``
+    minimum magnitude and an unfavorable boundary pair. The value is
+    ``P[S_w = 1] / 2``, correctly rounded by `_central_walk_mass` without the
+    ``w``-step binomial; ``w`` is held to ``WALK_STEP_CAP``. ``montecarlo``
     simulates the flip event itself (the two agree to ``O(1/w)``; see the
     notes in the tests).
     """
     _check_odd_window(w)
     if method == "exact":
-        # int / int is one correctly rounded division, as float(Fraction) is
-        return _walk_count(w, 1) / 2 ** (w + 1)
+        _check_walk_steps(w)
+        # halving a double is exact, so this is the correctly rounded quotient
+        return _central_walk_mass(w) / 2
     if method == "montecarlo":
         if not samples or seed is None:
             raise DomainError("montecarlo needs samples and a seed")
@@ -259,19 +287,19 @@ def counterexample_check(
         raise DomainError("need at least one iterate")
     _check_samples(samples, n)
     _check_odd_window(w)
+    _check_walk_steps(n)
     delta = n % 2
-    # shift_distance(w) and _sign_flip_probability(w, 1), each one correctly
-    # rounded int / 2**k division of the counts they would compute
-    boundary, middle = _boundary_walk_counts(w)
-    d_shift = boundary / 2 ** (w + 1)
-    flip_one = middle / 2**w
+    # shift_distance(w) and _sign_flip_probability(w, 1); both bracket the
+    # central binomial of w - 1 steps, the one count the cap applies to
+    d_shift = _central_walk_mass(w) / 2
+    flip_one = _central_walk_mass(w - 1) / 2
     preconditions_ok = d_shift < 0.01
 
     rng = np.random.default_rng(seed)
     words = rng.choice((-1, 1), size=(samples, n))
     displacement = words.sum(axis=1)
     in_set = displacement == delta if delta else displacement == 0
-    mass_exact = _walk_count(n, delta) / 2**n
+    mass_exact = _central_walk_mass(n)
     mass_empirical = float(np.mean(in_set))
 
     fiber_distance = flip_one if delta else 0.0

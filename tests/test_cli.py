@@ -270,6 +270,17 @@ class TestCounterexampleCommand:
         assert code == 1
         assert report["result"]["preconditions_ok"] is False
 
+    @pytest.mark.parametrize("spec", [{"n": 2}, {"W": 101}, {"W": 101, "n": None}])
+    def test_spec_without_window_or_iterate(self, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, report = run(tmp_path, "counterexample", "--input", str(path))
+        assert code == 2
+        assert report["reason"] == {
+            "code": "DomainError",
+            "message": "counterexample needs --W and --n",
+        }
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -292,6 +303,15 @@ class TestPlumbing:
     def test_missing_input_exit_two(self, tmp_path):
         code, _ = run(tmp_path, "verify")
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, infeasible_family_file, tol):
+        # a NaN tolerance would wave the inconsistent family through
+        code, report = run(tmp_path, "verify", "--input", str(infeasible_family_file), "--tol", tol)
+        assert code == 2
+        assert report["reason"]["code"] == "DomainError"
+        assert "tol must be finite and >= 0" in report["reason"]["message"]
+        assert "result" not in report
 
     def test_malformed_json_exit_two(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -26,7 +26,7 @@ from margex import rds
 from margex.measures import CELL_CAP
 from margex.rds import (
     WALK_STEP_CAP,
-    _boundary_walk_counts,
+    _central_walk_mass,
     _exact_walk_mass,
     _sign_flip_probability,
     _walk_count,
@@ -134,18 +134,62 @@ class TestShiftDistance:
             assert _sign_flip_probability(w, shift) == sign_flip_reference(w, shift)
 
     def test_boundary_count_derived_from_middle_count(self):
+        # the two values counterexample_check reports, both taken from the
+        # bracket of the middle count C(w - 1, (w - 1) / 2)
         for w in range(3, 2002, 2):
-            boundary, middle = _boundary_walk_counts(w)
-            assert boundary == math.comb(w, (w + 1) // 2)
-            assert middle == math.comb(w - 1, (w - 1) // 2)
-            # the two values counterexample_check takes from these counts
-            assert boundary / 2 ** (w + 1) == shift_distance(w)
-            assert middle / 2**w == _sign_flip_probability(w, 1)
+            assert shift_distance(w) == math.comb(w, (w + 1) // 2) / 2 ** (w + 1)
+            assert _sign_flip_probability(w, 1) == math.comb(w - 1, (w - 1) // 2) / 2**w
 
     def test_true_flip_probability_small_window(self):
         # exact event probability differs from the boundary estimate at w=3
         assert _sign_flip_probability(3, 1) == pytest.approx(0.25)
         assert _sign_flip_probability(3, 0) == 0.0
+
+
+def comb_quotient(steps):
+    return math.comb(steps, (steps + steps % 2) // 2) / 2**steps
+
+
+class TestCentralWalkMass:
+    def test_bit_equal_to_exact_quotient(self):
+        for steps in [*range(1, 4002), 10000, 10001, 100000, 100001]:
+            assert _central_walk_mass(steps) == comb_quotient(steps), steps
+
+    def test_long_window_needs_no_exact_binomial(self, monkeypatch):
+        w = 100001
+        expected_shift = math.comb(w, (w + 1) // 2) / 2 ** (w + 1)
+        expected_flip = math.comb(w - 1, (w - 1) // 2) / 2**w
+        comb = math.comb
+
+        def small_comb(n, k):
+            if n > 64:
+                raise AssertionError(f"exact binomial of {n} steps")
+            return comb(n, k)
+
+        monkeypatch.setattr(math, "comb", small_comb)
+        assert shift_distance(w) == expected_shift
+        report = counterexample_check(w, 10, samples=100, seed=3)
+        assert report.shift_estimate == expected_shift
+        assert report.shift_flip_probability == expected_flip
+        assert report.parity_set_mass_exact == 252 / 2**10
+
+    @pytest.mark.parametrize("steps", [201, 1000, 4001, 10001])
+    def test_straddling_bracket_falls_back_to_exact_count(self, monkeypatch, steps):
+        # a 4-bit bracket is far too coarse to pin one double
+        monkeypatch.setattr(rds, "_MASS_BITS", 4)
+        counted = []
+
+        def counting_walk_count(*args):
+            counted.append(args)
+            return _walk_count(*args)
+
+        monkeypatch.setattr(rds, "_walk_count", counting_walk_count)
+        assert _central_walk_mass(steps) == comb_quotient(steps)
+        assert counted == [(steps - steps % 2, 0)]
+
+    def test_iterate_at_the_cap(self):
+        report = counterexample_check(101, WALK_STEP_CAP, samples=1, seed=1)
+        assert report.parity_set_mass_exact == comb_quotient(WALK_STEP_CAP)
 
 
 class TestCocycle:
