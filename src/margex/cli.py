@@ -89,6 +89,20 @@ def _reason(err: MargexError) -> dict:
     return reason
 
 
+def _strict(node, path: str, non_finite: dict):
+    """``node`` with every NaN or infinity replaced by ``None``, each one's
+    dotted path recorded in ``non_finite`` as ``nan``, ``inf`` or ``-inf``."""
+    if isinstance(node, float) and not math.isfinite(node):
+        non_finite[path] = "nan" if math.isnan(node) else ("inf" if node > 0 else "-inf")
+        return None
+    if isinstance(node, dict):
+        prefix = f"{path}." if path else ""
+        return {k: _strict(v, f"{prefix}{k}", non_finite) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_strict(v, f"{path}.{i}", non_finite) for i, v in enumerate(node)]
+    return node
+
+
 @contextmanager
 def _spec_errors():
     """Report a missing field or a value of the wrong type or form as a
@@ -339,7 +353,13 @@ def main(argv: list[str] | None = None) -> int:
         usage = isinstance(err, (CapacityError, DomainError, WindowError))
         exit_code = USAGE_EXIT if usage else MATH_EXIT
 
-    text = json.dumps(report, indent=2, sort_keys=True)
+    # strict JSON: a non-finite number is written as null and named in
+    # a top-level "non_finite" block
+    non_finite: dict[str, str] = {}
+    report = _strict(report, "", non_finite)
+    if non_finite:
+        report["non_finite"] = non_finite
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")

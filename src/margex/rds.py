@@ -153,16 +153,9 @@ def _walk_count(steps: int, value: int) -> int:
     return math.comb(steps, (steps + value) // 2)
 
 
-def _central_walk_mass(steps: int) -> float:
-    """``P[S_steps = steps % 2]``, correctly rounded, without the exact binomial.
-
-    ``C(2k, k) / 4^k``, ``k = steps // 2``, is the product of ``(2i-1) / (2i)``;
-    it is bracketed in fixed point, rounding the lower end down and the upper
-    up, and an odd walk scales it by ``steps / (steps + 1)``. Rounding is
-    monotone, so when both ends round to one double that is the mass;
-    otherwise the exact ``C(2k, k)`` decides, so only ``2k`` meets the cap.
-    """
-    k = steps // 2
+def _central_bracket(k: int) -> tuple[int, int]:
+    """``C(2k, k) / 4^k`` in fixed point at ``_MASS_BITS`` fraction bits: the
+    product of ``(2i-1) / (2i)``, its lower end rounded down, its upper up."""
     _check_walk_steps(2 * k)
     lo = hi = 1 << _MASS_BITS
     for i in range(1, k + 1, _MASS_BLOCK):
@@ -170,6 +163,21 @@ def _central_walk_mass(steps: int) -> float:
         num = math.prod(range(2 * i - 1, 2 * j - 1, 2))
         den = math.prod(range(2 * i, 2 * j, 2))
         lo, hi = lo * num // den, -(-hi * num // den)
+    return lo, hi
+
+
+def _central_walk_mass(steps: int, bracket: tuple[int, int] | None = None) -> float:
+    """``P[S_steps = steps % 2]``, correctly rounded, without the exact binomial.
+
+    ``C(2k, k) / 4^k``, ``k = steps // 2``, is bracketed by
+    ``_central_bracket(k)`` (or ``bracket``, when the caller holds it: a walk
+    of ``2k`` and one of ``2k + 1`` steps share it), and an odd walk scales it
+    by ``steps / (steps + 1)``. Rounding is monotone, so when both ends round
+    to one double that is the mass; otherwise the exact ``C(2k, k)`` decides,
+    so only ``2k`` meets the cap.
+    """
+    k = steps // 2
+    lo, hi = _central_bracket(k) if bracket is None else bracket
     num, den = (steps, steps + 1) if steps % 2 else (1, 1)
     # int / int is one correctly rounded division, as float(Fraction) is
     mass = lo * num / (den << _MASS_BITS)
@@ -289,10 +297,11 @@ def counterexample_check(
     _check_odd_window(w)
     _check_walk_steps(n)
     delta = n % 2
-    # shift_distance(w) and _sign_flip_probability(w, 1); both bracket the
-    # central binomial of w - 1 steps, the one count the cap applies to
-    d_shift = _central_walk_mass(w) / 2
-    flip_one = _central_walk_mass(w - 1) / 2
+    # shift_distance(w) and _sign_flip_probability(w, 1), from one bracket of
+    # the central binomial of w - 1 steps, the one count the cap applies to
+    bracket = _central_bracket((w - 1) // 2)
+    d_shift = _central_walk_mass(w, bracket) / 2
+    flip_one = _central_walk_mass(w - 1, bracket) / 2
     preconditions_ok = d_shift < 0.01
 
     rng = np.random.default_rng(seed)

@@ -222,13 +222,17 @@ def _label_table(alphabet: Alphabet, labels, copy: bool) -> np.ndarray:
 
 def base_aligned_labels(tower: TowerSpec, partition: LabeledPartition) -> np.ndarray:
     """Labels re-indexed by base atom: row ``j`` is the level-``j`` symbol map
-    composed with the orbit of each base atom.
+    composed with the orbit of each base atom, gathered one row at a time.
 
-    The result is a fresh array that the caller owns; paint and surgery write
-    into it."""
+    The result is a fresh array that the caller owns; surgery writes into it.
+    Paint only reads it: it re-measures its windows from the kept counts plus
+    the painted names, and writes the painted atoms back level by level."""
     if partition.height != tower.height or partition.atom_count != tower.atom_count:
         raise DomainError("partition does not match the tower")
-    return np.take_along_axis(partition.labels, tower.positions, axis=1)
+    out = np.empty(tower.positions.shape, dtype=partition.labels.dtype)
+    for j, (row, pos) in enumerate(zip(partition.labels, tower.positions)):
+        np.take(row, pos, out=out[j])
+    return out
 
 
 def labels_from_base(tower: TowerSpec, base_labels: np.ndarray, alphabet: Alphabet) -> LabeledPartition:
@@ -255,9 +259,12 @@ def _window_offsets(offsets: IndexLike) -> IndexSet:
 
 
 def _window_codes(base_labels: np.ndarray, levels: Sequence[int], size: int) -> np.ndarray:
-    codes = np.zeros(base_labels.shape[1], dtype=np.int64)
+    """Each atom's lexicographic cell on ``levels``, in the narrowest signed
+    dtype that holds ``size^len(levels) - 1``; callers keep that under ``CELL_CAP``."""
+    codes = np.zeros(base_labels.shape[1], dtype=np.min_scalar_type(-(size ** len(levels))))
     for lvl in levels:
-        codes = codes * size + base_labels[lvl]
+        codes *= size
+        codes += base_labels[lvl]
     return codes
 
 
@@ -283,17 +290,19 @@ def _level_product(counts: np.ndarray, levels: Sequence[int], atoms: int) -> np.
     return prod
 
 
+def _count_law(counts: np.ndarray, alphabet: Alphabet, shift: int, offsets: IndexSet) -> DenseMeasure:
+    """The window law with cell counts ``counts`` over the whole base, on the
+    support ``shift + offsets``."""
+    return DenseMeasure(
+        alphabet, offsets.shift(shift), counts / counts.sum(), "probability", tol=1e-12
+    )
+
+
 def _name_law(base: np.ndarray, alphabet: Alphabet, shift: int, offsets: IndexSet) -> DenseMeasure:
     """Law of the names read at ``shift + k`` for ``k`` in ``offsets`` from
     base-aligned labels, on the support ``shift + offsets``."""
     levels = [shift + k for k in offsets]
-    return DenseMeasure(
-        alphabet,
-        offsets.shift(shift),
-        _joint_counts(base, levels, alphabet.size) / base.shape[1],
-        "probability",
-        tol=1e-12,
-    )
+    return _count_law(_joint_counts(base, levels, alphabet.size), alphabet, shift, offsets)
 
 
 def name_distribution(
@@ -574,6 +583,8 @@ def paint_tower(
     shift the kept part's window law is corrected toward the product of the
     full per-level distributions; the correcting laws are extended to a
     single column law in kernel form and painted onto the slice atom by atom.
+    Only the slice is written back, and the reported counts and window laws
+    are the kept part's counts plus those of the painted names.
 
     Per-level distributions survive up to the reported quantization bound,
     per-level distances stay below the painted fraction, and flagged shifts
@@ -593,12 +604,13 @@ def paint_tower(
         raise DomainError(
             f"height {height} violates the strict budget 10*m/epsilon = {10.0 * m / epsilon}"
         )
-    if partition.min_symbol_mass() < alpha - tol:
-        raise DomainError(
-            f"some level has a symbol of mass {partition.min_symbol_mass()} < alpha {alpha}"
-        )
-
     size = partition.alphabet.size
+    # every aligned row permutes its label row, so these are the base's counts
+    full_counts = _level_counts(partition.labels, size)
+    min_mass = float(full_counts.min()) / atoms
+    if min_mass < alpha - tol:
+        raise DomainError(f"some level has a symbol of mass {min_mass} < alpha {alpha}")
+
     window = offsets.union((m,))
     base = base_aligned_labels(tower, partition)
     valid = [
@@ -644,7 +656,6 @@ def paint_tower(
     t_hat = m0 / atoms
 
     painted_base = base[:, painted]
-    full_counts = _level_counts(base, size)
     painted_counts = _level_counts(painted_base, size)
     if painted_counts.min() <= 0:
         raise QuantizationError(
@@ -657,10 +668,12 @@ def paint_tower(
 
     members: list[DenseMeasure] = []
     positivity_margins: dict[int, float] = {}
+    kept_counts: dict[int, np.ndarray] = {}
     for j in valid:
         levels = [j + k for k in window]
-        kept_counts = _joint_counts(base, levels, size) - _joint_counts(painted_base, levels, size)
-        nu_kept = kept_counts / (atoms - m0)
+        kept = _joint_counts(base, levels, size) - _joint_counts(painted_base, levels, size)
+        kept_counts[j] = kept
+        nu_kept = kept / (atoms - m0)
         prod_full = _level_product(full_counts, levels, atoms)
         xi_table, worst, margin = _blend_correction(prod_full, nu_kept, t_hat)
         positivity_margins[j] = margin
@@ -681,6 +694,7 @@ def paint_tower(
             )
         )
     members.extend(slice_marginals)
+    del base  # only the painted slice is read from here on
 
     alpha_family = min(mu.min_entry() for mu in slice_marginals)
     family = MarginalFamily(
@@ -700,14 +714,19 @@ def paint_tower(
 
     names = _paint_names(chain, m0, seed).T
     per_level_distance = np.count_nonzero(names != painted_base, axis=1) / atoms
-    base[:, painted] = names
-    q = labels_from_base(tower, base, partition.alphabet)
-    per_level_gap = np.abs(_level_counts(base, size) - full_counts).max(axis=1) / atoms
+    # only the painted atoms change: write them at their level-j indices, and
+    # update counts and window laws by the painted names less the old slice
+    labels = partition.labels.copy()
+    for j, pos in enumerate(tower.positions):
+        labels[j, pos[painted]] = names[j]
+    q = LabeledPartition._owned(partition.alphabet, labels)
+    per_level_gap = np.abs(_level_counts(names, size) - painted_counts).max(axis=1) / atoms
 
     window_defects: dict[int, float] = {}
     window_sup_gaps: dict[int, float] = {}
     for j in valid:
-        nu_new = _name_law(base, partition.alphabet, j, window)
+        counts = kept_counts[j] + _joint_counts(names, [j + k for k in window], size)
+        nu_new = _count_law(counts, partition.alphabet, j, window)
         window_sup_gaps[j] = sup_distance(nu_new, nu_new.product_of_marginals())
         window_defects[j] = delta_independence(nu_new, "ascending")
 
@@ -914,13 +933,17 @@ def fiber_surgery(
             }
             - set(block)
         )
-        halo_codes = _window_codes(base, halo, size)
+        # halo classes in the lexicographic order of their names; a halo can
+        # span more levels than a packed integer code could hold
+        _, halo_class, class_sizes = np.unique(
+            base[halo], axis=1, return_inverse=True, return_counts=True
+        )
+        by_class = np.argsort(halo_class, kind="stable")
         cells = list(itertools.product(range(size), repeat=len(block)))
         cell_mass = [math.prod(int(counts[lvl][a]) for lvl, a in zip(block, c)) for c in cells]
         den = atoms ** len(block)
         block_probs = _level_product(counts, block, atoms)
-        for code in np.unique(halo_codes):
-            members = np.flatnonzero(halo_codes == code)
+        for members in np.split(by_class, np.cumsum(class_sizes)[:-1]):
             n_y = len(members)
             if all(n_y * mass % den == 0 for mass in cell_mass):
                 cell_counts = [n_y * mass // den for mass in cell_mass]

@@ -14,6 +14,15 @@ from margex.measures import CELL_CAP
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def strict_loads(text):
+    """``json.loads`` that rejects the NaN and Infinity extensions."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "report.json"
     code = main([*argv, "--output", str(out), "--no-timestamp"])
@@ -451,6 +460,56 @@ class TestFailureReasons:
         assert report["reason"]["code"] == "DomainError"
 
 
+class TestStrictJson:
+    """A non-finite number is written as null and named, with its kind, in
+    the top-level ``non_finite`` block; no report holds NaN or Infinity."""
+
+    @staticmethod
+    def _report(tmp_path, *argv):
+        out = tmp_path / "report.json"
+        code = main([*argv, "--output", str(out), "--no-timestamp"])
+        return code, strict_loads(out.read_text())
+
+    def test_counterexample_without_parity_samples(self, tmp_path):
+        code, report = self._report(
+            tmp_path, "counterexample", "--W", "101", "--n", "3", "--samples", "1", "--seed", "0"
+        )
+        assert code == 1
+        assert report["result"]["samples_in_set"] == 0
+        assert report["result"]["max_fiber_distance"] is None
+        assert report["non_finite"] == {"result.max_fiber_distance": "nan"}
+
+    def test_infeasible_oracle(self, tmp_path, infeasible_family_file):
+        code, report = self._report(tmp_path, "oracle", "--input", str(infeasible_family_file))
+        assert code == 1
+        assert report["result"]["feasible"] is False
+        assert report["result"]["max_residual"] is None
+        assert report["non_finite"] == {"result.max_residual": "inf"}
+
+    def test_degenerate_paint(self, tmp_path):
+        spec = {
+            "tower": {
+                "height": 16,
+                "atom_count": 16,
+                "transfer": "seeded_permutation:5",
+                "labels": {"generator": "seeded_uniform:3", "alphabet_size": 2},
+            },
+            "m": 2,
+            "epsilon": 0.4,
+        }
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(spec))
+        code, report = self._report(tmp_path, "paint", "--input", str(path))
+        assert code in (0, 1)
+        assert report["result"]["degenerate"] is True
+        assert report["result"]["quantization_level_bound"] is None
+        assert report["non_finite"] == {"result.quantization_level_bound": "inf"}
+
+    def test_finite_report_has_no_block(self, tmp_path, family_file):
+        code, report = self._report(tmp_path, "verify", "--input", str(family_file))
+        assert "non_finite" not in report
+
+
 class TestGoldenReports:
     """``--no-timestamp`` reports pinned byte for byte at the default seed.
 
@@ -485,7 +544,7 @@ class TestGoldenReports:
 
 class TestSpecFuzz:
     """Mutated golden specs and arbitrary JSON keep the 0/1/2 contract and
-    always produce a parseable JSON report."""
+    always produce a strict JSON report (no NaN or Infinity)."""
 
     TARGETS = [
         ("verify", "family"),
@@ -533,7 +592,7 @@ class TestSpecFuzz:
         path.write_text(json.dumps(payload))
         out = tmp_path / "report.json"
         code = main([command, "--input", str(path), "--output", str(out), "--no-timestamp"])
-        report = json.loads(out.read_text())
+        report = strict_loads(out.read_text())
         assert code in (0, 1, 2)
         assert report["status"] == ("ok" if code == 0 else "failed")
 

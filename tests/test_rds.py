@@ -187,6 +187,20 @@ class TestCentralWalkMass:
         assert _central_walk_mass(steps) == comb_quotient(steps)
         assert counted == [(steps - steps % 2, 0)]
 
+    def test_one_bracket_serves_both_window_masses(self, monkeypatch):
+        brackets = []
+        central_bracket = rds._central_bracket
+
+        def counting_bracket(k):
+            brackets.append(k)
+            return central_bracket(k)
+
+        monkeypatch.setattr(rds, "_central_bracket", counting_bracket)
+        report = counterexample_check(10001, 10, samples=100, seed=3)
+        assert brackets == [5000, 5]
+        assert report.shift_estimate == comb_quotient(10001) / 2
+        assert report.shift_flip_probability == comb_quotient(10000) / 2
+
     def test_iterate_at_the_cap(self):
         report = counterexample_check(101, WALK_STEP_CAP, samples=1, seed=1)
         assert report.parity_set_mass_exact == comb_quotient(WALK_STEP_CAP)

@@ -197,6 +197,29 @@ class TestNameDistribution:
         assert sup_distance(nd, DenseMeasure.uniform(A2, nd.support)) <= 4 / np.sqrt(2**16)
 
 
+class TestJointCounts:
+    @pytest.mark.parametrize(
+        "size, levels, dtype",
+        [(2, 15, np.int16), (2, 16, np.int32), (3, 9, np.int16), (3, 10, np.int32)],
+    )
+    def test_narrow_codes_match_int64_reference(self, size, levels, dtype):
+        # the narrowest signed dtype that holds size^levels - 1, at both sides
+        # of the int16 boundary
+        base = np.random.default_rng(size * 100 + levels).integers(
+            0, size, size=(levels + 2, 4096), dtype=np.int16
+        )
+        base[1:, 0] = size - 1
+        window = list(range(1, levels + 1))
+        codes = np.zeros(base.shape[1], dtype=np.int64)
+        for lvl in window:
+            codes = codes * size + base[lvl].astype(np.int64)
+        expected = np.bincount(codes, minlength=size**levels)
+        assert towers._window_codes(base, window, size).dtype == dtype
+        got = towers._joint_counts(base, window, size)
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+        assert got[-1] >= 1
+
+
 class TestChooseEta:
     def test_worked_value(self):
         assert choose_eta(0.5, 1, 1 / 512, 0.1) == pytest.approx(1 / 409600)
@@ -445,6 +468,57 @@ class TestPaintTower:
         assert report.e1_mass == pytest.approx(1 / 16)
 
 
+class TestPaintOnlyThePaintedSlice:
+    """Paint writes only the painted atoms and re-measures from the kept
+    counts plus the painted names; each report field must equal the value a
+    whole-base recount of ``report.q`` gives."""
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("m", [2, 8])
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_report_matches_whole_base_recount(self, monkeypatch, size, m, seed):
+        alphabet = Alphabet(size)
+        tower = genutil.permutation_tower(24, 2**14, seed=seed)
+        partition = uniform_random_partition(tower, alphabet, seed=seed + 100)
+        offsets, epsilon = [0], 0.4
+        window = IndexSet.of(offsets).union((m,))
+        flags = flag_dependent_shifts(tower, partition, window, epsilon)
+        painted_names = []
+        paint_names = towers._paint_names
+
+        def recording(chain, n_rows, paint_seed):
+            names = paint_names(chain, n_rows, paint_seed)
+            painted_names.append(names.copy())
+            return names
+
+        monkeypatch.setattr(towers, "_paint_names", recording)
+        report = paint_tower(
+            tower.with_flags(in_e1=flags),
+            partition,
+            offsets,
+            m,
+            epsilon,
+            alpha=partition.min_symbol_mass() - 1e-9,
+            seed=seed,
+        )
+        assert not report.degenerate and report.window_defects
+
+        base = base_aligned_labels(tower, partition)
+        order = np.lexsort(tuple(base[lvl] for lvl in reversed(range(tower.height))))
+        painted = np.sort(towers._systematic_split(order, epsilon / 10))
+        base[:, painted] = painted_names[0].T
+        assert np.array_equal(report.q.labels, labels_from_base(tower, base, alphabet).labels)
+
+        recount = towers._level_counts(report.q.labels, size)
+        gap = np.abs(recount - towers._level_counts(partition.labels, size)).max(axis=1)
+        assert np.array_equal(report.per_level_distribution_gap, gap / tower.atom_count)
+
+        for j, defect in report.window_defects.items():
+            nu = name_distribution(tower, report.q, j, window)
+            assert defect == delta_independence(nu, "ascending")
+            assert report.window_sup_gaps[j] == sup_distance(nu, nu.product_of_marginals())
+
+
 class TestIterateKrengel:
     def test_zero_steps_identity(self):
         tower = genutil.permutation_tower(8, 64, seed=41)
@@ -553,6 +627,26 @@ class TestFiberSurgery:
         partition = LabeledPartition(A2, labels)
         with pytest.raises(QuantizationError):
             fiber_surgery(tower, partition, [0, 2], [1])
+
+    def test_halo_wider_than_a_packed_code(self):
+        # offsets {0, 1, 3, 7, 12, 20} at height 80 give shift 30 a 49-level
+        # halo; at alphabet 4, 4^48 = 2^96 would push the lowest halo level,
+        # 10, out of a 64-bit code. Level 10 reads the top base-4 digit of
+        # the atom index, the block's level 31 the lowest, and every other
+        # level is constant. No window holds both 10 and 31, so only the
+        # halo classes keep the new level 31 independent of level 10.
+        alphabet, atoms = Alphabet(4), 4**4
+        tower = TowerSpec(80, FiberSpace(atoms))
+        labels = np.zeros((80, atoms), dtype=np.int16)
+        idx = np.arange(atoms)
+        labels[10] = idx // 64
+        labels[31] = idx % 4
+        partition = LabeledPartition(alphabet, labels)
+        out = fiber_surgery(tower, partition, [0, 1, 3, 7, 12, 20], [30])
+        joint = name_distribution(tower, out, 10, [0, 21])
+        assert np.array_equal(joint.table, np.full(16, 1 / 16))
+        assert np.array_equal(np.bincount(out.labels[31], minlength=4), [64] * 4)
+        assert np.array_equal(np.delete(out.labels, 31, axis=0), np.delete(labels, 31, axis=0))
 
     def test_round_mode_bounded_defect(self):
         tower = genutil.permutation_tower(6, 10, seed=54)
