@@ -231,7 +231,7 @@ def _cmd_paint(args, spec):
             raise DomainError("paint needs a fresh time (spec field 'm' or --n)")
         m = int(spec["m"]) if "m" in spec else int(args.n)
         epsilon = float(spec.get("epsilon", args.epsilon))
-        alpha = float(spec.get("alpha", partition.min_symbol_mass() - args.tol))
+        alpha = float(spec.get("alpha", 0.0))
     if spec.get("auto_flags", True):
         flags = flag_dependent_shifts(tower, partition, offsets.union((m,)), epsilon)
         tower = tower.with_flags(in_e1=tower.in_e1 | flags)

@@ -34,7 +34,6 @@ from .errors import (
     SingularityError,
 )
 from .measures import (
-    CELL_CAP,
     DEFAULT_TOL,
     EMPTY,
     SCAN_ALL_LIMIT,
@@ -225,18 +224,38 @@ def _structure(op: ProjectionOperator) -> tuple:
     return mat, pinv, [(u, pinv @ u, np.abs(u).max()) for u in u_svd.T[:rank]]
 
 
-def _anchored(op: ProjectionOperator, structure: tuple, v: np.ndarray, w, tol: float) -> RightInverse:
-    """The right inverse on ``op``'s structure with ``B(w) = v`` (a flat table)."""
-    mat, pinv, basis = structure
+def bounded_right_inverse(
+    op: ProjectionOperator,
+    v: DenseMeasure,
+    w: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    structures: dict | None = None,
+) -> RightInverse:
+    """Right inverse of ``op`` with ``B(w) = v``, plus its measured sup-norm.
+
+    ``w`` is a family over the operator's targets in :meth:`ProjectionOperator.apply`
+    form. Requires ``op(v) = w`` within ``tol`` and ``w != 0``. ``structures``
+    is a cache of :func:`_structure` keyed by the alphabet size, the domain
+    length and the target positions; an extension loop passes one dict for
+    all its steps. Cached and uncached calls give the same bits.
+    """
+    if v.support != op.domain:
+        raise DomainError("anchor measure must live on the operator domain")
+    key = (op.alphabet.size, len(op.domain), tuple(op.domain.positions(t) for t in op.targets))
+    if structures is None:
+        structures = {}
+    if key not in structures:
+        structures[key] = _structure(op)
+    mat, pinv, basis = structures[key]
     w_vec = np.asarray(w, dtype=np.float64)
     if w_vec.shape != mat.shape[:1]:
         raise DomainError("anchor family must belong to the operator")
     if float(np.abs(w_vec).max()) == 0.0:
         raise DomainError("anchor family is zero; no anchored right inverse exists")
-    gap = float(np.abs(mat @ v - w_vec).max())
+    gap = float(np.abs(mat @ v.table - w_vec).max())
     if gap > tol:
         raise AnchorError(f"operator applied to the anchor measure misses w by {gap}")
-    corr = v - pinv @ w_vec
+    corr = v.table - pinv @ w_vec
     w_norm2 = float(w_vec @ w_vec)
 
     # measure the sup-operator norm on an orthonormal basis of the image
@@ -245,31 +264,6 @@ def _anchored(op: ProjectionOperator, structure: tuple, v: np.ndarray, w, tol: f
         x = pinv_u + corr * (w_vec @ u) / w_norm2
         measured = max(measured, float(np.abs(x).max() / u_max))
     return RightInverse(op, pinv, corr, w_vec, w_norm2, measured)
-
-
-def bounded_right_inverse(
-    op: ProjectionOperator,
-    v: DenseMeasure,
-    w: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> RightInverse:
-    """Right inverse of ``op`` with ``B(w) = v``, plus its measured sup-norm.
-
-    ``w`` is a family over the operator's targets in :meth:`ProjectionOperator.apply`
-    form. Requires ``op(v) = w`` within ``tol`` and ``w != 0``.
-    """
-    if v.support != op.domain:
-        raise DomainError("anchor measure must live on the operator domain")
-    return _anchored(op, _structure(op), v.table, w, tol)
-
-
-def _step_right_inverse(op, v, w, tol, structures):
-    """:func:`bounded_right_inverse` of the flat table ``v``, its structure
-    cached in ``structures``, a dict that lives for one extension loop."""
-    key = (op.alphabet.size, len(op.domain), tuple(op.domain.positions(t) for t in op.targets))
-    if key not in structures:
-        structures[key] = _structure(op)
-    return _anchored(op, structures[key], v, w, tol)
 
 
 # -- one-coordinate extension step -----------------------------------------------
@@ -362,7 +356,8 @@ def _sigma_step(family, lam, support, n, tol, pos_tol, structures):
             f"prior measure and prescriptions disagree on the overlap by {drift}"
         )
     op = ProjectionOperator(alphabet, r_bar, tuple(IndexSet._from_set(set(t)) for t in targets))
-    binv = _step_right_inverse(op, v.reshape(-1), w, tol, structures)
+    anchor = DenseMeasure._owned(alphabet, r_bar, v, "signed", np.inf)
+    binv = bounded_right_inverse(op, anchor, w, tol, structures)
 
     # symbol a's family: each source table sliced at coordinate n = a
     sliced = [(slice_sources[sources[t]], sources[t].index(n)) for t in targets]
@@ -528,8 +523,7 @@ def extend_family(
     window = IndexSet.of(window)
     if not family.union_support().issubset(window):
         raise DomainError("window must contain every member support")
-    if family.alphabet.size ** len(window) > CELL_CAP:
-        raise CapacityError(f"window of {len(window)} coordinates exceeds the dense cap")
+    _cell_count(family.alphabet.size, window)
     lam, steps = _extend(family, window, beta, tol, None, None)
     return lam, ExtensionTrace(steps)
 
@@ -601,8 +595,7 @@ def extend_family_chain(
     for mu in family.members:
         if len(mu.support) >= 2:
             span = max(span, max(mu.support) - min(mu.support))
-    if family.alphabet.size ** (span + 1) > CELL_CAP:
-        raise CapacityError("member span exceeds the streaming state cap")
+    _cell_count(family.alphabet.size, range(span + 1))
     _, steps = _extend(family, window, beta, tol, pos_tol, span)
     return ChainExtension(family, window, span, steps)
 

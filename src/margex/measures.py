@@ -117,11 +117,11 @@ EMPTY = IndexSet(())
 
 
 def _cell_count(size: int, support: IndexLike) -> int:
-    cells = size ** len(support)
+    n = len(support)
+    cells = size ** n
     if cells > CELL_CAP:
-        raise CapacityError(
-            f"table on A^{tuple(support)} would need {cells} cells (cap {CELL_CAP})"
-        )
+        # size^n, not the count: a count past 4300 digits cannot be printed
+        raise CapacityError(f"table on {n} coordinates would need {size}^{n} cells (cap {CELL_CAP})")
     return cells
 
 
@@ -325,10 +325,7 @@ def is_consistent(m1: DenseMeasure, m2: DenseMeasure, tol: float = DEFAULT_TOL) 
 
     For disjoint supports the common projection is the total mass.
     """
-    if m1.alphabet != m2.alphabet:
-        raise DomainError("is_consistent requires a shared alphabet")
-    common = m1.support.intersection(m2.support)
-    return sup_distance(project(m1, common), project(m2, common)) <= tol
+    return consistency_gap(m1, m2) <= tol
 
 
 def consistency_gap(m1: DenseMeasure, m2: DenseMeasure) -> float:

@@ -186,11 +186,6 @@ def _central_walk_mass(steps: int, bracket: tuple[int, int] | None = None) -> fl
     return _walk_count(2 * k, 0) * num / (den << 2 * k)
 
 
-def _exact_walk_mass(steps: int, value: int) -> Fraction:
-    """P[simple random walk of ``steps`` coin flips sums to ``value``]."""
-    return Fraction(_walk_count(steps, value), 2**steps)
-
-
 def shift_distance(
     w: int,
     method: str = "exact",
@@ -224,33 +219,6 @@ def shift_distance(
         flips = (middle == 0) & (first != last)
         return float(np.mean(flips))
     raise DomainError(f"unknown method {method!r}")
-
-
-def _sign_flip_probability(w: int, shift: int) -> float:
-    """Exact probability that the w-window sign changes under a coordinate
-    shift of the window by ``shift``."""
-    shift = abs(int(shift))
-    if shift == 0:
-        return 0.0
-    if shift >= w:
-        # disjoint windows: two independent signs
-        return 0.5
-    # head H (first `shift` symbols), shared middle M, tail T (last `shift`):
-    # flip iff sign(H + M) != sign(M + T). Each term is an integer count of
-    # (H, M, T) walks over 2^(w + shift), divided once, as float(Fraction) is.
-    mid_steps = w - shift
-    middle = {m: _walk_count(mid_steps, m) for m in range(1 - shift, shift)}
-    scale = 2 ** (w + shift)
-    total = 0.0
-    for h in range(-shift, shift + 1, 2):
-        count_h = _walk_count(shift, h)
-        for t in range(-shift, shift + 1, 2):
-            if h == t:
-                continue
-            lo, hi = -max(h, t), -min(h, t)
-            inner = sum(middle[m] for m in range(lo + 1, hi))
-            total += count_h * _walk_count(shift, t) * inner / scale
-    return total
 
 
 @dataclass(frozen=True)
@@ -297,8 +265,9 @@ def counterexample_check(
     _check_odd_window(w)
     _check_walk_steps(n)
     delta = n % 2
-    # shift_distance(w) and _sign_flip_probability(w, 1), from one bracket of
-    # the central binomial of w - 1 steps, the one count the cap applies to
+    # shift_distance(w) and the unit-shift flip probability (the shared w - 1
+    # steps sum to 0 and the two boundary symbols disagree), from one bracket
+    # of the central binomial of w - 1 steps, the one count the cap applies to
     bracket = _central_bracket((w - 1) // 2)
     d_shift = _central_walk_mass(w, bracket) / 2
     flip_one = _central_walk_mass(w - 1, bracket) / 2

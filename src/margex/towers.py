@@ -36,13 +36,13 @@ from .errors import (
 )
 from .extension import ChainExtension, ExtensionStep, extend_family_chain
 from .measures import (
-    CELL_CAP,
     DEFAULT_TOL,
     Alphabet,
     DenseMeasure,
     IndexLike,
     IndexSet,
     MarginalFamily,
+    _cell_count,
     conditional_gap,
     conditional_rows,
     delta_independence,
@@ -199,10 +199,6 @@ class LabeledPartition:
     def atom_count(self) -> int:
         return self.labels.shape[1]
 
-    def level_distribution(self, level: int) -> np.ndarray:
-        counts = np.bincount(self.labels[level], minlength=self.alphabet.size)
-        return counts / self.atom_count
-
     def distributions(self) -> np.ndarray:
         return _level_counts(self.labels, self.alphabet.size) / self.atom_count
 
@@ -269,11 +265,7 @@ def _window_codes(base_labels: np.ndarray, levels: Sequence[int], size: int) -> 
 
 
 def _joint_counts(base: np.ndarray, levels: Sequence[int], size: int) -> np.ndarray:
-    cells = size ** len(levels)
-    if cells > CELL_CAP:
-        raise CapacityError(
-            f"window law on levels {tuple(levels)} would need {cells} cells (cap {CELL_CAP})"
-        )
+    cells = _cell_count(size, levels)
     return np.bincount(_window_codes(base, levels, size), minlength=cells)
 
 
@@ -390,17 +382,6 @@ def correcting_measure(
 
 
 # -- measuring window defects and flagging ----------------------------------------
-
-def window_deviation(
-    tower: TowerSpec, partition: LabeledPartition, shift: int, offsets: IndexLike
-) -> tuple[float, float]:
-    """(sup distance to the product law, worst conditional gap of the last
-    offset against the preceding block; 0 on one offset) for one window."""
-    nu = name_distribution(tower, partition, shift, offsets)
-    *prefix, last = nu.support
-    gap = conditional_gap(nu, tuple(prefix), last)[0] if prefix else 0.0
-    return sup_distance(nu, nu.product_of_marginals()), gap
-
 
 def flag_dependent_shifts(
     tower: TowerSpec,
@@ -573,7 +554,6 @@ def paint_tower(
     alpha: float,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    strict_budget: bool = False,
 ) -> PaintReport:
     """One induction step: make the windows over ``offsets + {m}`` exactly
     independent on unflagged shifts, changing only a thin slice of the tower.
@@ -588,8 +568,7 @@ def paint_tower(
 
     Per-level distributions survive up to the reported quantization bound,
     per-level distances stay below the painted fraction, and flagged shifts
-    plus the top ``m`` levels are exempt. ``strict_budget`` additionally
-    enforces ``height > 10 m / epsilon``.
+    plus the top ``m`` levels are exempt.
     """
     offsets = _window_offsets(offsets)
     if m <= max(offsets):
@@ -600,10 +579,6 @@ def paint_tower(
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must lie in (0, 1)")
     height_ok = height > 10.0 * m / epsilon
-    if strict_budget and not height_ok:
-        raise DomainError(
-            f"height {height} violates the strict budget 10*m/epsilon = {10.0 * m / epsilon}"
-        )
     size = partition.alphabet.size
     # every aligned row permutes its label row, so these are the base's counts
     full_counts = _level_counts(partition.labels, size)
@@ -795,16 +770,13 @@ def iterate_krengel(
     current = partition
     in_e = tower.in_e.copy()
     window = [0]
-    chosen: list[int] = []
     reports: list[PaintReport] = []
     cumulative = np.zeros(tower.height)
     for j in range(1, steps + 1):
         eps_j = epsilon / 2**j
         accepted = None
         for m in mixing_times:
-            if m in chosen or m <= max(window):
-                continue
-            if m >= tower.height:
+            if not max(window) < m < tower.height:
                 continue
             flags = flag_dependent_shifts(
                 tower.with_flags(in_e=in_e),
@@ -831,7 +803,7 @@ def iterate_krengel(
             IndexSet.of(window),
             m,
             eps_j,
-            alpha=current.min_symbol_mass() - tol,
+            alpha=0.0,
             seed=seed + j,
             tol=tol,
         )
@@ -840,11 +812,10 @@ def iterate_krengel(
         in_e |= flags
         in_e[tower.height - m :] = True
         window.append(m)
-        chosen.append(m)
         reports.append(report)
     return KrengelResult(
         q=current,
-        chosen_times=tuple(chosen),
+        chosen_times=tuple(window[1:]),
         cumulative_error_mass=float(in_e.sum()) / tower.height,
         cumulative_distance=cumulative,
         reports=tuple(reports),

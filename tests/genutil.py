@@ -12,10 +12,13 @@ from margex import (
     LabeledPartition,
     MarginalFamily,
     TowerSpec,
+    name_distribution,
     project,
+    sup_distance,
     tensor,
     thresholds,
 )
+from margex.measures import conditional_gap
 from margex.towers import labels_from_base, seeded_permutation_transfer
 
 
@@ -127,3 +130,13 @@ def copy_corrupt(
     chosen = rng.random(tower.atom_count) < fraction
     base[level, chosen] = base[source, chosen]
     return labels_from_base(tower, base, partition.alphabet)
+
+
+def window_deviation(tower: TowerSpec, partition: LabeledPartition, shift: int, offsets):
+    """(sup distance to the product law, worst conditional gap of the last
+    offset against the preceding block; 0 on one offset) for one window:
+    the per-shift reference for flagging."""
+    nu = name_distribution(tower, partition, shift, offsets)
+    *prefix, last = nu.support
+    gap = conditional_gap(nu, tuple(prefix), last)[0] if prefix else 0.0
+    return sup_distance(nu, nu.product_of_marginals()), gap

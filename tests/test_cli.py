@@ -198,6 +198,22 @@ class TestPaintAndKrengel:
         assert code == 0
         assert report["result"]["chosen_times"] == [2]
 
+    def test_default_alpha_recounts_no_labels(self, tmp_path, tower_file, monkeypatch):
+        # alpha only feeds paint's floor check, which no symbol mass can fail
+        # at 0; a floor of the measured minimum recounted the whole table
+        def recount(self):
+            raise AssertionError("label table recounted for a default alpha")
+
+        monkeypatch.setattr(towers.LabeledPartition, "min_symbol_mass", recount)
+        code, _ = run(tmp_path, "paint", "--input", str(tower_file))
+        assert code == 0
+        spec = json.loads(tower_file.read_text())
+        spec.update(mixing_times=[2], epsilon=0.8, steps=1)
+        tower_file.write_text(json.dumps(spec))
+        code, report = run(tmp_path, "krengel", "--input", str(tower_file))
+        assert code == 0
+        assert report["result"]["chosen_times"] == [2]
+
     def test_paint_height_one_tower_is_usage_error(self, tmp_path):
         spec = {
             "tower": {
@@ -249,6 +265,23 @@ class TestPaintAndKrengel:
                 "labels": {"generator": "seeded_uniform:3", "alphabet_size": 6000},
             },
             "m": 2,
+        }
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(spec))
+        code, report = run(tmp_path, "paint", "--input", str(path))
+        assert code == 2
+        assert report["reason"]["code"] == "CapacityError"
+
+    def test_window_of_thousands_of_levels_is_usage_error(self, tmp_path):
+        spec = {
+            "tower": {
+                "height": 16000,
+                "atom_count": 2,
+                "transfer": "identity",
+                "labels": {"generator": "seeded_uniform:3", "alphabet_size": 2},
+            },
+            "K": list(range(15000)),
+            "m": 15001,
         }
         path = tmp_path / "tower.json"
         path.write_text(json.dumps(spec))

@@ -386,8 +386,9 @@ class TestExtendFamily:
 
 
 class TestStructureCache:
-    """Each extension loop runs one SVD per operator structure; the cached
-    structure must give every step the bits of the public right inverse."""
+    """Each extension loop runs one SVD per operator structure; its steps call
+    bounded_right_inverse with the loop's cache, and must get the bits of an
+    uncached call."""
 
     FAMILIES = [(2, 18, 0.3), (3, 12, 0.2)]
 
@@ -407,12 +408,16 @@ class TestStructureCache:
             ]
 
         cached = run()
+        bounded = margex.extension.bounded_right_inverse
+        calls = []
 
-        def public(op, v, w, tol, structures):
-            return bounded_right_inverse(op, DenseMeasure(op.alphabet, op.domain, v, "signed"), w, tol)
+        def uncached(op, v, w, tol, structures=None):
+            calls.append(structures)
+            return bounded(op, v, w, tol)
 
-        monkeypatch.setattr(margex.extension, "_step_right_inverse", public)
+        monkeypatch.setattr(margex.extension, "bounded_right_inverse", uncached)
         assert run() == cached
+        assert calls and all(isinstance(c, dict) for c in calls)
 
     def test_one_svd_per_structure_per_loop(self, monkeypatch):
         # a chain of pairs has three structures: the first coordinate (one

@@ -32,7 +32,6 @@ from margex import (
 )
 from margex import measures
 from margex.measures import EMPTY, conditional_gap
-from margex.towers import window_deviation
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -378,7 +377,7 @@ class TestZeroMassRule:
         partition = LabeledPartition(A3, labels)
         nu = name_distribution(tower, partition, 0, [0, 1])
         assert np.any(nu.as_array().sum(axis=1) == 0.0)
-        _, gap = window_deviation(tower, partition, 0, [0, 1])
+        _, gap = genutil.window_deviation(tower, partition, 0, [0, 1])
         assert gap == pytest.approx(_gap_over_massive_atoms(nu.as_array()), abs=1e-15)
         assert np.isfinite(gap)
 
@@ -458,6 +457,9 @@ class TestCapacityAndValidation:
     def test_cell_cap(self):
         with pytest.raises(CapacityError):
             DenseMeasure.uniform(A2, range(25))
+        # 2^15000 has more digits than Python prints by default
+        with pytest.raises(CapacityError):
+            DenseMeasure.uniform(A2, range(15000))
 
     def test_probability_validation(self):
         with pytest.raises(DomainError):

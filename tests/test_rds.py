@@ -27,8 +27,6 @@ from margex.measures import CELL_CAP
 from margex.rds import (
     WALK_STEP_CAP,
     _central_walk_mass,
-    _exact_walk_mass,
-    _sign_flip_probability,
     _walk_count,
 )
 
@@ -118,32 +116,31 @@ class TestShiftDistance:
         for steps in range(61):
             for value in range(-steps - 2, steps + 3):
                 exact = _walk_count(steps, value) / 2**steps
-                assert exact == float(_exact_walk_mass(steps, value))
+                assert exact == float(fraction_walk_mass(steps, value))
         for steps in range(11):
             sums = [sum(word) for word in itertools.product((-1, 1), repeat=steps)]
             for value in range(-steps - 1, steps + 2):
                 assert _walk_count(steps, value) == sums.count(value)
 
-    @pytest.mark.parametrize(
-        "w, shifts",
-        [(3, (0, 1, 2, 3, 4)), (101, (1, 2, 3, 7, 101)), (10001, (0, 1, 2, 5))],
-    )
-    def test_matches_fraction_reference(self, w, shifts):
+    @pytest.mark.parametrize("w", [3, 101, 10001])
+    def test_matches_fraction_reference(self, w):
         assert shift_distance(w) == float(fraction_walk_mass(w, 1) / 2)
-        for shift in shifts:
-            assert _sign_flip_probability(w, shift) == sign_flip_reference(w, shift)
+        report = counterexample_check(w, 1, samples=1, seed=0)
+        assert report.shift_flip_probability == sign_flip_reference(w, 1)
 
     def test_boundary_count_derived_from_middle_count(self):
         # the two values counterexample_check reports, both taken from the
         # bracket of the middle count C(w - 1, (w - 1) / 2)
         for w in range(3, 2002, 2):
-            assert shift_distance(w) == math.comb(w, (w + 1) // 2) / 2 ** (w + 1)
-            assert _sign_flip_probability(w, 1) == math.comb(w - 1, (w - 1) // 2) / 2**w
+            report = counterexample_check(w, 1, samples=1, seed=0)
+            assert report.shift_estimate == math.comb(w, (w + 1) // 2) / 2 ** (w + 1)
+            assert report.shift_flip_probability == math.comb(w - 1, (w - 1) // 2) / 2**w
 
     def test_true_flip_probability_small_window(self):
         # exact event probability differs from the boundary estimate at w=3
-        assert _sign_flip_probability(3, 1) == pytest.approx(0.25)
-        assert _sign_flip_probability(3, 0) == 0.0
+        report = counterexample_check(3, 1, samples=1, seed=0)
+        assert report.shift_flip_probability == 0.25
+        assert report.shift_estimate == 3 / 16
 
 
 def comb_quotient(steps):
@@ -334,7 +331,7 @@ class TestCounterexample:
         assert report.samples_in_set > 0
         assert report.max_fiber_distance < 1 / 100
         assert report.parity_set_mass_exact == pytest.approx(
-            float(_exact_walk_mass(10, 0))
+            float(fraction_walk_mass(10, 0))
         )
         se = math.sqrt(report.parity_set_mass_exact * 0.8 / 20000)
         assert abs(

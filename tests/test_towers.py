@@ -32,7 +32,7 @@ from margex import (
     uniform_random_partition,
 )
 from margex import towers
-from margex.towers import base_aligned_labels, labels_from_base, window_deviation
+from margex.towers import base_aligned_labels, labels_from_base
 
 A2 = Alphabet(2)
 
@@ -167,7 +167,7 @@ class TestNameDistribution:
         partition = uniform_random_partition(tower, A2, seed=4)
         for j in (0, 3, 5):
             nd = name_distribution(tower, partition, j, [0])
-            assert np.allclose(nd.table, partition.level_distribution(j))
+            assert np.allclose(nd.table, partition.distributions()[j])
             assert list(nd.support) == [j]
 
     def test_constant_labels_point_mass(self):
@@ -364,7 +364,7 @@ class TestFlagging:
             flags = np.zeros(tower.height, dtype=bool)
             for j in range(tower.height - 2):
                 prod = name_distribution(tower, partition, j, [0, 2]).product_of_marginals()
-                sup, cond = window_deviation(tower, partition, j, [0, 2])
+                sup, cond = genutil.window_deviation(tower, partition, j, [0, 2])
                 flags[j] = (10 / 0.4 - 1) * sup >= 0.9 * prod.min_entry() or (
                     eta is not None and cond > eta
                 )
@@ -426,13 +426,6 @@ class TestPaintTower:
         assert not report.budget_ok["height"]
         assert report.budget_ok["e1"]
         assert report.e3_mass == pytest.approx(8 / 64)
-
-    def test_strict_budget_raises(self, big_tower):
-        tower, partition = big_tower
-        with pytest.raises(DomainError):
-            paint_tower(
-                tower, partition, [0], 8, epsilon=0.4, alpha=0.4, strict_budget=True
-            )
 
     def test_fresh_time_must_clear_offsets(self, big_tower):
         tower, partition = big_tower
@@ -598,7 +591,7 @@ class TestFiberSurgery:
     def test_single_offset_relabel_preserves_distribution(self):
         tower, partition = self._clean_instance(52)
         out = fiber_surgery(tower, partition, [0], [4])
-        assert np.allclose(out.level_distribution(4), partition.level_distribution(4))
+        assert np.allclose(out.distributions()[4], partition.distributions()[4])
         for lvl in range(tower.height):
             if lvl != 4:
                 assert np.array_equal(out.labels[lvl], partition.labels[lvl])
