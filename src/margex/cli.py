@@ -73,8 +73,8 @@ def _load_json(path: str) -> dict:
             spec = json.load(fh)
     except FileNotFoundError:
         raise DomainError(f"input file {path} does not exist")
-    except json.JSONDecodeError as err:
-        raise DomainError(f"malformed JSON in {path}: line {err.lineno}, column {err.colno}")
+    except ValueError as err:  # JSONDecodeError, or an integer past the digit limit
+        raise DomainError(f"malformed JSON in {path}: {err}")
     if not isinstance(spec, dict):
         raise DomainError(f"{path} must hold a JSON object, got {type(spec).__name__}")
     return spec

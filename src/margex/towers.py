@@ -43,7 +43,6 @@ from .measures import (
     IndexSet,
     MarginalFamily,
     _cell_count,
-    conditional_gap,
     conditional_rows,
     delta_independence,
     product_measure,
@@ -52,9 +51,6 @@ from .measures import (
 
 # height x atom_count; 2^28 admits a 256-level tower over 2^20 atoms
 TOWER_CELL_CAP = 2**28
-# fraction of the smallest product cell an amplified window deviation may
-# reach before flag_dependent_shifts flags the shift
-FLAG_SAFETY = 0.9
 
 
 def _checked_indices(values, bound: int, name: str) -> np.ndarray:
@@ -256,7 +252,9 @@ def _window_offsets(offsets: IndexLike) -> IndexSet:
 
 def _window_codes(base_labels: np.ndarray, levels: Sequence[int], size: int) -> np.ndarray:
     """Each atom's lexicographic cell on ``levels``, in the narrowest signed
-    dtype that holds ``size^len(levels) - 1``; callers keep that under ``CELL_CAP``."""
+    dtype that holds ``size^len(levels) - 1``. Callers bound that: ``_joint_counts``
+    keeps ``size^len(levels)`` under ``CELL_CAP``, and ``_painted_split`` packs
+    at most ``2^63`` cells into each int64 key."""
     codes = np.zeros(base_labels.shape[1], dtype=np.min_scalar_type(-(size ** len(levels))))
     for lvl in levels:
         codes *= size
@@ -290,13 +288,6 @@ def _count_law(counts: np.ndarray, alphabet: Alphabet, shift: int, offsets: Inde
     )
 
 
-def _name_law(base: np.ndarray, alphabet: Alphabet, shift: int, offsets: IndexSet) -> DenseMeasure:
-    """Law of the names read at ``shift + k`` for ``k`` in ``offsets`` from
-    base-aligned labels, on the support ``shift + offsets``."""
-    levels = [shift + k for k in offsets]
-    return _count_law(_joint_counts(base, levels, alphabet.size), alphabet, shift, offsets)
-
-
 def name_distribution(
     tower: TowerSpec,
     partition: LabeledPartition,
@@ -319,7 +310,8 @@ def name_distribution(
             f"window {base_level}+{tuple(offsets)} exceeds tower height {tower.height}"
         )
     base = base_aligned_labels(tower, partition)
-    return _name_law(base, partition.alphabet, base_level, offsets)
+    counts = _joint_counts(base, [base_level + k for k in offsets], partition.alphabet.size)
+    return _count_law(counts, partition.alphabet, base_level, offsets)
 
 
 def choose_eta(alpha: float, k: int, delta: float, epsilon: float) -> float:
@@ -381,40 +373,67 @@ def correcting_measure(
     return DenseMeasure(nu.alphabet, nu.support, np.clip(xi_table, 0.0, None), "probability", tol=1e-6)
 
 
-# -- measuring window defects and flagging ----------------------------------------
+# -- the painted slice and paint's gate --------------------------------------------
+
+def _systematic_split(sorted_order: np.ndarray, fraction: float) -> np.ndarray:
+    """Evenly spread selection of ``floor(n * fraction)`` positions.
+
+    Walking the given order, a position is taken whenever the running quota
+    crosses an integer, so every contiguous run of length L contributes its
+    proportional share up to one atom.
+    """
+    n = len(sorted_order)
+    marks = np.floor((np.arange(n) + 1) * fraction) - np.floor(np.arange(n) * fraction)
+    return sorted_order[marks > 0]
+
+
+def _painted_split(base: np.ndarray, size: int, fraction: float) -> np.ndarray:
+    """Ascending base indices of the painted slice: ``_systematic_split`` along
+    a ``lexsort`` of the full-height names (level 0 primary, ties by index),
+    sorted as int64 keys that each pack as many consecutive levels as fit."""
+    per_key = max(k for k in range(1, 64) if size**k <= 2**63)
+    starts = range(0, len(base), per_key)
+    keys = [_window_codes(base, range(lo, min(lo + per_key, len(base))), size) for lo in starts]
+    return np.sort(_systematic_split(np.lexsort(keys[::-1]), fraction))
+
+
+def _paint_gate(
+    base: np.ndarray, painted_base: np.ndarray, levels: Sequence[int], size: int
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Paint's gate on the window ``levels``: the kept part's joint counts, and
+    ``_blend_correction`` at weight ``m0 / atoms`` from the kept law to the
+    product of the level laws, which are the marginals of the joint counts."""
+    atoms, m0 = base.shape[1], painted_base.shape[1]
+    full = _joint_counts(base, levels, size)
+    kept = full - _joint_counts(painted_base, levels, size)
+    joint = full.reshape((size,) * len(levels))
+    level_counts = [np.moveaxis(joint, a, 0).reshape(size, -1).sum(axis=1) for a in range(joint.ndim)]
+    prod = _level_product(level_counts, range(joint.ndim), atoms)
+    return (kept, *_blend_correction(prod, kept / (atoms - m0), m0 / atoms))
+
 
 def flag_dependent_shifts(
     tower: TowerSpec,
     partition: LabeledPartition,
     offsets: IndexLike,
     epsilon: float,
-    eta: float | None = None,
 ) -> np.ndarray:
-    """Flags for shifts whose measured window deviation a paint step at budget
-    ``epsilon`` could not absorb.
-
-    A shift is flagged when the amplified deviation ``(10/epsilon - 1) * sup``
-    reaches ``FLAG_SAFETY`` times the smallest product cell (the positivity
-    budget of the correcting measure), or when ``eta`` is given and the
-    conditional gap of the last offset (0 on one offset) exceeds it.
-
-    The labels are aligned to the base once per call, and each shift's
-    window law is built once from that alignment.
-    """
+    """Flags for the shifts on which ``paint_tower`` at budget ``epsilon``, with
+    window plus fresh time equal to ``offsets``, would find a negative cell in
+    the correcting table. Paint runs the same split and gate, so it accepts
+    every shift left unflagged."""
     offsets = _window_offsets(offsets)
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+    size = partition.alphabet.size
+    _cell_count(size, offsets)  # a window past the cap is refused even when no atom is painted
     base = base_aligned_labels(tower, partition)
+    painted_base = base[:, _painted_split(base, size, epsilon / 10.0)]
     flags = np.zeros(tower.height, dtype=bool)
-    amplify = 10.0 / epsilon - 1.0
+    if painted_base.shape[1] == 0:
+        return flags
     for j in range(tower.height - max(offsets)):
-        nu = _name_law(base, partition.alphabet, j, offsets)
-        prod = nu.product_of_marginals()
-        if amplify * sup_distance(nu, prod) >= FLAG_SAFETY * prod.min_entry():
-            flags[j] = True
-        elif eta is not None:
-            *prefix, last = nu.support
-            flags[j] = (conditional_gap(nu, tuple(prefix), last)[0] if prefix else 0.0) > eta
+        flags[j] = _paint_gate(base, painted_base, [j + k for k in offsets], size)[3] < 0.0
     return flags
 
 
@@ -439,18 +458,6 @@ def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
         order = np.argsort(-(quota - base), kind="stable")
         base[order[:short]] += 1
     return base
-
-
-def _systematic_split(sorted_order: np.ndarray, fraction: float) -> np.ndarray:
-    """Evenly spread selection of ``floor(n * fraction)`` positions.
-
-    Walking the given order, a position is taken whenever the running quota
-    crosses an integer, so every contiguous run of length L contributes its
-    proportional share up to one atom.
-    """
-    n = len(sorted_order)
-    marks = np.floor((np.arange(n) + 1) * fraction) - np.floor(np.arange(n) * fraction)
-    return sorted_order[marks > 0]
 
 
 def conditional_table(step: ExtensionStep) -> np.ndarray:
@@ -588,11 +595,7 @@ def paint_tower(
 
     window = offsets.union((m,))
     base = base_aligned_labels(tower, partition)
-    valid = [
-        j
-        for j in range(height - m)
-        if not tower.in_e[j] and not tower.in_e1[j]
-    ]
+    valid = [j for j in range(height - m) if not (tower.in_e[j] or tower.in_e1[j])]
     e1_mass = float(np.sum(tower.in_e1[: height - m])) / height
     e3_mass = m / height
     budget_ok = {
@@ -602,9 +605,7 @@ def paint_tower(
     }
 
     # split the base, spreading the painted slice through the sorted name order
-    fraction = epsilon / 10.0
-    order = np.lexsort(tuple(base[lvl] for lvl in reversed(range(height))))
-    painted = np.sort(_systematic_split(order, fraction))
+    painted = _painted_split(base, size, epsilon / 10.0)
     m0 = len(painted)
     if m0 == 0:
         zero = np.zeros(height)
@@ -645,12 +646,9 @@ def paint_tower(
     positivity_margins: dict[int, float] = {}
     kept_counts: dict[int, np.ndarray] = {}
     for j in valid:
-        levels = [j + k for k in window]
-        kept = _joint_counts(base, levels, size) - _joint_counts(painted_base, levels, size)
-        kept_counts[j] = kept
-        nu_kept = kept / (atoms - m0)
-        prod_full = _level_product(full_counts, levels, atoms)
-        xi_table, worst, margin = _blend_correction(prod_full, nu_kept, t_hat)
+        kept_counts[j], xi_table, worst, margin = _paint_gate(
+            base, painted_base, [j + k for k in window], size
+        )
         positivity_margins[j] = margin
         if margin < -tol:
             raise PositivityError(

@@ -19,7 +19,12 @@ from margex import (
     thresholds,
 )
 from margex.measures import conditional_gap
-from margex.towers import labels_from_base, seeded_permutation_transfer
+from margex.towers import (
+    _systematic_split,
+    base_aligned_labels,
+    labels_from_base,
+    seeded_permutation_transfer,
+)
 
 
 class NoNumpy:
@@ -123,8 +128,6 @@ def copy_corrupt(
 ) -> LabeledPartition:
     """Overwrite a fraction of one level with another level's labels,
     creating dependence at their lag while keeping symbols near-balanced."""
-    from margex.towers import base_aligned_labels
-
     rng = np.random.default_rng(seed)
     base = base_aligned_labels(tower, partition).copy()
     chosen = rng.random(tower.atom_count) < fraction
@@ -140,3 +143,31 @@ def window_deviation(tower: TowerSpec, partition: LabeledPartition, shift: int, 
     *prefix, last = nu.support
     gap = conditional_gap(nu, tuple(prefix), last)[0] if prefix else 0.0
     return sup_distance(nu, nu.product_of_marginals()), gap
+
+
+def paint_gate_flags(tower: TowerSpec, partition: LabeledPartition, offsets, epsilon: float):
+    """Per-shift reference for flagging: a shift is flagged when the table
+    ``xi`` with ``(1 - t) * kept + t * xi = prod`` has a negative cell, where
+    ``kept`` is the kept part's window law, ``t`` the painted fraction and
+    ``prod`` the product of the window's level laws.
+
+    The painted slice is the systematic ``epsilon / 10`` split of a lexsort
+    over every level, the kept law a ``bincount`` over the kept columns, and
+    the product built from ``partition.distributions()``."""
+    size = partition.alphabet.size
+    base = base_aligned_labels(tower, partition)
+    order = np.lexsort(tuple(base[lvl] for lvl in reversed(range(tower.height))))
+    kept = np.ones(tower.atom_count, dtype=bool)
+    kept[_systematic_split(order, epsilon / 10)] = False
+    t = (tower.atom_count - int(kept.sum())) / tower.atom_count
+    dists = partition.distributions()
+    flags = np.zeros(tower.height, dtype=bool)
+    for j in range(tower.height - max(offsets)):
+        levels = [j + k for k in offsets]
+        cells = np.ravel_multi_index(tuple(base[levels][:, kept]), (size,) * len(levels))
+        nu = np.bincount(cells, minlength=size ** len(levels)) / kept.sum()
+        prod = np.ones(1)
+        for lvl in levels:
+            prod = np.multiply.outer(prod, dists[lvl]).reshape(-1)
+        flags[j] = ((prod - (1 - t) * nu) / t).min() < 0.0
+    return flags

@@ -362,6 +362,14 @@ class TestPlumbing:
         assert code == 2
         assert "line" in report["reason"]["message"]
 
+    def test_integer_past_digit_limit_exit_two(self, tmp_path):
+        # json.load raises a plain ValueError, not JSONDecodeError, here
+        path = tmp_path / "tower.json"
+        path.write_text('{"tower": {"height": ' + "9" * 5001 + '}, "m": 2}')
+        code, report = run(tmp_path, "paint", "--input", str(path))
+        assert code == 2
+        assert report["reason"]["code"] == "DomainError"
+
     def test_determinism(self, tmp_path, family_file):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"

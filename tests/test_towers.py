@@ -359,23 +359,9 @@ class TestFlagging:
         partition = uniform_random_partition(tower, A2, seed=24)
         partition = genutil.copy_corrupt(tower, partition, 9, 7, 0.5, seed=1)
         partition = genutil.copy_corrupt(tower, partition, 12, 10, 0.08, seed=2)
-
-        def reference(eta):
-            flags = np.zeros(tower.height, dtype=bool)
-            for j in range(tower.height - 2):
-                prod = name_distribution(tower, partition, j, [0, 2]).product_of_marginals()
-                sup, cond = genutil.window_deviation(tower, partition, j, [0, 2])
-                flags[j] = (10 / 0.4 - 1) * sup >= 0.9 * prod.min_entry() or (
-                    eta is not None and cond > eta
-                )
-            return flags
-
-        expected = {eta: reference(eta) for eta in (None, 0.01)}
-        assert expected[None].any()
-        assert not np.array_equal(expected[None], expected[0.01])
-        for eta, flags in expected.items():
-            got = flag_dependent_shifts(tower, partition, [0, 2], 0.4, eta=eta)
-            assert np.array_equal(got, flags)
+        expected = genutil.paint_gate_flags(tower, partition, [0, 2], 0.4)
+        assert expected.any()
+        assert np.array_equal(flag_dependent_shifts(tower, partition, [0, 2], 0.4), expected)
 
     def test_one_alignment_per_call(self, monkeypatch):
         calls = []
@@ -387,7 +373,7 @@ class TestFlagging:
         monkeypatch.setattr(towers, "base_aligned_labels", counting)
         tower = genutil.permutation_tower(16, 2**12, seed=25)
         partition = uniform_random_partition(tower, A2, seed=26)
-        flags = flag_dependent_shifts(tower, partition, [0, 2], 0.4, eta=0.01)
+        flags = flag_dependent_shifts(tower, partition, [0, 2], 0.4)
         assert len(calls) == 1
         paint_tower(tower.with_flags(in_e1=flags), partition, [0], 2, epsilon=0.4, alpha=0.3)
         assert len(calls) == 2
@@ -402,6 +388,49 @@ class TestFlagging:
         partition = uniform_random_partition(tower, A2, seed=2)
         with pytest.raises(DomainError):
             flag_dependent_shifts(tower, partition, offsets, epsilon)
+
+
+class TestPaintedSplit:
+    """The painted slice sorts the names as packed int64 keys; the order must
+    be a lexsort over every level, level 0 primary, ties by index."""
+
+    @staticmethod
+    def lexsort_split(base, fraction):
+        order = np.lexsort(tuple(base[lvl] for lvl in reversed(range(base.shape[0]))))
+        return np.sort(towers._systematic_split(order, fraction))
+
+    # 63, 39 and 27 levels fit one int64 key at sizes 2, 3 and 5: three keys each
+    @pytest.mark.parametrize("size, height", [(2, 130), (3, 80), (5, 60)])
+    def test_packed_order_matches_lexsort(self, size, height):
+        base = np.random.default_rng(size).integers(0, size, size=(height, 2**10), dtype=np.int16)
+        got = towers._painted_split(base, size, 0.04)
+        assert np.array_equal(got, self.lexsort_split(base, 0.04))
+
+    def test_tied_names_break_by_index(self):
+        # identity transfer over bit-slice labels: every name is shared by
+        # 2^6 atoms, so the split rests on the tie order
+        tower = TowerSpec(130, FiberSpace(2**10))
+        base = base_aligned_labels(tower, genutil.bit_slice_partition(tower, A2, bits=4))
+        got = towers._painted_split(base, 2, 0.04)
+        assert np.array_equal(got, self.lexsort_split(base, 0.04))
+
+
+class TestFlagPaintAgreement:
+    """Flagging marks exactly the shifts paint's gate rejects, so paint after
+    flagging never meets a negative correcting cell."""
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_sweep_raises_no_positivity_error(self, size):
+        alphabet = Alphabet(size)
+        for seed in range(40):
+            tower = genutil.permutation_tower(32, 2**12, seed)
+            partition = uniform_random_partition(tower, alphabet, seed=1000 + seed)
+            flags = flag_dependent_shifts(tower, partition, [0, 2], 0.4)
+            paint_tower(tower.with_flags(in_e1=flags), partition, [0], 2, 0.4, alpha=0.0)
+            try:
+                iterate_krengel(tower, partition, [2, 3, 4], 0.8, steps=1)
+            except MixingSupplyError:
+                pass  # a refusal: no candidate time mixes enough
 
 
 class TestPaintTower:
