@@ -227,14 +227,11 @@ def _cmd_paint(args, spec):
     with _spec_errors():
         tower, partition = _tower_from_spec(spec["tower"])
         offsets = IndexSet.of(spec.get("K", [0]))
-        if "m" not in spec and args.n is None:
-            raise DomainError("paint needs a fresh time (spec field 'm' or --n)")
-        m = int(spec["m"]) if "m" in spec else int(args.n)
-        epsilon = float(spec.get("epsilon", args.epsilon))
+        m = int(spec["m"])
+        epsilon = float(spec.get("epsilon", 0.4))
         alpha = float(spec.get("alpha", 0.0))
-    if spec.get("auto_flags", True):
-        flags = flag_dependent_shifts(tower, partition, offsets.union((m,)), epsilon)
-        tower = tower.with_flags(in_e1=tower.in_e1 | flags)
+    flags = flag_dependent_shifts(tower, partition, offsets.union((m,)), epsilon)
+    tower = tower.with_flags(in_e1=tower.in_e1 | flags)
     report = paint_tower(
         tower, partition, offsets, m, epsilon, alpha, seed=args.seed, tol=args.tol
     )
@@ -247,8 +244,8 @@ def _cmd_krengel(args, spec):
     with _spec_errors():
         tower, partition = _tower_from_spec(spec["tower"])
         times = [int(t) for t in spec.get("mixing_times", [])]
-        epsilon = float(spec.get("epsilon", args.epsilon))
-        steps = int(spec.get("steps", args.steps))
+        epsilon = float(spec.get("epsilon", 0.4))
+        steps = int(spec.get("steps", 1))
     result = iterate_krengel(tower, partition, times, epsilon, steps, seed=args.seed, tol=args.tol)
     payload = result.to_dict()
     ok = result.cumulative_error_mass < epsilon
@@ -309,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--W", dest="w", type=int, default=None)
     parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--samples", type=int, default=10**5)
-    parser.add_argument("--epsilon", type=float, default=0.4)
-    parser.add_argument("--steps", type=int, default=1)
     return parser
 
 

@@ -186,39 +186,20 @@ def _central_walk_mass(steps: int, bracket: tuple[int, int] | None = None) -> fl
     return _walk_count(2 * k, 0) * num / (den << 2 * k)
 
 
-def shift_distance(
-    w: int,
-    method: str = "exact",
-    samples: int | None = None,
-    seed: int | None = None,
-) -> float:
+def shift_distance(w: int) -> float:
     """Distance between the sign partition of a ``w``-window and its shift.
 
-    ``exact`` evaluates the boundary estimate ``P[|S_w| = 1] / 2`` where
-    ``S_w`` is the ``w``-step walk: a sign flip needs the window sum at its
-    minimum magnitude and an unfavorable boundary pair. The value is
-    ``P[S_w = 1] / 2``, correctly rounded by `_central_walk_mass` without the
-    ``w``-step binomial; ``w`` is held to ``WALK_STEP_CAP``. ``montecarlo``
-    simulates the flip event itself (the two agree to ``O(1/w)``; see the
-    notes in the tests).
+    This is the boundary estimate ``P[|S_w| = 1] / 2`` where ``S_w`` is the
+    ``w``-step walk: a sign flip needs the window sum at its minimum magnitude
+    and an unfavorable boundary pair. The value is ``P[S_w = 1] / 2``,
+    correctly rounded by `_central_walk_mass` without the ``w``-step
+    binomial; ``w`` is held to ``WALK_STEP_CAP``. It agrees with the flip
+    event itself to ``O(1/w)``; see the notes in the tests.
     """
     _check_odd_window(w)
-    if method == "exact":
-        _check_walk_steps(w)
-        # halving a double is exact, so this is the correctly rounded quotient
-        return _central_walk_mass(w) / 2
-    if method == "montecarlo":
-        if not samples or seed is None:
-            raise DomainError("montecarlo needs samples and a seed")
-        rng = np.random.default_rng(seed)
-        # flip happens iff the shared middle sum vanishes and the boundary
-        # symbols disagree; sample that exact joint law
-        middle = 2 * rng.binomial(w - 1, 0.5, size=samples) - (w - 1)
-        first = rng.integers(0, 2, size=samples)
-        last = rng.integers(0, 2, size=samples)
-        flips = (middle == 0) & (first != last)
-        return float(np.mean(flips))
-    raise DomainError(f"unknown method {method!r}")
+    _check_walk_steps(w)
+    # halving a double is exact, so this is the correctly rounded quotient
+    return _central_walk_mass(w) / 2
 
 
 @dataclass(frozen=True)

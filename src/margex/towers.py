@@ -594,6 +594,7 @@ def paint_tower(
         raise DomainError(f"some level has a symbol of mass {min_mass} < alpha {alpha}")
 
     window = offsets.union((m,))
+    _cell_count(size, window)  # a window past the cap is refused even when no atom is painted
     base = base_aligned_labels(tower, partition)
     valid = [j for j in range(height - m) if not (tower.in_e[j] or tower.in_e1[j])]
     e1_mass = float(np.sum(tower.in_e1[: height - m])) / height
@@ -839,7 +840,6 @@ def fiber_surgery(
     partition: LabeledPartition,
     offsets: IndexLike,
     bad_levels: Iterable[int],
-    on_indivisible: str = "error",
 ) -> LabeledPartition:
     """Exact repair of window independence by relabeling whole levels.
 
@@ -852,13 +852,9 @@ def fiber_surgery(
 
     Exactness requires each halo class size times each product cell count to
     be divisible by the atom count; otherwise a
-    :class:`~margex.errors.QuantizationError` advises a compatible atom count
-    (``on_indivisible="round"`` instead does a best-effort largest-remainder
-    assignment).
+    :class:`~margex.errors.QuantizationError` advises a compatible atom count.
     """
     offsets = _window_offsets(offsets)
-    if on_indivisible not in ("error", "round"):
-        raise DomainError(f"unknown indivisible policy {on_indivisible!r}")
     span = max(offsets)
     height, atoms = tower.height, tower.atom_count
     if height < span + 1:
@@ -880,9 +876,8 @@ def fiber_surgery(
         ]
 
     guard = 0
-    done: set[int] = set()
     while True:
-        pending = sorted((declared | set(measured_bad())) - done)
+        pending = sorted(declared | set(measured_bad()))
         if not pending:
             break
         guard += 1
@@ -890,8 +885,6 @@ def fiber_surgery(
             raise QuantizationError("surgery failed to stabilize; atom counts too coarse")
         i1 = pending[0]
         declared.discard(i1)
-        if on_indivisible == "round":
-            done.add(i1)
         block = [i1 + k for k in offsets]
         halo = sorted(
             {
@@ -911,27 +904,21 @@ def fiber_surgery(
         cells = list(itertools.product(range(size), repeat=len(block)))
         cell_mass = [math.prod(int(counts[lvl][a]) for lvl, a in zip(block, c)) for c in cells]
         den = atoms ** len(block)
-        block_probs = _level_product(counts, block, atoms)
         for members in np.split(by_class, np.cumsum(class_sizes)[:-1]):
             n_y = len(members)
-            if all(n_y * mass % den == 0 for mass in cell_mass):
-                cell_counts = [n_y * mass // den for mass in cell_mass]
-            elif on_indivisible == "error":
+            if any(n_y * mass % den for mass in cell_mass):
                 raise QuantizationError(
                     f"class of size {n_y} cannot realize the exact product over "
                     f"levels {block}; choose an atom count divisible by "
                     f"{size ** (len(block) + len(halo))}"
                 )
-            else:
-                cell_counts = _apportion(block_probs, n_y)
+            cell_counts = [n_y * mass // den for mass in cell_mass]
             start = 0
             for cell, cnt in zip(cells, cell_counts):
                 chunk = members[start : start + cnt]
-                start += int(cnt)
+                start += cnt
                 for lvl, a in zip(block, cell):
                     base[lvl, chunk] = a
-        # per-level counts are preserved by construction; refresh defensively
-        for lvl in block:
-            counts[lvl] = np.bincount(base[lvl], minlength=size)
+        # exact products keep every level's counts, so ``counts`` stays current
 
     return labels_from_base(tower, base, partition.alphabet)

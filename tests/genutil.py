@@ -171,3 +171,16 @@ def paint_gate_flags(tower: TowerSpec, partition: LabeledPartition, offsets, eps
             prod = np.multiply.outer(prod, dists[lvl]).reshape(-1)
         flags[j] = ((prod - (1 - t) * nu) / t).min() < 0.0
     return flags
+
+
+def sampled_shift_distance(w: int, samples: int, seed: int) -> float:
+    """Monte Carlo estimate of the sign flip between a ``w``-window and its
+    unit shift: the model that ``shift_distance`` approximates to ``O(1/w)``."""
+    rng = np.random.default_rng(seed)
+    # flip happens iff the shared middle sum vanishes and the boundary
+    # symbols disagree; sample that exact joint law
+    middle = 2 * rng.binomial(w - 1, 0.5, size=samples) - (w - 1)
+    first = rng.integers(0, 2, size=samples)
+    last = rng.integers(0, 2, size=samples)
+    flips = (middle == 0) & (first != last)
+    return float(np.mean(flips))

@@ -272,19 +272,29 @@ class TestPaintAndKrengel:
         assert code == 2
         assert report["reason"]["code"] == "CapacityError"
 
+    # a window of 15001 levels, past the cell cap; two atoms leave no atom to paint
+    LONG_WINDOW = {
+        "tower": {
+            "height": 16000,
+            "atom_count": 2,
+            "transfer": "identity",
+            "labels": {"generator": "seeded_uniform:3", "alphabet_size": 2},
+        },
+        "K": list(range(15000)),
+        "m": 15001,
+    }
+
     def test_window_of_thousands_of_levels_is_usage_error(self, tmp_path):
-        spec = {
-            "tower": {
-                "height": 16000,
-                "atom_count": 2,
-                "transfer": "identity",
-                "labels": {"generator": "seeded_uniform:3", "alphabet_size": 2},
-            },
-            "K": list(range(15000)),
-            "m": 15001,
-        }
         path = tmp_path / "tower.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(self.LONG_WINDOW))
+        code, report = run(tmp_path, "paint", "--input", str(path))
+        assert code == 2
+        assert report["reason"]["code"] == "CapacityError"
+
+    def test_auto_flags_key_is_ignored(self, tmp_path):
+        # paint always flags first, and paint itself checks the window's cap
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps({**self.LONG_WINDOW, "auto_flags": False}))
         code, report = run(tmp_path, "paint", "--input", str(path))
         assert code == 2
         assert report["reason"]["code"] == "CapacityError"

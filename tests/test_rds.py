@@ -104,13 +104,9 @@ class TestShiftDistance:
         # comparison runs at windows where that bias sits far inside 4 sigma
         for w, seed in ((1001, 11), (10001, 12)):
             exact = shift_distance(w)
-            mc = shift_distance(w, "montecarlo", samples=10**6, seed=seed)
+            mc = genutil.sampled_shift_distance(w, samples=10**6, seed=seed)
             sigma = math.sqrt(exact * (1 - exact) / 10**6)
             assert abs(mc - exact) <= 4 * sigma
-
-    def test_monte_carlo_needs_samples_and_seed(self):
-        with pytest.raises(DomainError):
-            shift_distance(101, "montecarlo")
 
     def test_walk_count_divides_like_fraction(self):
         for steps in range(61):

@@ -1,5 +1,5 @@
 """Every top-level function, class and ALL-CAPS constant of the package has a
-caller in it."""
+caller in it, and every mode a function offers is chosen by some caller."""
 
 import ast
 import re
@@ -8,6 +8,7 @@ from pathlib import Path
 import margex
 
 SOURCE = Path(margex.__file__).parent
+PERFBENCH = SOURCE.parents[1] / "perfbench"
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
@@ -38,3 +39,38 @@ def test_every_definition_is_used_or_exported():
         if defined not in used
     ]
     assert unused == []
+
+
+def _str_defaults(func):
+    """(position or None when keyword-only, name) of each parameter of
+    ``func`` whose default is a string: a mode switch."""
+    positional = func.args.posonlyargs + func.args.args
+    pairs = zip(positional[len(positional) - len(func.args.defaults) :], func.args.defaults)
+    for arg, default in [*pairs, *zip(func.args.kwonlyargs, func.args.kw_defaults)]:
+        if isinstance(default, ast.Constant) and isinstance(default.value, str):
+            yield (positional.index(arg) if arg in positional else None), arg.arg
+
+
+def _passes(call, position, name):
+    by_position = position is not None and position < len(call.args)
+    return by_position or any(kw.arg == name for kw in call.keywords)
+
+
+def test_every_mode_switch_is_set_by_a_caller():
+    paths = [*sorted(SOURCE.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = [
+        f"{func.name}.{name}"
+        for path, tree in trees.items()
+        if path.parent == SOURCE
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for position, name in _str_defaults(func)
+        if not any(
+            getattr(call.func, "id", getattr(call.func, "attr", None)) == func.name
+            and _passes(call, position, name)
+            for call in calls
+        )
+    ]
+    assert unset == []
