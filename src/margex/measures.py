@@ -135,7 +135,9 @@ def _checked_table(alphabet: Alphabet, support: IndexSet, table, kind: str, tol:
         raise DomainError(f"unknown measure kind {kind!r}")
     # tol=inf (projections of checked measures) skips a check that cannot fire
     if kind == "probability" and tol != np.inf:
-        total = float(table.sum())
+        # inf + -inf sums to nan, which the check below reports
+        with np.errstate(invalid="ignore"):
+            total = float(table.sum())
         if not np.isfinite(total):
             raise DomainError(f"probability table has a non-finite entry (sum {total})")
         low = float(table.min())

@@ -21,12 +21,18 @@ from .errors import CapacityError, DomainError, WindowError
 from .measures import CELL_CAP
 from .towers import FiberSpace, TowerSpec, _check_tower_cells, seeded_permutation_transfer
 
-# caps W and n of the counterexample, `_walk_count` and the exact fallback of
-# `_central_walk_mass`: math.comb at 2^18 steps takes 1.3 s on a 2-core Xeon,
-# and about 3.6x longer per doubling
+# caps the window W and the iterate n of the counterexample, `_walk_count` and
+# so the exact fallback of `_central_walk_mass`
 WALK_STEP_CAP = 2**18
-# fraction bits of `_central_walk_mass`'s bracket, and factors per step
-_MASS_BITS, _MASS_BLOCK = 160, 16
+# fraction bits of `_central_walk_mass`'s bracket
+_MASS_BITS = 160
+# floor(pi * 10^59): the leading 60 digits of pi
+_PI_DIGITS = 314159265358979323846264338327950288419716939937510582097494
+# B_2j / (2j (2j - 1)), j = 1..9: the Stirling series of ln n!, whose last
+# term bounds the remainder of the first eight (DLMF 5.11.10-11)
+_STIRLING = tuple(map(Fraction, (
+    "1/12 -1/360 1/1260 -1/1680 1/1188 -691/360360 1/156 -3617/122400 43867/244188"
+).split()))
 
 
 def _check_odd_window(w: int) -> None:
@@ -154,30 +160,57 @@ def _walk_count(steps: int, value: int) -> int:
 
 
 def _central_bracket(k: int) -> tuple[int, int]:
-    """``C(2k, k) / 4^k`` in fixed point at ``_MASS_BITS`` fraction bits: the
-    product of ``(2i-1) / (2i)``, its lower end rounded down, its upper up."""
+    """``C(2k, k) / 4^k`` in fixed point at ``_MASS_BITS`` fraction bits, its
+    lower end rounded down and its upper end up, in time that does not grow
+    with ``k``.
+
+    Stirling's series ``S(n)`` of ``ln n!`` gives ``C(2k, k) / 4^k =
+    1 / (e^x sqrt(pi k))`` with ``x = 2 S(k) - S(2k) >= 0``. For real
+    ``n > 0`` the remainder of ``S(n)`` has the sign of the first omitted term
+    and is no larger (DLMF 5.11.10-11), so ``x`` is bracketed by eight terms
+    and twice the ninth; ``e^x`` by its Taylor series and ``pi`` by
+    ``_PI_DIGITS``. Every step rounds outward at 64 guard bits.
+    """
     _check_walk_steps(2 * k)
-    lo = hi = 1 << _MASS_BITS
-    for i in range(1, k + 1, _MASS_BLOCK):
-        j = min(i + _MASS_BLOCK, k + 1)
-        num = math.prod(range(2 * i - 1, 2 * j - 1, 2))
-        den = math.prod(range(2 * i, 2 * j, 2))
-        lo, hi = lo * num // den, -(-hi * num // den)
-    return lo, hi
+    if k == 0:
+        return 1 << _MASS_BITS, 1 << _MASS_BITS
+    f = 1 << (_MASS_BITS + 64)
+    # 2 S(k) - S(2k) is the sum of c_j (4^j - 1) / (2k)^(2j - 1)
+    x_lo = x_hi = 0
+    for j, c in enumerate(_STIRLING[:-1], 1):
+        num, den = c.numerator * (4**j - 1) * f, c.denominator * (2 * k) ** (2 * j - 1)
+        x_lo, x_hi = x_lo + num // den, x_hi - (-num // den)
+    last = _STIRLING[-1]
+    rest = -(-2 * last.numerator * f // (last.denominator * k ** (2 * len(_STIRLING) - 1)))
+    x_lo, x_hi = max(x_lo - rest, 0), x_hi + rest
+    # x_hi <= f / 2 at every k >= 1, so the Taylor tail of e^x from the term
+    # where the upper sum stops is at most twice that term
+    e_lo = e_hi = i = 0
+    t_lo = t_hi = f
+    while t_hi > 1:
+        e_lo, e_hi, i = e_lo + t_lo, e_hi + t_hi, i + 1
+        t_lo, t_hi = t_lo * x_lo // (i * f), -(-t_hi * x_hi // (i * f))
+    e_hi += 2 * t_hi
+    # sqrt(pi k) f, below and above
+    pi_k = k * f * f
+    r_lo = math.isqrt(_PI_DIGITS * pi_k // 10**59)
+    r_hi = math.isqrt(-(-(_PI_DIGITS + 1) * pi_k // 10**59)) + 1
+    top = f * f << _MASS_BITS
+    return top // (e_hi * r_hi), -(-top // (e_lo * r_lo))
 
 
-def _central_walk_mass(steps: int, bracket: tuple[int, int] | None = None) -> float:
+def _central_walk_mass(steps: int) -> float:
     """``P[S_steps = steps % 2]``, correctly rounded, without the exact binomial.
 
     ``C(2k, k) / 4^k``, ``k = steps // 2``, is bracketed by
-    ``_central_bracket(k)`` (or ``bracket``, when the caller holds it: a walk
-    of ``2k`` and one of ``2k + 1`` steps share it), and an odd walk scales it
-    by ``steps / (steps + 1)``. Rounding is monotone, so when both ends round
-    to one double that is the mass; otherwise the exact ``C(2k, k)`` decides,
-    so only ``2k`` meets the cap.
+    ``_central_bracket(k)`` from Stirling's series (DLMF 5.11), and an odd
+    walk scales it by ``steps / (steps + 1)``. Rounding is monotone, so when
+    both ends round to one double that is the mass; otherwise the exact
+    ``C(2k, k)`` decides. The series is too coarse for that only at small
+    ``k``, where the binomial is cheap.
     """
     k = steps // 2
-    lo, hi = _central_bracket(k) if bracket is None else bracket
+    lo, hi = _central_bracket(k)
     num, den = (steps, steps + 1) if steps % 2 else (1, 1)
     # int / int is one correctly rounded division, as float(Fraction) is
     mass = lo * num / (den << _MASS_BITS)
@@ -244,14 +277,11 @@ def counterexample_check(
         raise DomainError("need at least one iterate")
     _check_samples(samples, n)
     _check_odd_window(w)
+    _check_walk_steps(w)
     _check_walk_steps(n)
     delta = n % 2
-    # shift_distance(w) and the unit-shift flip probability (the shared w - 1
-    # steps sum to 0 and the two boundary symbols disagree), from one bracket
-    # of the central binomial of w - 1 steps, the one count the cap applies to
-    bracket = _central_bracket((w - 1) // 2)
-    d_shift = _central_walk_mass(w, bracket) / 2
-    flip_one = _central_walk_mass(w - 1, bracket) / 2
+    d_shift = _central_walk_mass(w) / 2
+    flip_one = _central_walk_mass(w - 1) / 2
     preconditions_ok = d_shift < 0.01
 
     rng = np.random.default_rng(seed)

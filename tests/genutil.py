@@ -184,3 +184,27 @@ def sampled_shift_distance(w: int, samples: int, seed: int) -> float:
     last = rng.integers(0, 2, size=samples)
     flips = (middle == 0) & (first != last)
     return float(np.mean(flips))
+
+
+def machin_pi_floor(digits: int) -> int:
+    """``floor(pi * 10^digits)`` in exact integers, from Machin's formula
+    ``pi = 16 atan(1/5) - 4 atan(1/239)``.
+
+    Each arctangent is summed at 10 guard digits with truncated terms; every
+    term is off by less than 2 units and the dropped tail by less than 1, so
+    the result is the floor when both ends of that error bound agree.
+    """
+    scale = 10 ** (digits + 10)
+
+    def atan_inv(x):
+        total, power, i, terms = 0, scale // x, 1, 0
+        while power:
+            total += (power // i) * (-1) ** terms
+            power, i, terms = power // (x * x), i + 2, terms + 1
+        return total, 2 * terms + 1
+
+    (a5, err5), (a239, err239) = atan_inv(5), atan_inv(239)
+    approx, err = 16 * a5 - 4 * a239, 16 * err5 + 4 * err239
+    lo, hi = (approx - err) // 10**10, (approx + err) // 10**10
+    assert lo == hi, "pi lies too close to a digit boundary"
+    return lo

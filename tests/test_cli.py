@@ -338,8 +338,9 @@ class TestCounterexampleCommand:
         [
             ("--W", "10001", "--n", "10", "--samples", "100000000000"),
             ("--W", "1048577", "--n", "10", "--samples", "10"),
+            ("--W", "262145", "--n", "3", "--samples", "10"),
         ],
-        ids=["samples", "window"],
+        ids=["samples", "window", "window-past-cap"],
     )
     def test_over_cap_is_usage_error(self, tmp_path, monkeypatch, argv):
         def forbidden(*args):

@@ -472,6 +472,10 @@ class TestCapacityAndValidation:
         with pytest.raises(DomainError, match="non-finite"):
             DenseMeasure(A2, IndexSet.of([0]), [bad, 1.0])
 
+    def test_opposite_infinities_rejected(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            DenseMeasure(A2, IndexSet.of([0]), [np.inf, -np.inf])
+
     def test_point(self):
         m = DenseMeasure.point(A3, [2, 5], (1, 2))
         assert m.table.tolist() == [0, 0, 0, 0, 0, 1.0, 0, 0, 0]

@@ -180,19 +180,42 @@ class TestCentralWalkMass:
         assert _central_walk_mass(steps) == comb_quotient(steps)
         assert counted == [(steps - steps % 2, 0)]
 
-    def test_one_bracket_serves_both_window_masses(self, monkeypatch):
-        brackets = []
-        central_bracket = rds._central_bracket
-
-        def counting_bracket(k):
-            brackets.append(k)
-            return central_bracket(k)
-
-        monkeypatch.setattr(rds, "_central_bracket", counting_bracket)
+    def test_window_masses_match_exact_quotients(self):
         report = counterexample_check(10001, 10, samples=100, seed=3)
-        assert brackets == [5000, 5]
         assert report.shift_estimate == comb_quotient(10001) / 2
         assert report.shift_flip_probability == comb_quotient(10000) / 2
+
+    def test_bracket_contains_exact_value(self):
+        central = 1  # C(2k, k), updated exactly from k - 1
+        for k in range(3001):
+            if k:
+                central = central * (2 * k) * (2 * k - 1) // (k * k)
+            lo, hi = rds._central_bracket(k)
+            assert lo << 2 * k <= central << rds._MASS_BITS <= hi << 2 * k, k
+        for k in (5000, 50000, 2**17):
+            lo, hi = rds._central_bracket(k)
+            exact = math.comb(2 * k, k) << rds._MASS_BITS
+            assert lo << 2 * k <= exact <= hi << 2 * k, k
+
+    def test_pi_digits_match_machin(self):
+        assert rds._PI_DIGITS == genutil.machin_pi_floor(59)
+
+    def test_bracket_makes_no_factor_loop(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the bracket multiplied walk factors")
+
+        monkeypatch.setattr(math, "prod", forbidden)
+        counted = []
+
+        def counting_walk_count(*args):
+            counted.append(args)
+            return _walk_count(*args)
+
+        monkeypatch.setattr(rds, "_walk_count", counting_walk_count)
+        for steps in range(128, 4002):
+            _central_walk_mass(steps)
+        assert rds._central_bracket(2**17)[0] > 0
+        assert counted == []
 
     def test_iterate_at_the_cap(self):
         report = counterexample_check(101, WALK_STEP_CAP, samples=1, seed=1)
@@ -373,6 +396,11 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             _walk_count(WALK_STEP_CAP + 1, 1)
         assert WALK_STEP_CAP >= 100001  # the benchmark's longest window
+
+    def test_walk_cap_covers_the_window(self):
+        with pytest.raises(CapacityError):
+            counterexample_check(WALK_STEP_CAP + 1, 3, samples=10, seed=1)
+        counterexample_check(WALK_STEP_CAP - 1, 3, samples=10, seed=1)
 
     def test_walk_cap_covers_the_iterate(self):
         with pytest.raises(CapacityError):
