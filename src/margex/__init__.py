@@ -39,7 +39,6 @@ from .measures import (
     conditional_dist,
     consistency_gap,
     delta_independence,
-    is_consistent,
     product_measure,
     product_of_marginals,
     project,
@@ -80,7 +79,6 @@ from .rds import (
     Cocycle,
     CounterexampleReport,
     Cylinder,
-    SignPartition,
     SkewProduct,
     build_tower_from_base,
     counterexample_check,

@@ -33,7 +33,7 @@ from .extension import (
     verify_hypotheses,
 )
 from .measures import CELL_CAP, Alphabet, DenseMeasure, IndexSet, MarginalFamily
-from .rds import Cylinder, SkewProduct, counterexample_check, relative_mixing_coefficient
+from .rds import Cylinder, SkewProduct, _check_seed, counterexample_check, relative_mixing_coefficient
 from .towers import (
     FiberSpace,
     LabeledPartition,
@@ -260,8 +260,6 @@ def _cmd_counterexample(args, spec):
         w, n = int(w), int(n)
         samples = int(spec.get("samples", args.samples))
         seed = int(spec.get("seed", args.seed))
-        if seed < 0:
-            raise DomainError(f"seed must be >= 0, got {seed}")
         mixing_args = None
         if spec and "cylinders" in spec:
             cyl_spec = spec["cylinders"]
@@ -326,8 +324,7 @@ def main(argv: list[str] | None = None) -> int:
 
     exit_code = 0
     try:
-        if args.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {args.seed}")
+        _check_seed(args.seed)
         if not math.isfinite(args.tol) or args.tol < 0:
             raise DomainError(f"tol must be finite and >= 0, got {args.tol}")
         spec = {}

@@ -322,15 +322,8 @@ def sup_distance(m1: DenseMeasure, m2: DenseMeasure) -> float:
     return float(np.abs(m1.table - m2.table).max())
 
 
-def is_consistent(m1: DenseMeasure, m2: DenseMeasure, tol: float = DEFAULT_TOL) -> bool:
-    """Do the two measures agree on their common coordinates?
-
-    For disjoint supports the common projection is the total mass.
-    """
-    return consistency_gap(m1, m2) <= tol
-
-
 def consistency_gap(m1: DenseMeasure, m2: DenseMeasure) -> float:
+    """Sup distance on the common coordinates; for disjoint supports, of the total masses."""
     common = m1.support.intersection(m2.support)
     return sup_distance(project(m1, common), project(m2, common))
 

@@ -11,6 +11,7 @@ seed-deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -55,20 +56,6 @@ class Cocycle:
         lhs = Cocycle.evaluate(n + m, omega)
         rhs = Cocycle.evaluate(n, omega) + Cocycle.evaluate(m, omega[n:])
         return lhs - rhs
-
-
-@dataclass(frozen=True)
-class SignPartition:
-    """Two-cell partition of the fiber by the sign of a window sum.
-
-    The window length must be odd so the sum never vanishes; both cells then
-    have mass one half.
-    """
-
-    window: int
-
-    def __post_init__(self):
-        _check_odd_window(self.window)
 
 
 @dataclass(frozen=True)
@@ -142,6 +129,11 @@ def _check_samples(samples: int, n: int) -> None:
         raise CapacityError(
             f"{samples} samples of {symbols} base symbols exceed the cap of {CELL_CAP}"
         )
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be an int >= 0, got {seed!r}")
 
 
 def _check_walk_steps(steps: int) -> None:
@@ -272,10 +264,15 @@ def counterexample_check(
     the other conventions in use (the per-cell symmetric difference sum gives
     ``1``; the value ``1/4`` is also quoted in the sources this follows) and
     the margins against both the nominal and the measured perturbation bound.
+
+    The base words are ``samples`` rows of ``n`` seeded heads,
+    ``integers(0, 2)``, the words ``choice((-1, 1))`` draws from ``seed``;
+    the parity set is counted from the heads per row.
     """
     if n < 1:
         raise DomainError("need at least one iterate")
     _check_samples(samples, n)
+    _check_seed(seed)
     _check_odd_window(w)
     _check_walk_steps(w)
     _check_walk_steps(n)
@@ -284,15 +281,12 @@ def counterexample_check(
     flip_one = _central_walk_mass(w - 1) / 2
     preconditions_ok = d_shift < 0.01
 
-    rng = np.random.default_rng(seed)
-    words = rng.choice((-1, 1), size=(samples, n))
-    displacement = words.sum(axis=1)
-    in_set = displacement == delta if delta else displacement == 0
-    mass_exact = _central_walk_mass(n)
-    mass_empirical = float(np.mean(in_set))
+    # a walk of n steps sums to delta exactly when (n + delta) / 2 are heads
+    heads = np.random.default_rng(seed).integers(0, 2, size=(samples, n))
+    hits = int(np.count_nonzero(heads @ np.ones(n, dtype=np.int64) == (n + delta) // 2))
 
     fiber_distance = flip_one if delta else 0.0
-    max_fiber = fiber_distance if int(np.sum(in_set)) else float("nan")
+    max_fiber = fiber_distance if hits else float("nan")
 
     forced = {
         "disagreement_metric": 0.5,
@@ -309,9 +303,9 @@ def counterexample_check(
         preconditions_ok=preconditions_ok,
         shift_estimate=d_shift,
         shift_flip_probability=flip_one,
-        parity_set_mass_exact=mass_exact,
-        parity_set_mass_empirical=mass_empirical,
-        samples_in_set=int(np.sum(in_set)),
+        parity_set_mass_exact=_central_walk_mass(n),
+        parity_set_mass_empirical=hits / samples,
+        samples_in_set=hits,
         max_fiber_distance=max_fiber,
         forced_distance=forced,
         perturbation_bound=bound,
@@ -353,18 +347,19 @@ def relative_mixing_coefficient(
     fiber is ``b_cyl`` displaced by minus the cocycle, and the coefficient
     ``mu(A and B') - mu(A) mu(B')`` is computed in closed form under the
     product fiber measure. Returns the empirical distribution over the base.
+    Base words are seeded heads as in `counterexample_check`.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     _check_samples(samples, n)
+    _check_seed(seed)
     system.check_window(a_cyl)
-    rng = np.random.default_rng(seed)
-    words = rng.choice((-1, 1), size=(samples, max(n, 1)))
-    phi = words[:, :n].sum(axis=1)
-    b_coords = np.array(b_cyl.coordinates(), dtype=np.int64)
-    b_values = np.array([v for _, v in b_cyl.constraints], dtype=np.int64)
-    pulled = b_coords[None, :] - phi[:, None]
-    escapes = ((pulled < system.fiber_lo) | (pulled > system.fiber_hi)).any(axis=1)
+    heads = np.random.default_rng(seed).integers(0, 2, size=(samples, max(n, 1)))
+    phi = 2 * (heads[:, :n] @ np.ones(n, dtype=np.int64)) - n
+    escapes = np.zeros(samples, dtype=bool)
+    for j, _ in b_cyl.constraints:
+        pulled = j - phi
+        escapes |= (pulled < system.fiber_lo) | (pulled > system.fiber_hi)
     if escapes.any():
         # report the first escaping sample, as a per-sample check would
         system.check_window(b_cyl.shifted(-int(phi[np.argmax(escapes)])))
@@ -374,9 +369,12 @@ def relative_mixing_coefficient(
     overlaps = np.zeros(samples, dtype=np.int64)
     conflict = np.zeros(samples, dtype=bool)
     for i, v in a_cyl.constraints:
-        hit = pulled == i
-        overlaps += hit.sum(axis=1)
-        conflict |= (hit & (b_values != v)).any(axis=1)
+        for j, w in b_cyl.constraints:
+            # B's pin j lands on A's pin i where j - phi == i
+            hit = phi == j - i
+            overlaps += hit
+            if w != v:
+                conflict |= hit
     size_a, size_b = len(a_cyl.constraints), len(b_cyl.constraints)
     joint = np.where(conflict, 0.0, np.ldexp(1.0, overlaps - size_a - size_b))
     coeffs = joint - system.cylinder_mass(a_cyl) * system.cylinder_mass(b_cyl)

@@ -19,10 +19,10 @@ from margex import (
     TowerSpec,
     ZeroMassError,
     conditional_dist,
+    consistency_gap,
     delta_independence,
     extend_one_index,
     extension,
-    is_consistent,
     name_distribution,
     product_of_marginals,
     project,
@@ -31,7 +31,7 @@ from margex import (
     tensor,
 )
 from margex import measures
-from margex.measures import EMPTY, conditional_gap
+from margex.measures import DEFAULT_TOL, EMPTY, conditional_gap
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -193,17 +193,16 @@ class TestSupDistanceAndConsistency:
 
     def test_self_consistent(self):
         m = measure(A2, [0, 1], [0.26, 0.24, 0.24, 0.26])
-        assert is_consistent(m, m)
+        assert consistency_gap(m, m) <= DEFAULT_TOL
 
     def test_disjoint_probability_measures_consistent(self):
-        assert is_consistent(
-            measure(A2, [0], [0.5, 0.5]), measure(A2, [5], [0.3, 0.7])
-        )
+        gap = consistency_gap(measure(A2, [0], [0.5, 0.5]), measure(A2, [5], [0.3, 0.7]))
+        assert gap <= DEFAULT_TOL
 
     def test_inconsistent_pair(self):
         m12 = DenseMeasure.uniform(A2, [1, 2])
         m23 = tensor(measure(A2, [2], [0.6, 0.4]), measure(A2, [3], [0.5, 0.5]))
-        assert not is_consistent(m12, m23)
+        assert not consistency_gap(m12, m23) <= DEFAULT_TOL
 
 
 class TestConditional:

@@ -12,7 +12,6 @@ from margex import (
     Cocycle,
     Cylinder,
     DomainError,
-    SignPartition,
     SkewProduct,
     WindowError,
     build_tower_from_base,
@@ -68,6 +67,13 @@ def mixing_reference(system, a_cyl, b_cyl, n, samples, seed):
         coeffs[s] = system.joint_mass(a_cyl, pulled) - product
         disps[s] = phi
     return coeffs, disps
+
+
+def counterexample_reference(n, samples, seed):
+    """Parity-set count and mass from ``choice((-1, 1))`` words, summed per sample."""
+    words = np.random.default_rng(seed).choice((-1, 1), size=(samples, n))
+    in_set = words.sum(axis=1) == n % 2
+    return int(np.sum(in_set)), float(np.mean(in_set))
 
 
 class TestShiftDistance:
@@ -236,13 +242,6 @@ class TestCocycle:
             Cocycle.evaluate(5, np.array([1, -1]))
 
 
-class TestSignPartition:
-    def test_window_must_be_odd(self):
-        with pytest.raises(DomainError):
-            SignPartition(4)
-        assert SignPartition(101).window == 101
-
-
 class TestCylinders:
     def test_masses(self):
         sp = SkewProduct(-8, 8)
@@ -368,6 +367,27 @@ class TestCounterexample:
             "symmetric_difference_sum": 1.0,
             "stated": 0.25,
         }
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 11])
+    def test_matches_choice_words(self, n):
+        for seed in (0, 9, 20210607):
+            report = counterexample_check(101, n, samples=3000, seed=seed)
+            count, mass = counterexample_reference(n, 3000, seed)
+            assert report.samples_in_set == count
+            assert report.parity_set_mass_empirical == mass
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_is_domain_error(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            counterexample_check(101, 3, 10, seed)
+        a = Cylinder.of({0: 1})
+        with pytest.raises(DomainError, match="seed"):
+            relative_mixing_coefficient(SkewProduct(), a, a, n=2, samples=10, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert counterexample_check(101, 3, 10, np.int64(7)) == counterexample_check(101, 3, 10, 7)
 
 
 class TestCapacity:
