@@ -32,7 +32,7 @@ from .extension import (
     thresholds,
     verify_hypotheses,
 )
-from .measures import CELL_CAP, Alphabet, DenseMeasure, IndexSet, MarginalFamily
+from .measures import CELL_CAP, Alphabet, DenseMeasure, IndexSet, MarginalFamily, _spec_int
 from .rds import Cylinder, SkewProduct, _check_seed, counterexample_check, relative_mixing_coefficient
 from .towers import (
     FiberSpace,
@@ -129,7 +129,7 @@ def _family_from_spec(
         return family, None
     if "window" not in spec:
         raise DomainError(f"family spec needs a window for {command}")
-    lo, hi = map(int, spec["window"])
+    lo, hi = (_spec_int(i, "window") for i in spec["window"])
     if hi - lo + 1 > CELL_CAP.bit_length():
         raise CapacityError(
             f"window [{lo}, {hi}] has {hi - lo + 1} coordinates "
@@ -140,8 +140,8 @@ def _family_from_spec(
 
 @_spec_errors()
 def _tower_from_spec(spec: dict) -> tuple[TowerSpec, LabeledPartition]:
-    height = int(spec["height"])
-    atoms = int(spec["atom_count"])
+    height = _spec_int(spec["height"], "height")
+    atoms = _spec_int(spec["atom_count"], "atom_count")
     transfer_spec = spec.get("transfer", "identity")
     if transfer_spec == "identity":
         transfer = None
@@ -165,11 +165,12 @@ def _tower_from_spec(spec: dict) -> tuple[TowerSpec, LabeledPartition]:
         generator = labels_spec.get("generator", "")
         if not generator.startswith("seeded_uniform:"):
             raise DomainError(f"unknown label generator {generator!r}")
-        alphabet = Alphabet(int(labels_spec.get("alphabet_size", 2)))
+        alphabet = Alphabet(_spec_int(labels_spec.get("alphabet_size", 2), "alphabet_size"))
         partition = uniform_random_partition(tower, alphabet, int(generator.split(":", 1)[1]))
     else:
         labels = np.asarray(labels_spec)
-        alphabet = Alphabet(int(spec.get("alphabet_size", int(labels.max()) + 1)))
+        size = spec.get("alphabet_size", int(labels.max()) + 1)
+        alphabet = Alphabet(_spec_int(size, "alphabet_size"))
         partition = LabeledPartition(alphabet, labels)
     return tower, partition
 
@@ -226,8 +227,8 @@ def _cmd_correct(args, spec):
 def _cmd_paint(args, spec):
     with _spec_errors():
         tower, partition = _tower_from_spec(spec["tower"])
-        offsets = IndexSet.of(spec.get("K", [0]))
-        m = int(spec["m"])
+        offsets = IndexSet.of([_spec_int(k, "K") for k in spec.get("K", [0])])
+        m = _spec_int(spec["m"], "m")
         epsilon = float(spec.get("epsilon", 0.4))
         alpha = float(spec.get("alpha", 0.0))
     flags = flag_dependent_shifts(tower, partition, offsets.union((m,)), epsilon)
@@ -243,9 +244,9 @@ def _cmd_paint(args, spec):
 def _cmd_krengel(args, spec):
     with _spec_errors():
         tower, partition = _tower_from_spec(spec["tower"])
-        times = [int(t) for t in spec.get("mixing_times", [])]
+        times = [_spec_int(t, "mixing_times") for t in spec.get("mixing_times", [])]
         epsilon = float(spec.get("epsilon", 0.4))
-        steps = int(spec.get("steps", 1))
+        steps = _spec_int(spec.get("steps", 1), "steps")
     result = iterate_krengel(tower, partition, times, epsilon, steps, seed=args.seed, tol=args.tol)
     payload = result.to_dict()
     ok = result.cumulative_error_mass < epsilon
@@ -257,17 +258,20 @@ def _cmd_counterexample(args, spec):
         w, n = spec.get("W", args.w), spec.get("n", args.n)
         if w is None or n is None:
             raise DomainError("counterexample needs --W and --n")
-        w, n = int(w), int(n)
-        samples = int(spec.get("samples", args.samples))
-        seed = int(spec.get("seed", args.seed))
+        w, n = _spec_int(w, "W"), _spec_int(n, "n")
+        samples = _spec_int(spec.get("samples", args.samples), "samples")
+        seed = _spec_int(spec.get("seed", args.seed), "seed")
         mixing_args = None
         if spec and "cylinders" in spec:
             cyl_spec = spec["cylinders"]
             mixing_args = (
-                SkewProduct(int(cyl_spec.get("fiber_lo", -64)), int(cyl_spec.get("fiber_hi", 64))),
-                Cylinder.of({int(k): int(v) for k, v in cyl_spec["A"].items()}),
-                Cylinder.of({int(k): int(v) for k, v in cyl_spec["B"].items()}),
-                int(cyl_spec.get("n", n)),
+                SkewProduct(
+                    _spec_int(cyl_spec.get("fiber_lo", -64), "fiber_lo"),
+                    _spec_int(cyl_spec.get("fiber_hi", 64), "fiber_hi"),
+                ),
+                Cylinder.of({int(k): _spec_int(v, "A") for k, v in cyl_spec["A"].items()}),
+                Cylinder.of({int(k): _spec_int(v, "B") for k, v in cyl_spec["B"].items()}),
+                _spec_int(cyl_spec.get("n", n), "cylinders.n"),
             )
     report = counterexample_check(w, n, samples, seed)
     payload = report.to_dict()

@@ -310,8 +310,9 @@ class ExtensionTrace:
         }
 
 
-def _sigma_step(family, lam, support, n, tol, pos_tol, structures):
-    """Construct the prospective marginal on the reach of coordinate ``n``.
+def _sigma_step(family, members_n, lam, support, n, tol, pos_tol, structures):
+    """Construct the prospective marginal on the reach of coordinate ``n``
+    from ``members_n``, the family members through ``n``.
 
     ``lam`` is a table over ``support`` (ascending coordinates) holding at
     least the prior coordinates of the members through ``n``. Returns
@@ -322,7 +323,7 @@ def _sigma_step(family, lam, support, n, tol, pos_tol, structures):
     recorded on the step.
     """
     alphabet = family.alphabet
-    members_n = sorted(family.members_containing(n), key=lambda mu: mu.support.indices)
+    members_n = sorted(members_n, key=lambda mu: mu.support.indices)
     extended = set(support) | {n}
 
     # each member's table on the coordinates known after this step
@@ -424,7 +425,8 @@ def _extension_step(family, lam, support, n, beta, tol, pos_tol, structures):
     ``beta=None`` records the defect without enforcing it. The glue tolerance
     admits the step's restriction gap only when ``pos_tol`` allows clipping.
     """
-    if not family.members_containing(n):
+    members_n = family.members_containing(n)
+    if not members_n:
         sigma = DenseMeasure.uniform(family.alphabet, (n,))
         step = ExtensionStep(
             index=n,
@@ -441,7 +443,7 @@ def _extension_step(family, lam, support, n, beta, tol, pos_tol, structures):
         out = _embed(lam, support, union) * _embed(sigma.as_array(), (n,), union)
         return out, union, step
 
-    sigma, v, step = _sigma_step(family, lam, support, n, tol, pos_tol, structures)
+    sigma, v, step = _sigma_step(family, members_n, lam, support, n, tol, pos_tol, structures)
     if beta is not None and step.beta_defect > beta + tol:
         raise IndependenceError(
             f"coordinate {n} is only {step.beta_defect}-independent of the prior block "

@@ -51,6 +51,14 @@ class Alphabet:
             )
 
 
+def _spec_int(value, name: str) -> int:
+    """The integer field ``name`` of a JSON spec: ``int(value)``, refusing a
+    fractional number that ``int`` would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise DomainError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """Strictly increasing tuple of integer coordinates."""
@@ -244,8 +252,8 @@ class DenseMeasure:
     @classmethod
     def from_dict(cls, data: dict, tol: float = DEFAULT_TOL) -> "DenseMeasure":
         return cls(
-            Alphabet(int(data["alphabet_size"])),
-            IndexSet.of(data["indices"]),
+            Alphabet(_spec_int(data["alphabet_size"], "alphabet_size")),
+            IndexSet.of([_spec_int(i, "indices") for i in data["indices"]]),
             np.asarray(data["table"], dtype=np.float64),
             data.get("kind", "probability"),
             tol,
@@ -541,6 +549,10 @@ class MarginalFamily:
             raise DomainError(f"n_cap must be >= 1, got {self.n_cap}")
         self.alphabet.check_alpha(self.alpha)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_by_coordinate", {})
+        for mu in members:
+            for i in mu.support:
+                self._by_coordinate.setdefault(i, []).append(mu)
 
     def union_support(self) -> IndexSet:
         out = EMPTY
@@ -549,7 +561,8 @@ class MarginalFamily:
         return out
 
     def members_containing(self, n: int) -> list[DenseMeasure]:
-        return [mu for mu in self.members if n in mu.support]
+        """The members whose support holds ``n``, in member order."""
+        return list(self._by_coordinate.get(n, ()))
 
     def reach_of(self, n: int) -> IndexSet:
         """Union of the supports of all members through coordinate ``n``."""
@@ -571,15 +584,15 @@ class MarginalFamily:
 
     @classmethod
     def from_dict(cls, data: dict, tol: float = DEFAULT_TOL) -> "MarginalFamily":
-        alphabet = Alphabet(int(data["alphabet_size"]))
+        alphabet = Alphabet(_spec_int(data["alphabet_size"], "alphabet_size"))
         members = tuple(
             DenseMeasure(
                 alphabet,
-                IndexSet.of(item["indices"]),
+                IndexSet.of([_spec_int(i, "indices") for i in item["indices"]]),
                 np.asarray(item["table"], dtype=np.float64),
                 "probability",
                 tol,
             )
             for item in data["members"]
         )
-        return cls(alphabet, members, float(data["alpha"]), int(data["N"]))
+        return cls(alphabet, members, float(data["alpha"]), _spec_int(data["N"], "N"))

@@ -252,10 +252,12 @@ def _window_offsets(offsets: IndexLike) -> IndexSet:
 
 def _window_codes(base_labels: np.ndarray, levels: Sequence[int], size: int) -> np.ndarray:
     """Each atom's lexicographic cell on ``levels``, in the narrowest signed
-    dtype that holds ``size^len(levels) - 1``. Callers bound that: ``_joint_counts``
-    keeps ``size^len(levels)`` under ``CELL_CAP``, and ``_painted_split`` packs
-    at most ``2^63`` cells into each int64 key."""
-    codes = np.zeros(base_labels.shape[1], dtype=np.min_scalar_type(-(size ** len(levels))))
+    dtype that holds ``size^len(levels) - 1`` and the multiplier ``size``.
+    Callers bound that: ``_joint_counts`` keeps ``size^len(levels)`` under
+    ``CELL_CAP``, and ``_painted_split`` packs at most ``2^15`` cells into each
+    key, or one level when ``size`` is larger."""
+    dtype = np.min_scalar_type(-max(size ** len(levels), size + 1))
+    codes = np.zeros(base_labels.shape[1], dtype=dtype)
     for lvl in levels:
         codes *= size
         codes += base_labels[lvl]
@@ -270,14 +272,6 @@ def _joint_counts(base: np.ndarray, levels: Sequence[int], size: int) -> np.ndar
 def _level_counts(base: np.ndarray, size: int) -> np.ndarray:
     """Symbol counts per level: row ``j`` counts the symbols of ``base[j]``."""
     return np.stack([np.bincount(row, minlength=size) for row in base])
-
-
-def _level_product(counts: np.ndarray, levels: Sequence[int], atoms: int) -> np.ndarray:
-    """Flat product table of the level laws ``counts[lvl] / atoms``, first level first."""
-    prod = np.ones(1)
-    for lvl in levels:
-        prod = np.multiply.outer(prod, counts[lvl] / atoms).reshape(-1)
-    return prod
 
 
 def _count_law(counts: np.ndarray, alphabet: Alphabet, shift: int, offsets: IndexSet) -> DenseMeasure:
@@ -324,12 +318,12 @@ def choose_eta(alpha: float, k: int, delta: float, epsilon: float) -> float:
 
 def _blend_correction(
     prod: np.ndarray, nu: np.ndarray, t: float
-) -> tuple[np.ndarray, int, float]:
-    """The table ``xi`` with ``(1 - t) * nu + t * xi = prod``, its smallest
-    cell and that cell's value."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``xi`` with ``(1 - t) * nu + t * xi = prod`` for stacked rows
+    ``prod`` and ``nu``, each row's smallest cell and that cell's value."""
     xi = (prod - (1.0 - t) * nu) / t
-    worst = int(np.argmin(xi))
-    return xi, worst, float(xi[worst])
+    worst = np.argmin(xi, axis=1)
+    return xi, worst, xi[np.arange(len(xi)), worst]
 
 
 def correcting_measure(
@@ -362,7 +356,8 @@ def correcting_measure(
                     f"marginal on {tuple(m.support)} differs from nu's by {gap}"
                 )
     prod = product_measure(marginals)
-    xi_table, worst, margin = _blend_correction(prod.table, nu.table, t)
+    xi_rows, worst_rows, margins = _blend_correction(prod.table[None], nu.table[None], t)
+    xi_table, worst, margin = xi_rows[0], int(worst_rows[0]), float(margins[0])
     if margin < -max(tol, 1e-12):
         raise PositivityError(
             f"correcting measure has negative cell {worst} with value {margin}; "
@@ -389,26 +384,34 @@ def _systematic_split(sorted_order: np.ndarray, fraction: float) -> np.ndarray:
 
 def _painted_split(base: np.ndarray, size: int, fraction: float) -> np.ndarray:
     """Ascending base indices of the painted slice: ``_systematic_split`` along
-    a ``lexsort`` of the full-height names (level 0 primary, ties by index),
-    sorted as int64 keys that each pack as many consecutive levels as fit."""
-    per_key = max(k for k in range(1, 64) if size**k <= 2**63)
+    a ``lexsort`` of the full-height names (level 0 primary, ties by index).
+    Each sort key packs as many consecutive levels as fit in int16, which
+    numpy sorts by radix; past ``2^15`` symbols a key holds one level."""
+    per_key = max([k for k in range(1, 16) if size**k <= 2**15], default=1)
     starts = range(0, len(base), per_key)
     keys = [_window_codes(base, range(lo, min(lo + per_key, len(base))), size) for lo in starts]
     return np.sort(_systematic_split(np.lexsort(keys[::-1]), fraction))
 
 
-def _paint_gate(
-    base: np.ndarray, painted_base: np.ndarray, levels: Sequence[int], size: int
-) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Paint's gate on the window ``levels``: the kept part's joint counts, and
-    ``_blend_correction`` at weight ``m0 / atoms`` from the kept law to the
-    product of the level laws, which are the marginals of the joint counts."""
-    atoms, m0 = base.shape[1], painted_base.shape[1]
-    full = _joint_counts(base, levels, size)
-    kept = full - _joint_counts(painted_base, levels, size)
-    joint = full.reshape((size,) * len(levels))
-    level_counts = [np.moveaxis(joint, a, 0).reshape(size, -1).sum(axis=1) for a in range(joint.ndim)]
-    prod = _level_product(level_counts, range(joint.ndim), atoms)
+def _paint_gates(
+    base: np.ndarray, painted_base: np.ndarray, shifts: Sequence[int], offsets: IndexSet, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Paint's gate on the window ``shift + offsets`` of every shift, one row
+    per shift: the kept part's joint counts, and ``_blend_correction`` at
+    weight ``m0 / atoms`` from the kept law to the product of the level laws,
+    which are the marginals of the joint counts."""
+    atoms, m0, rows = base.shape[1], painted_base.shape[1], len(shifts)
+    full = np.empty((rows, _cell_count(size, offsets)), dtype=np.int64)
+    kept = np.empty_like(full)
+    for r, j in enumerate(shifts):
+        levels = [j + k for k in offsets]
+        full[r] = _joint_counts(base, levels, size)
+        kept[r] = full[r] - _joint_counts(painted_base, levels, size)
+    joint = full.reshape((rows,) + (size,) * len(offsets))
+    prod = np.ones((rows, 1))
+    for a in range(1, joint.ndim):
+        level = joint.sum(axis=tuple(b for b in range(1, joint.ndim) if b != a)) / atoms
+        prod = (prod[:, :, None] * level[:, None, :]).reshape(rows, size**a)
     return (kept, *_blend_correction(prod, kept / (atoms - m0), m0 / atoms))
 
 
@@ -426,14 +429,16 @@ def flag_dependent_shifts(
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     size = partition.alphabet.size
-    _cell_count(size, offsets)  # a window past the cap is refused even when no atom is painted
+    cells = _cell_count(size, offsets)  # a window past the cap is refused even when no atom is painted
     base = base_aligned_labels(tower, partition)
     painted_base = base[:, _painted_split(base, size, epsilon / 10.0)]
     flags = np.zeros(tower.height, dtype=bool)
     if painted_base.shape[1] == 0:
         return flags
-    for j in range(tower.height - max(offsets)):
-        flags[j] = _paint_gate(base, painted_base, [j + k for k in offsets], size)[3] < 0.0
+    # gate blocks of at most 2^18 cells, so a wide window holds a few rows at once
+    shifts, rows = range(max(tower.height - max(offsets), 0)), max(1, 2**18 // cells)
+    for block in (shifts[lo : lo + rows] for lo in range(0, len(shifts), rows)):
+        flags[block.start : block.stop] = _paint_gates(base, painted_base, block, offsets, size)[3] < 0.0
     return flags
 
 
@@ -643,30 +648,20 @@ def paint_tower(
         for lvl in range(height)
     ]
 
-    members: list[DenseMeasure] = []
-    positivity_margins: dict[int, float] = {}
-    kept_counts: dict[int, np.ndarray] = {}
-    for j in valid:
-        kept_counts[j], xi_table, worst, margin = _paint_gate(
-            base, painted_base, [j + k for k in window], size
-        )
-        positivity_margins[j] = margin
+    kept_counts, xi_rows, worst, margins = _paint_gates(base, painted_base, valid, window, size)
+    for j, margin, cell in zip(valid, margins.tolist(), worst.tolist()):
         if margin < -tol:
             raise PositivityError(
                 f"shift {j} cannot be corrected at blend weight {t_hat}: "
                 f"cell margin {margin}; flag it or decrease the window deviation",
                 margin=margin,
-                cell=worst,
+                cell=cell,
             )
-        members.append(
-            DenseMeasure(
-                partition.alphabet,
-                window.shift(j),
-                np.clip(xi_table, 0.0, None),
-                "probability",
-                tol=1e-6,
-            )
-        )
+    np.clip(xi_rows, 0.0, None, out=xi_rows)
+    members = [
+        DenseMeasure(partition.alphabet, window.shift(j), xi, "probability", tol=1e-6)
+        for j, xi in zip(valid, xi_rows)
+    ]
     members.extend(slice_marginals)
     del base  # only the painted slice is read from here on
 
@@ -698,8 +693,8 @@ def paint_tower(
 
     window_defects: dict[int, float] = {}
     window_sup_gaps: dict[int, float] = {}
-    for j in valid:
-        counts = kept_counts[j] + _joint_counts(names, [j + k for k in window], size)
+    for j, kept in zip(valid, kept_counts):
+        counts = kept + _joint_counts(names, [j + k for k in window], size)
         nu_new = _count_law(counts, partition.alphabet, j, window)
         window_sup_gaps[j] = sup_distance(nu_new, nu_new.product_of_marginals())
         window_defects[j] = delta_independence(nu_new, "ascending")
@@ -715,7 +710,7 @@ def paint_tower(
         per_level_distribution_gap=per_level_gap,
         window_defects=window_defects,
         window_sup_gaps=window_sup_gaps,
-        positivity_margins=positivity_margins,
+        positivity_margins=dict(zip(valid, margins.tolist())),
         quantization_level_bound=size / m0,
         painted_fraction=t_hat,
         painted_atoms=m0,

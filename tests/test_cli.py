@@ -230,6 +230,25 @@ class TestPaintAndKrengel:
         assert code == 2
         assert report["reason"]["code"] == "WindowError"
 
+    def test_alphabet_128_reports_the_slice_shortfall(self, tmp_path):
+        # at 128 symbols the painted split's last key holds one level, whose
+        # code must have room for the multiplier 128
+        spec = {
+            "tower": {
+                "height": 10,
+                "atom_count": 4096,
+                "transfer": "seeded_permutation:3",
+                "labels": {"generator": "seeded_uniform:5", "alphabet_size": 128},
+            },
+            "m": 2,
+            "epsilon": 0.4,
+        }
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(spec))
+        code, report = run(tmp_path, "paint", "--input", str(path))
+        assert code == 1
+        assert report["reason"]["code"] == "QuantizationError"
+
     @pytest.mark.parametrize("command", ["paint", "krengel"])
     @pytest.mark.parametrize("transfer", ["identity", "seeded_permutation:5"])
     def test_tower_over_cell_cap_is_usage_error(self, tmp_path, command, transfer):
@@ -452,6 +471,49 @@ class TestPlumbing:
         assert code == 2
         assert report["status"] == "failed"
         assert report["reason"]["code"] == "DomainError"
+
+    @pytest.mark.parametrize(
+        "command, spec, field",
+        [
+            ("paint", {"tower": {"height": 32.7}, "m": 2.9}, "height"),
+            ("paint", {"tower": {"height": 16, "atom_count": 4096.5}, "m": 2}, "atom_count"),
+            ("paint", {"tower": {"height": 16, "atom_count": 4096}, "m": 2.9}, "m"),
+            ("paint", {"tower": {"height": 16, "atom_count": 4096}, "K": [0.5], "m": 2}, "K"),
+            ("krengel", {"tower": {"height": 16, "atom_count": 4096}, "mixing_times": [2.5]}, "mixing_times"),
+            ("krengel", {"tower": {"height": 16, "atom_count": 4096}, "steps": 1.5}, "steps"),
+            ("counterexample", {"W": 101, "n": 3, "seed": 1.5, "samples": 2.7}, "samples"),
+            ("counterexample", {"W": 101, "n": 3, "seed": 1.5}, "seed"),
+            ("counterexample", {"W": 101.5, "n": 3}, "W"),
+            ("counterexample", {"W": 101, "n": 2, "cylinders": {"A": {"0": 1.5}, "B": {}}}, "A"),
+            ("extend", {"N": 2.5}, "N"),
+            ("extend", {"window": [0, 2.5]}, "window"),
+            ("extend", {"alphabet_size": 2.5}, "alphabet_size"),
+            ("correct", {"nu": {"alphabet_size": 2, "indices": [0.5], "table": [0.5, 0.5]}, "t": 0.1}, "indices"),
+        ],
+    )
+    def test_fractional_integer_field_is_usage_error(self, tmp_path, family_file, command, spec, field):
+        if command == "extend":
+            spec = {**json.loads(family_file.read_text()), **spec}
+        if "tower" in spec:
+            labels = {"generator": "seeded_uniform:3", "alphabet_size": 2}
+            spec["tower"] = {"transfer": "seeded_permutation:5", "labels": labels, **spec["tower"]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, report = run(tmp_path, command, "--input", str(path))
+        assert code == 2
+        assert report["reason"]["code"] == "DomainError"
+        assert report["reason"]["message"].startswith(f"{field} must be an integer")
+
+    def test_whole_floats_and_digit_strings_keep_parsing(self, tmp_path, tower_file):
+        spec = json.loads(tower_file.read_text())
+        spec["tower"].update(height=16.0, atom_count="4096")
+        spec.update(m=2.0, K=[0.0])
+        path = tmp_path / "whole.json"
+        path.write_text(json.dumps(spec))
+        code, report = run(tmp_path, "paint", "--input", str(path))
+        expected_code, expected = run(tmp_path, "paint", "--input", str(tower_file))
+        assert code == expected_code == 0
+        assert report["result"] == expected["result"]
 
     def test_timestamp_toggle(self, tmp_path, family_file):
         out = tmp_path / "r.json"

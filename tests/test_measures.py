@@ -359,7 +359,7 @@ class TestZeroMassRule:
         family = MarginalFamily(A3, (mu,), alpha=0.1, n_cap=2)
         lam = project(mu, [0])
         _, _, step = extension._sigma_step(
-            family, lam.as_array(), lam.support.indices, 1, 1e-9, None, {}
+            family, family.members_containing(1), lam.as_array(), lam.support.indices, 1, 1e-9, None, {}
         )
         expected = _gap_over_massive_atoms(np.asarray(self.ROWS))
         assert step.beta_defect == pytest.approx(expected, abs=1e-12)
@@ -497,3 +497,20 @@ class TestCapacityAndValidation:
         m = measure(A3, [2, 5], np.arange(1.0, 10.0) / 45.0)
         back = DenseMeasure.from_dict(m.to_dict())
         assert back.allclose(m, tol=0) and back.kind == m.kind
+
+
+class TestMarginalFamilyLookup:
+    def test_members_containing_matches_a_scan_in_member_order(self):
+        rng = np.random.default_rng(3)
+        family = genutil.near_product_family(rng, A2, window_size=6, alpha=0.3)
+        members = family.members + (measure(A2, [9], [0.5, 0.5]), measure(A2, [0, 9], [0.25] * 4))
+        family = MarginalFamily(A2, members, family.alpha, family.n_cap)
+        for n in range(-1, 11):
+            expected = [mu for mu in family.members if n in mu.support]
+            assert [id(mu) for mu in family.members_containing(n)] == [id(mu) for mu in expected]
+
+    def test_members_containing_returns_a_fresh_list(self):
+        family = MarginalFamily(A2, (measure(A2, [0], [0.5, 0.5]),), 0.4, 1)
+        family.members_containing(0).clear()
+        assert len(family.members_containing(0)) == 1
+

@@ -200,11 +200,18 @@ class TestNameDistribution:
 class TestJointCounts:
     @pytest.mark.parametrize(
         "size, levels, dtype",
-        [(2, 15, np.int16), (2, 16, np.int32), (3, 9, np.int16), (3, 10, np.int32)],
+        [
+            (2, 15, np.int16),
+            (2, 16, np.int32),
+            (3, 9, np.int16),
+            (3, 10, np.int32),
+            (128, 1, np.int16),
+            (2**15, 1, np.int32),
+        ],
     )
     def test_narrow_codes_match_int64_reference(self, size, levels, dtype):
-        # the narrowest signed dtype that holds size^levels - 1, at both sides
-        # of the int16 boundary
+        # the narrowest signed dtype that holds size^levels - 1 and the
+        # multiplier size, at both sides of the int8 and int16 boundaries
         base = np.random.default_rng(size * 100 + levels).integers(
             0, size, size=(levels + 2, 4096), dtype=np.int16
         )
@@ -218,6 +225,15 @@ class TestJointCounts:
         got = towers._joint_counts(base, window, size)
         assert got.shape == expected.shape and np.array_equal(got, expected)
         assert got[-1] >= 1
+
+    @pytest.mark.parametrize("size", [128, 2**15])
+    def test_one_level_law_at_a_wide_alphabet(self, size):
+        # a one-level code is multiplied by size once, so its dtype must hold
+        # size itself, not only size - 1
+        tower = genutil.permutation_tower(3, 2**12, seed=8)
+        partition = uniform_random_partition(tower, Alphabet(size), seed=9)
+        nd = name_distribution(tower, partition, 1, [0])
+        assert np.array_equal(nd.table, partition.distributions()[1])
 
 
 class TestChooseEta:
@@ -378,6 +394,23 @@ class TestFlagging:
         paint_tower(tower.with_flags(in_e1=flags), partition, [0], 2, epsilon=0.4, alpha=0.3)
         assert len(calls) == 2
 
+    def test_wide_window_gates_in_blocks(self, monkeypatch):
+        # 2^16 cells per window: four shifts per block of 2^18 cells
+        blocks = []
+        gates = towers._paint_gates
+
+        def recording(base, painted_base, shifts, offsets, size):
+            blocks.append(list(shifts))
+            return gates(base, painted_base, shifts, offsets, size)
+
+        monkeypatch.setattr(towers, "_paint_gates", recording)
+        tower = genutil.permutation_tower(24, 2**10, seed=27)
+        partition = uniform_random_partition(tower, A2, seed=28)
+        offsets = list(range(16))
+        flags = flag_dependent_shifts(tower, partition, offsets, 0.4)
+        assert blocks == [[0, 1, 2, 3], [4, 5, 6, 7], [8]]
+        assert np.array_equal(flags, genutil.paint_gate_flags(tower, partition, offsets, 0.4))
+
     @pytest.mark.parametrize(
         "offsets, epsilon", [([-1, 2], 0.4), ([-(2**40), 2], 0.4), ([0, 2], 0.0)]
     )
@@ -391,13 +424,25 @@ class TestFlagging:
 
 
 class TestPaintedSplit:
-    """The painted slice sorts the names as packed int64 keys; the order must
+    """The painted slice sorts the names as packed int16 keys; the order must
     be a lexsort over every level, level 0 primary, ties by index."""
 
     @staticmethod
     def lexsort_split(base, fraction):
         order = np.lexsort(tuple(base[lvl] for lvl in reversed(range(base.shape[0]))))
         return np.sort(towers._systematic_split(order, fraction))
+
+    @staticmethod
+    def int64_split(base, size, fraction):
+        """The split sorted on int64 keys, each packing as many levels as fit."""
+        per_key = max(k for k in range(1, 64) if size**k <= 2**63)
+        keys = []
+        for lo in range(0, len(base), per_key):
+            codes = np.zeros(base.shape[1], dtype=np.int64)
+            for lvl in range(lo, min(lo + per_key, len(base))):
+                codes = codes * size + base[lvl]
+            keys.append(codes)
+        return np.sort(towers._systematic_split(np.lexsort(keys[::-1]), fraction))
 
     # 63, 39 and 27 levels fit one int64 key at sizes 2, 3 and 5: three keys each
     @pytest.mark.parametrize("size, height", [(2, 130), (3, 80), (5, 60)])
@@ -413,6 +458,94 @@ class TestPaintedSplit:
         base = base_aligned_labels(tower, genutil.bit_slice_partition(tower, A2, bits=4))
         got = towers._painted_split(base, 2, 0.04)
         assert np.array_equal(got, self.lexsort_split(base, 0.04))
+
+    # an int16 key holds 15, 9, 6 and 2 levels at sizes 2, 3, 5 and 128, and
+    # one level past 2^15 symbols; each pair of heights ends on a full key
+    # and on a short one
+    @pytest.mark.parametrize(
+        "size, height",
+        [(2, 30), (2, 31), (3, 18), (3, 19), (5, 12), (5, 13), (128, 8), (128, 7), (40000, 4), (40000, 3)],
+    )
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_int16_keys_match_int64_keys(self, size, height, ties):
+        rng = np.random.default_rng(size + height)
+        atoms = 2**11
+        # a label table holds at most 2^15 symbols
+        base = rng.integers(0, min(size, 2**15), size=(height, atoms), dtype=np.int16)
+        if ties:
+            # 24 distinct names, each carried by about 85 atoms
+            base = base[:, rng.integers(0, 24, size=atoms)]
+        for fraction in (0.01, 0.04, 0.3):
+            got = towers._painted_split(base, size, fraction)
+            assert np.array_equal(got, self.int64_split(base, size, fraction))
+
+    # a short last key may be narrower still
+    @pytest.mark.parametrize("size, width", [(2, 2), (3, 2), (128, 2), (40000, 4)])
+    def test_keys_fit_16_bits_up_to_2_15_symbols(self, size, width, monkeypatch):
+        seen = []
+        lexsort = np.lexsort
+
+        def recording_lexsort(keys):
+            seen.extend(k.dtype for k in keys)
+            return lexsort(keys)
+
+        monkeypatch.setattr(towers.np, "lexsort", recording_lexsort)
+        base = np.random.default_rng(size).integers(0, min(size, 2**15), size=(31, 256), dtype=np.int16)
+        towers._painted_split(base, size, 0.04)
+        assert seen and max(d.itemsize for d in seen) == width
+        assert all(d.kind == "i" for d in seen)
+
+
+class TestPaintGates:
+    """The stacked gate rows equal the gate run one window at a time."""
+
+    @staticmethod
+    def one_window(base, painted_base, levels, size):
+        atoms, m0 = base.shape[1], painted_base.shape[1]
+
+        def counts(table):
+            codes = np.zeros(table.shape[1], dtype=np.int64)
+            for lvl in levels:
+                codes = codes * size + table[lvl]
+            return np.bincount(codes, minlength=size ** len(levels))
+
+        full = counts(base)
+        kept = full - counts(painted_base)
+        joint = full.reshape((size,) * len(levels))
+        prod = np.ones(1)
+        for a in range(joint.ndim):
+            level = np.moveaxis(joint, a, 0).reshape(size, -1).sum(axis=1) / atoms
+            prod = np.multiply.outer(prod, level).reshape(-1)
+        t = m0 / atoms
+        xi = (prod - (1.0 - t) * (kept / (atoms - m0))) / t
+        worst = int(np.argmin(xi))
+        return kept, xi, worst, float(xi[worst])
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("offsets", [[0, 2], [0, 1, 3]])
+    def test_rows_match_per_window_gate(self, size, offsets):
+        tower = genutil.permutation_tower(12, 2**12, seed=size)
+        partition = uniform_random_partition(tower, Alphabet(size), seed=40 + size)
+        base = base_aligned_labels(tower, partition)
+        painted_base = base[:, towers._painted_split(base, size, 0.04)]
+        shifts = [0, 3, 4, 8]
+        kept, xi, worst, margins = towers._paint_gates(
+            base, painted_base, shifts, IndexSet.of(offsets), size
+        )
+        assert kept.shape == xi.shape == (len(shifts), size ** len(offsets))
+        for row, j in enumerate(shifts):
+            ref = self.one_window(base, painted_base, [j + k for k in offsets], size)
+            assert np.array_equal(kept[row], ref[0])
+            assert xi[row].tobytes() == ref[1].tobytes()
+            assert (int(worst[row]), float(margins[row])) == ref[2:]
+
+    def test_no_shifts(self):
+        tower = genutil.permutation_tower(6, 512, seed=2)
+        partition = uniform_random_partition(tower, Alphabet(3), seed=3)
+        base = base_aligned_labels(tower, partition)
+        kept, xi, worst, margins = towers._paint_gates(base, base[:, :20], [], IndexSet.of([0, 2]), 3)
+        assert kept.shape == xi.shape == (0, 9)
+        assert worst.shape == margins.shape == (0,)
 
 
 class TestFlagPaintAgreement:
