@@ -59,6 +59,17 @@ def _spec_int(value, name: str) -> int:
     return int(value)
 
 
+def _coordinates(items) -> tuple[int, ...]:
+    """``items`` as ints, each refused by the rule of ``_spec_int``; the rule
+    is checked only when some item is not already equal to its int."""
+    items = tuple(items)
+    idx = tuple(map(int, items))
+    if idx != items:
+        for i in items:
+            _spec_int(i, "coordinate")
+    return idx
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """Strictly increasing tuple of integer coordinates."""
@@ -66,7 +77,7 @@ class IndexSet:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = _coordinates(self.indices)
         if len(set(idx)) != len(idx):
             raise DomainError(f"duplicate coordinates in {idx}")
         if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -77,7 +88,7 @@ class IndexSet:
     def of(cls, items: IndexLike) -> "IndexSet":
         if isinstance(items, IndexSet):
             return items
-        return cls(tuple(sorted(int(i) for i in items)))
+        return cls(tuple(sorted(_coordinates(items))))
 
     @classmethod
     def _from_set(cls, items: set[int]) -> "IndexSet":

@@ -51,6 +51,8 @@ from .measures import (
 
 # height x atom_count; 2^28 admits a 256-level tower over 2^20 atoms
 TOWER_CELL_CAP = 2**28
+# cells of one packed count: windows are counted together while their joint fits
+PACK_CELLS = 2**8
 
 
 def _checked_indices(values, bound: int, name: str) -> np.ndarray:
@@ -120,8 +122,11 @@ class TowerSpec:
                 raise DomainError(
                     f"transfer must have shape {(self.height - 1, n)}, got {transfer.shape}"
                 )
+            hit = np.empty(n, dtype=bool)
             for j, step in enumerate(transfer):
-                if np.bincount(step, minlength=n).max() != 1:
+                hit.fill(False)
+                hit[step] = True
+                if not hit.all():
                     raise DomainError(f"transfer at level {j} is not a bijection")
                 pos[j + 1] = step[pos[j]]
         pos.setflags(write=False)
@@ -219,11 +224,16 @@ def base_aligned_labels(tower: TowerSpec, partition: LabeledPartition) -> np.nda
     The result is a fresh array that the caller owns; surgery writes into it.
     Paint only reads it: it re-measures its windows from the kept counts plus
     the painted names, and writes the painted atoms back level by level."""
+    return _aligned_rows(tower, partition, range(tower.height))
+
+
+def _aligned_rows(tower: TowerSpec, partition: LabeledPartition, levels: Sequence[int]) -> np.ndarray:
+    """The rows ``levels`` of :func:`base_aligned_labels`, in that order."""
     if partition.height != tower.height or partition.atom_count != tower.atom_count:
         raise DomainError("partition does not match the tower")
-    out = np.empty(tower.positions.shape, dtype=partition.labels.dtype)
-    for j, (row, pos) in enumerate(zip(partition.labels, tower.positions)):
-        np.take(row, pos, out=out[j])
+    out = np.empty((len(levels), tower.atom_count), dtype=partition.labels.dtype)
+    for row, lvl in zip(out, levels):
+        np.take(partition.labels[lvl], tower.positions[lvl], out=row)
     return out
 
 
@@ -253,9 +263,9 @@ def _window_offsets(offsets: IndexLike) -> IndexSet:
 def _window_codes(base_labels: np.ndarray, levels: Sequence[int], size: int) -> np.ndarray:
     """Each atom's lexicographic cell on ``levels``, in the narrowest signed
     dtype that holds ``size^len(levels) - 1`` and the multiplier ``size``.
-    Callers bound that: ``_joint_counts`` keeps ``size^len(levels)`` under
-    ``CELL_CAP``, and ``_painted_split`` packs at most ``2^15`` cells into each
-    key, or one level when ``size`` is larger."""
+    Callers bound that: ``_window_counts`` packs at most ``PACK_CELLS`` cells
+    into a code, or one window under ``CELL_CAP``, and ``_painted_split`` packs
+    at most ``2^15`` cells into each key, or one level when ``size`` is larger."""
     dtype = np.min_scalar_type(-max(size ** len(levels), size + 1))
     codes = np.zeros(base_labels.shape[1], dtype=dtype)
     for lvl in levels:
@@ -264,14 +274,36 @@ def _window_codes(base_labels: np.ndarray, levels: Sequence[int], size: int) -> 
     return codes
 
 
-def _joint_counts(base: np.ndarray, levels: Sequence[int], size: int) -> np.ndarray:
-    cells = _cell_count(size, levels)
-    return np.bincount(_window_codes(base, levels, size), minlength=cells)
+def _window_counts(base: np.ndarray, windows: np.ndarray, size: int) -> np.ndarray:
+    """Joint counts of ``base``'s atoms on each row of the ``(n, w)`` level
+    array ``windows``: row ``r`` counts the lexicographic cells on
+    ``windows[r]``, as int64.
+
+    The only place ``towers`` counts. One ``bincount`` counts a group of
+    consecutive windows, as many as keep ``cells^k <= PACK_CELLS`` (one when a
+    window alone has more cells), through the code of their concatenated
+    levels; each window's row is that joint's marginal, so the counts are
+    exact."""
+    windows = np.asarray(windows)
+    cells = _cell_count(size, range(windows.shape[1]))
+    per_code = max([k for k in range(1, PACK_CELLS.bit_length()) if cells**k <= PACK_CELLS], default=1)
+    out = np.empty((len(windows), cells), dtype=np.int64)
+    for lo in range(0, len(windows), per_code):
+        group = windows[lo : lo + per_code]
+        joint = np.bincount(_window_codes(base, group.ravel(), size), minlength=cells ** len(group))
+        for p in range(len(group)):
+            out[lo + p] = joint.reshape(cells**p, cells, -1).sum(axis=(0, 2))
+    return out
+
+
+def _shifted(shifts: Sequence[int], offsets: IndexSet) -> np.ndarray:
+    """The windows ``shift + offsets``, one row of levels per shift."""
+    return np.add.outer(np.asarray(shifts, dtype=np.intp), offsets.indices)
 
 
 def _level_counts(base: np.ndarray, size: int) -> np.ndarray:
     """Symbol counts per level: row ``j`` counts the symbols of ``base[j]``."""
-    return np.stack([np.bincount(row, minlength=size) for row in base])
+    return _window_counts(base, np.arange(len(base))[:, None], size)
 
 
 def _count_law(counts: np.ndarray, alphabet: Alphabet, shift: int, offsets: IndexSet) -> DenseMeasure:
@@ -303,8 +335,8 @@ def name_distribution(
         raise WindowError(
             f"window {base_level}+{tuple(offsets)} exceeds tower height {tower.height}"
         )
-    base = base_aligned_labels(tower, partition)
-    counts = _joint_counts(base, [base_level + k for k in offsets], partition.alphabet.size)
+    rows = _aligned_rows(tower, partition, [base_level + k for k in offsets])
+    counts = _window_counts(rows, np.arange(len(offsets))[None], partition.alphabet.size)[0]
     return _count_law(counts, partition.alphabet, base_level, offsets)
 
 
@@ -401,12 +433,9 @@ def _paint_gates(
     weight ``m0 / atoms`` from the kept law to the product of the level laws,
     which are the marginals of the joint counts."""
     atoms, m0, rows = base.shape[1], painted_base.shape[1], len(shifts)
-    full = np.empty((rows, _cell_count(size, offsets)), dtype=np.int64)
-    kept = np.empty_like(full)
-    for r, j in enumerate(shifts):
-        levels = [j + k for k in offsets]
-        full[r] = _joint_counts(base, levels, size)
-        kept[r] = full[r] - _joint_counts(painted_base, levels, size)
+    windows = _shifted(shifts, offsets)
+    full = _window_counts(base, windows, size)
+    kept = full - _window_counts(painted_base, windows, size)
     joint = full.reshape((rows,) + (size,) * len(offsets))
     prod = np.ones((rows, 1))
     for a in range(1, joint.ndim):
@@ -693,8 +722,7 @@ def paint_tower(
 
     window_defects: dict[int, float] = {}
     window_sup_gaps: dict[int, float] = {}
-    for j, kept in zip(valid, kept_counts):
-        counts = kept + _joint_counts(names, [j + k for k in window], size)
+    for j, counts in zip(valid, kept_counts + _window_counts(names, _shifted(valid, window), size)):
         nu_new = _count_law(counts, partition.alphabet, j, window)
         window_sup_gaps[j] = sup_distance(nu_new, nu_new.product_of_marginals())
         window_defects[j] = delta_independence(nu_new, "ascending")
@@ -819,14 +847,15 @@ def iterate_krengel(
 # -- exact fiber surgery ----------------------------------------------------------------
 
 def _window_is_exact(
-    base: np.ndarray, levels: Sequence[int], counts: np.ndarray, size: int
+    joint: np.ndarray, levels: Sequence[int], counts: np.ndarray, atoms: int
 ) -> bool:
-    """Exact independence test in integer arithmetic."""
-    scale = base.shape[1] ** (len(levels) - 1)
-    cells = itertools.product(range(size), repeat=len(levels))
+    """Exact independence test in integer arithmetic: the joint counts
+    ``joint`` on ``levels`` against the level counts ``counts``."""
+    scale = atoms ** (len(levels) - 1)
+    cells = itertools.product(range(counts.shape[1]), repeat=len(levels))
     return all(
         int(n) * scale == math.prod(int(counts[lvl][a]) for lvl, a in zip(levels, cell))
-        for n, cell in zip(_joint_counts(base, levels, size), cells)
+        for n, cell in zip(joint, cells)
     )
 
 
@@ -864,10 +893,11 @@ def fiber_surgery(
     def measured_bad() -> list[int]:
         if len(offsets) < 2:
             return []
+        windows = _shifted(eligible, offsets)
         return [
             i
-            for i in eligible
-            if not _window_is_exact(base, [i + k for k in offsets], counts, size)
+            for i, levels, joint in zip(eligible, windows, _window_counts(base, windows, size))
+            if not _window_is_exact(joint, levels, counts, atoms)
         ]
 
     guard = 0

@@ -89,6 +89,18 @@ class TestIndexSet:
                 assert all(type(i) is int for i in got)
             assert k.issubset(other) == (a <= b)
 
+    @pytest.mark.parametrize("items", [[0, 2.5], [0.9], [np.float64(1.5), 3]])
+    def test_fractional_coordinate_refused(self, items):
+        with pytest.raises(DomainError, match="coordinate must be an integer"):
+            IndexSet.of(items)
+        with pytest.raises(DomainError, match="coordinate must be an integer"):
+            IndexSet(tuple(items))
+
+    def test_whole_floats_and_numpy_integers_pass(self):
+        for items in ([0, 2.0], [np.int16(0), np.int64(2)], np.array([0.0, 2.0]), np.array([0, 2])):
+            got = IndexSet.of(items)
+            assert got.indices == (0, 2) and all(type(i) is int for i in got)
+
     def test_bad_input_keeps_its_message(self):
         with pytest.raises(DomainError, match=r"^duplicate coordinates in \(1, 1\)$"):
             IndexSet((1, 1))

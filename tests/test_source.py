@@ -74,3 +74,17 @@ def test_every_mode_switch_is_set_by_a_caller():
         )
     ]
     assert unset == []
+
+
+def test_towers_counts_only_in_the_window_kernel():
+    # one function decides how tower windows are counted
+    tree = ast.parse((SOURCE / "towers.py").read_text())
+    callers = [
+        getattr(node, "name", f"line {node.lineno}")
+        for node in tree.body
+        if getattr(node, "name", None) != "_window_counts"
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "attr", getattr(call.func, "id", None)) == "bincount"
+    ]
+    assert callers == []

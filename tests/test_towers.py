@@ -41,6 +41,17 @@ def measure(alphabet, support, table):
     return DenseMeasure(alphabet, IndexSet.of(support), table)
 
 
+def window_counts_reference(base, windows, size):
+    """One int64 ``bincount`` per window of the lexicographic cell codes."""
+    rows = []
+    for levels in windows:
+        codes = np.zeros(base.shape[1], dtype=np.int64)
+        for lvl in levels:
+            codes = codes * size + base[lvl].astype(np.int64)
+        rows.append(np.bincount(codes, minlength=size ** len(levels)))
+    return rows
+
+
 @pytest.fixture(scope="module")
 def big_tower():
     tower = genutil.permutation_tower(64, 2**16, seed=42)
@@ -53,6 +64,9 @@ class TestTowerSpec:
         bad = np.zeros((1, 4), dtype=np.int32)
         with pytest.raises(DomainError):
             TowerSpec(2, FiberSpace(4), bad)
+        # the atoms level 0 hits leave no mark on the check of level 1
+        with pytest.raises(DomainError, match="transfer at level 1 is not a bijection"):
+            TowerSpec(3, FiberSpace(4), [[1, 0, 3, 2], [0, 1, 1, 3]])
 
     @pytest.mark.parametrize(
         "transfer",
@@ -190,6 +204,18 @@ class TestNameDistribution:
         with pytest.raises(WindowError):
             name_distribution(tower, partition, base_level, offsets)
 
+    @pytest.mark.parametrize("size, base_level, offsets", [(2, 0, [0, 5]), (3, 90, [-7, 0, 9]), (2, 40, [3])])
+    def test_tall_tower_matches_full_alignment(self, size, base_level, offsets):
+        # only the window's rows are gathered; the law is the whole base's
+        tower = genutil.permutation_tower(120, 2**10, seed=size)
+        partition = uniform_random_partition(tower, Alphabet(size), seed=17)
+        levels = [base_level + k for k in offsets]
+        base = base_aligned_labels(tower, partition)
+        counts = window_counts_reference(base, [levels], size)[0]
+        nd = name_distribution(tower, partition, base_level, offsets)
+        assert list(nd.support) == levels
+        assert nd.table.tobytes() == (counts / counts.sum()).tobytes()
+
     def test_random_labels_near_uniform(self):
         tower = genutil.permutation_tower(8, 2**16, seed=11)
         partition = uniform_random_partition(tower, A2, seed=12)
@@ -217,12 +243,9 @@ class TestJointCounts:
         )
         base[1:, 0] = size - 1
         window = list(range(1, levels + 1))
-        codes = np.zeros(base.shape[1], dtype=np.int64)
-        for lvl in window:
-            codes = codes * size + base[lvl].astype(np.int64)
-        expected = np.bincount(codes, minlength=size**levels)
+        expected = window_counts_reference(base, [window], size)[0]
         assert towers._window_codes(base, window, size).dtype == dtype
-        got = towers._joint_counts(base, window, size)
+        got = towers._window_counts(base, [window], size)[0]
         assert got.shape == expected.shape and np.array_equal(got, expected)
         assert got[-1] >= 1
 
@@ -234,6 +257,52 @@ class TestJointCounts:
         partition = uniform_random_partition(tower, Alphabet(size), seed=9)
         nd = name_distribution(tower, partition, 1, [0])
         assert np.array_equal(nd.table, partition.distributions()[1])
+
+
+def pack_size(size, width):
+    cells = size**width
+    return max([k for k in range(1, 9) if cells**k <= towers.PACK_CELLS], default=1)
+
+
+class TestWindowCounts:
+    """The packed kernel equals one ``bincount`` per window."""
+
+    CASES = [(size, width) for size in (2, 3, 5, 128) for width in (1, 2, 3)] + [(2**15, 1)]
+
+    @pytest.mark.parametrize("size, width", CASES)
+    def test_matches_per_window_bincount(self, size, width):
+        k = pack_size(size, width)
+        rng = np.random.default_rng(size * 10 + width)
+        base = rng.integers(0, size, size=(10, 700), dtype=np.int16)
+        base[:, 0] = size - 1
+        for n in sorted({0, 1, k - 1, k, k + 1}):
+            windows = np.sort(rng.choice(10, size=(n, width), replace=True), axis=1)
+            got = towers._window_counts(base, windows, size)
+            assert got.dtype == np.int64 and got.shape == (n, size**width)
+            for row, ref in zip(got, window_counts_reference(base, windows, size)):
+                assert np.array_equal(row, ref)
+
+    @pytest.mark.parametrize("size, width", [(2, 1), (2, 2), (3, 1), (5, 1)])
+    def test_repeated_levels_across_a_group(self, size, width):
+        # one packed code may read a level for several windows of its group
+        base = np.random.default_rng(size).integers(0, size, size=(4, 999), dtype=np.int16)
+        k = pack_size(size, width)
+        windows = [[2] * width] * k + [[1] * width, [2] * width]
+        got = towers._window_counts(base, windows, size)
+        assert np.array_equal(got, np.array(window_counts_reference(base, windows, size)))
+
+    def test_sixteen_level_binary_window_takes_a_code_alone(self):
+        assert pack_size(2, 16) == 1
+        base = np.random.default_rng(16).integers(0, 2, size=(18, 2**12), dtype=np.int16)
+        windows = [list(range(lo, lo + 16)) for lo in range(3)]
+        got = towers._window_counts(base, windows, 2)
+        assert got.dtype == np.int64 and got.shape == (3, 2**16)
+        assert np.array_equal(got, np.array(window_counts_reference(base, windows, 2)))
+
+    def test_window_past_the_cell_cap_is_refused(self):
+        base = np.zeros((3, 8), dtype=np.int16)
+        with pytest.raises(CapacityError):
+            towers._window_counts(base, np.empty((0, 2), dtype=np.intp), 2**15)
 
 
 class TestChooseEta:
@@ -369,6 +438,12 @@ class TestFlagging:
         partition = genutil.copy_corrupt(tower, partition, 9, 7, 0.5, seed=1)
         flags = flag_dependent_shifts(tower, partition, [0, 2], 0.4)
         assert flags[7] and flags.sum() == 1
+
+    def test_fractional_offset_refused(self):
+        tower = genutil.permutation_tower(8, 256, seed=3)
+        partition = uniform_random_partition(tower, A2, seed=4)
+        with pytest.raises(DomainError, match="coordinate must be an integer, got 2.5"):
+            flag_dependent_shifts(tower, partition, [0, 2.5], 0.4)
 
     def test_matches_per_shift_reference(self):
         tower = genutil.permutation_tower(16, 2**12, seed=23)
