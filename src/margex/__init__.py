@@ -56,7 +56,6 @@ from .extension import (
     brute_force_extension_exists,
     extend_family,
     extend_family_chain,
-    extend_one_index,
     inclusion_exclusion_extension,
     thresholds,
     verify_hypotheses,

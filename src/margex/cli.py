@@ -39,7 +39,6 @@ from .towers import (
     LabeledPartition,
     TowerSpec,
     correcting_measure,
-    flag_dependent_shifts,
     iterate_krengel,
     paint_tower,
     seeded_permutation_transfer,
@@ -231,11 +230,7 @@ def _cmd_paint(args, spec):
         m = _spec_int(spec["m"], "m")
         epsilon = float(spec.get("epsilon", 0.4))
         alpha = float(spec.get("alpha", 0.0))
-    flags = flag_dependent_shifts(tower, partition, offsets.union((m,)), epsilon)
-    tower = tower.with_flags(in_e1=tower.in_e1 | flags)
-    report = paint_tower(
-        tower, partition, offsets, m, epsilon, alpha, seed=args.seed, tol=args.tol
-    )
+    report = paint_tower(tower, partition, offsets, m, epsilon, alpha, seed=args.seed, tol=args.tol)
     payload = report.to_dict()
     ok = report.error_mass() < epsilon
     return payload, ok

@@ -484,31 +484,6 @@ def _extend(family, window, beta, tol, pos_tol, span):
     return lam, tuple(steps)
 
 
-def extend_one_index(
-    family: MarginalFamily,
-    lam: DenseMeasure,
-    n: int,
-    beta: float,
-    tol: float = DEFAULT_TOL,
-) -> tuple[DenseMeasure, ExtensionStep]:
-    """Extend a partial measure by one fresh coordinate.
-
-    ``lam`` must be a probability measure consistent with every family member
-    and approximately independent; the output extends ``lam``, stays
-    consistent with every member, and makes the new coordinate ``beta``
-    independent of the existing ones. When no member mentions ``n`` the
-    coordinate is appended as an independent uniform symbol.
-    """
-    if n in lam.support:
-        raise DomainError(f"coordinate {n} already belongs to the partial measure")
-    if lam.kind != "probability":
-        raise DomainError("partial measure must be a probability measure")
-    table, support, step = _extension_step(
-        family, lam.as_array(), lam.support.indices, n, beta, tol, None, {}
-    )
-    return DenseMeasure._owned(family.alphabet, IndexSet(support), table, "probability", 1e-6), step
-
-
 def extend_family(
     family: MarginalFamily,
     window: IndexLike,

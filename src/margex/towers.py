@@ -43,6 +43,8 @@ from .measures import (
     IndexSet,
     MarginalFamily,
     _cell_count,
+    _coordinates,
+    _spec_int,
     conditional_rows,
     delta_independence,
     product_measure,
@@ -328,6 +330,7 @@ def name_distribution(
     offsets = IndexSet.of(offsets)
     if not offsets:
         raise DomainError("need at least one offset")
+    base_level = _spec_int(base_level, "base_level")
     if (
         min(base_level, base_level + min(offsets)) < 0
         or base_level + max(offsets) >= tower.height
@@ -444,31 +447,44 @@ def _paint_gates(
     return (kept, *_blend_correction(prod, kept / (atoms - m0), m0 / atoms))
 
 
+def _gate(
+    tower: TowerSpec, partition: LabeledPartition, window: IndexSet, epsilon: float, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Paint's split and gate at budget ``epsilon`` on ``window``, run once:
+    the painted indices, the slice's labels, the flags of the shifts whose
+    correcting table has a negative cell, and the gate rows ``[shifts, kept
+    counts, xi, margins]`` of the unflagged shifts where ``keep`` holds."""
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+    size = partition.alphabet.size
+    cells = _cell_count(size, window)  # a window past the cap is refused even when no atom is painted
+    base = base_aligned_labels(tower, partition)
+    painted = _painted_split(base, size, epsilon / 10.0)
+    painted_base = base[:, painted]
+    flags = np.zeros(tower.height, dtype=bool)
+    if len(painted) == 0:
+        return painted, painted_base, flags, []
+    # gate blocks of at most 2^18 cells, so a wide window holds a few rows at once
+    shifts, rows = range(max(tower.height - max(window), 0)), max(1, 2**18 // cells)
+    gates = []
+    for block in (shifts[lo : lo + rows] for lo in range(0, len(shifts), rows)):
+        kept, xi, _, margins = _paint_gates(base, painted_base, block, window, size)
+        flags[block.start : block.stop] = margins < 0.0
+        take = keep[block.start : block.stop] & ~flags[block.start : block.stop]
+        gates.append([np.asarray(block)[take], kept[take], xi[take], margins[take]])
+    return painted, painted_base, flags, [np.concatenate(col) for col in zip(*gates)]
+
+
 def flag_dependent_shifts(
     tower: TowerSpec,
     partition: LabeledPartition,
     offsets: IndexLike,
     epsilon: float,
 ) -> np.ndarray:
-    """Flags for the shifts on which ``paint_tower`` at budget ``epsilon``, with
-    window plus fresh time equal to ``offsets``, would find a negative cell in
-    the correcting table. Paint runs the same split and gate, so it accepts
-    every shift left unflagged."""
-    offsets = _window_offsets(offsets)
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    size = partition.alphabet.size
-    cells = _cell_count(size, offsets)  # a window past the cap is refused even when no atom is painted
-    base = base_aligned_labels(tower, partition)
-    painted_base = base[:, _painted_split(base, size, epsilon / 10.0)]
-    flags = np.zeros(tower.height, dtype=bool)
-    if painted_base.shape[1] == 0:
-        return flags
-    # gate blocks of at most 2^18 cells, so a wide window holds a few rows at once
-    shifts, rows = range(max(tower.height - max(offsets), 0)), max(1, 2**18 // cells)
-    for block in (shifts[lo : lo + rows] for lo in range(0, len(shifts), rows)):
-        flags[block.start : block.stop] = _paint_gates(base, painted_base, block, offsets, size)[3] < 0.0
-    return flags
+    """Flags for the shifts on which paint's gate at budget ``epsilon``, with
+    window plus fresh time equal to ``offsets``, finds a negative cell in the
+    correcting table: the shifts ``paint_tower`` adds to ``in_e1``."""
+    return _gate(tower, partition, _window_offsets(offsets), epsilon, np.zeros(tower.height, dtype=bool))[2]
 
 
 # -- painting -----------------------------------------------------------------------
@@ -600,12 +616,15 @@ def paint_tower(
     independent on unflagged shifts, changing only a thin slice of the tower.
 
     The base is split into a painted part of mass ``epsilon/10`` (spread
-    evenly through every name class) and a kept part. For each unflagged
-    shift the kept part's window law is corrected toward the product of the
-    full per-level distributions; the correcting laws are extended to a
-    single column law in kernel form and painted onto the slice atom by atom.
-    Only the slice is written back, and the reported counts and window laws
-    are the kept part's counts plus those of the painted names.
+    evenly through every name class) and a kept part. For each shift the
+    kept part's window law is corrected toward the product of the full
+    per-level distributions. The shifts whose correcting table has a negative
+    cell are the ones ``flag_dependent_shifts`` flags; this same gate pass
+    adds them to ``in_e1`` and leaves them unclaimed. The correcting laws of
+    the other shifts are extended to a single column law in kernel form and
+    painted onto the slice atom by atom. Only the slice is written back, and
+    the reported counts and window laws are the kept part's counts plus
+    those of the painted names.
 
     Per-level distributions survive up to the reported quantization bound,
     per-level distances stay below the painted fraction, and flagged shifts
@@ -614,33 +633,34 @@ def paint_tower(
     offsets = _window_offsets(offsets)
     if m <= max(offsets):
         raise DomainError(f"fresh time {m} must exceed max offset {max(offsets)}")
-    height, atoms = tower.height, tower.atom_count
-    if m >= height:
-        raise WindowError(f"fresh time {m} does not fit in a tower of height {height}")
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError("epsilon must lie in (0, 1)")
-    height_ok = height > 10.0 * m / epsilon
-    size = partition.alphabet.size
+    if m >= tower.height:
+        raise WindowError(f"fresh time {m} does not fit in a tower of height {tower.height}")
     # every aligned row permutes its label row, so these are the base's counts
-    full_counts = _level_counts(partition.labels, size)
-    min_mass = float(full_counts.min()) / atoms
+    min_mass = float(_level_counts(partition.labels, partition.alphabet.size).min()) / tower.atom_count
     if min_mass < alpha - tol:
         raise DomainError(f"some level has a symbol of mass {min_mass} < alpha {alpha}")
+    gate = _gate(tower, partition, offsets.union((m,)), epsilon, ~(tower.in_e | tower.in_e1))
+    tower = tower.with_flags(in_e1=tower.in_e1 | gate[2])
+    return _paint(tower, partition, offsets, m, epsilon, seed, tol, gate)
 
+
+def _paint(
+    tower: TowerSpec, partition: LabeledPartition, offsets: IndexSet, m: int, epsilon: float, seed: int,
+    tol: float, gate: tuple,
+) -> PaintReport:
+    """The paint step of :func:`paint_tower` from ``_gate``'s pass on the window
+    ``offsets + {m}``, on a tower whose flags exempt every shift it rejected."""
+    height, atoms, size = tower.height, tower.atom_count, partition.alphabet.size
     window = offsets.union((m,))
-    _cell_count(size, window)  # a window past the cap is refused even when no atom is painted
-    base = base_aligned_labels(tower, partition)
-    valid = [j for j in range(height - m) if not (tower.in_e[j] or tower.in_e1[j])]
     e1_mass = float(np.sum(tower.in_e1[: height - m])) / height
     e3_mass = m / height
     budget_ok = {
-        "height": bool(height_ok),
+        "height": bool(height > 10.0 * m / epsilon),
         "e1": bool(e1_mass < epsilon / 10.0),
         "e3": bool(e3_mass < epsilon / 10.0),
     }
 
-    # split the base, spreading the painted slice through the sorted name order
-    painted = _painted_split(base, size, epsilon / 10.0)
+    painted, painted_base, _, rows = gate
     m0 = len(painted)
     if m0 == 0:
         zero = np.zeros(height)
@@ -664,9 +684,6 @@ def paint_tower(
             engine_max_defect=0.0,
             engine_max_b_norm=0.0,
         )
-    t_hat = m0 / atoms
-
-    painted_base = base[:, painted]
     painted_counts = _level_counts(painted_base, size)
     if painted_counts.min() <= 0:
         raise QuantizationError(
@@ -676,23 +693,12 @@ def paint_tower(
         DenseMeasure(partition.alphabet, (lvl,), painted_counts[lvl] / m0, tol=1e-12)
         for lvl in range(height)
     ]
-
-    kept_counts, xi_rows, worst, margins = _paint_gates(base, painted_base, valid, window, size)
-    for j, margin, cell in zip(valid, margins.tolist(), worst.tolist()):
-        if margin < -tol:
-            raise PositivityError(
-                f"shift {j} cannot be corrected at blend weight {t_hat}: "
-                f"cell margin {margin}; flag it or decrease the window deviation",
-                margin=margin,
-                cell=cell,
-            )
-    np.clip(xi_rows, 0.0, None, out=xi_rows)
+    valid, kept_counts, xi_rows, margins = rows[0].tolist(), *rows[1:]
     members = [
         DenseMeasure(partition.alphabet, window.shift(j), xi, "probability", tol=1e-6)
         for j, xi in zip(valid, xi_rows)
     ]
     members.extend(slice_marginals)
-    del base  # only the painted slice is read from here on
 
     alpha_family = min(mu.min_entry() for mu in slice_marginals)
     family = MarginalFamily(
@@ -740,7 +746,7 @@ def paint_tower(
         window_sup_gaps=window_sup_gaps,
         positivity_margins=dict(zip(valid, margins.tolist())),
         quantization_level_bound=size / m0,
-        painted_fraction=t_hat,
+        painted_fraction=m0 / atoms,
         painted_atoms=m0,
         budget_ok=budget_ok,
         degenerate=False,
@@ -780,9 +786,10 @@ def iterate_krengel(
 ) -> KrengelResult:
     """Repeated painting with geometric budgets ``epsilon / 2^j``.
 
-    At step ``j`` the driver takes the first unused candidate time whose
-    measured flags cover mass at most ``epsilon / 2^j / 10``, paints, adds the
-    flagged levels and the top levels of the step to the exempt set, and
+    At step ``j`` the driver runs paint's gate once per candidate time and
+    takes the first unused one whose flags outside the exempt set cover mass
+    at most ``epsilon / 2^j / 10``. It paints from that same gate pass, adds
+    the flagged levels and the top levels of the step to the exempt set, and
     appends the chosen time to the window. Raises
     :class:`~margex.errors.MixingSupplyError` naming the step when no
     candidate qualifies.
@@ -800,16 +807,9 @@ def iterate_krengel(
         for m in mixing_times:
             if not max(window) < m < tower.height:
                 continue
-            flags = flag_dependent_shifts(
-                tower.with_flags(in_e=in_e),
-                current,
-                IndexSet.of(window).union((m,)),
-                eps_j,
-            )
-            fresh = flags & ~in_e
-            fresh[tower.height - m :] = False
-            if float(fresh.sum()) / tower.height <= eps_j / 10.0 + 1e-12:
-                accepted = (m, flags)
+            gate = _gate(tower, current, IndexSet.of(window).union((m,)), eps_j, ~in_e)
+            if float((gate[2] & ~in_e).sum()) / tower.height <= eps_j / 10.0 + 1e-12:
+                accepted = (m, gate)
                 break
         if accepted is None:
             raise MixingSupplyError(
@@ -817,18 +817,10 @@ def iterate_krengel(
                 f"(budget {eps_j / 10.0})",
                 step=j,
             )
-        m, flags = accepted
+        m, gate = accepted
+        flags = gate[2]
         step_tower = tower.with_flags(in_e=in_e, in_e1=flags & ~in_e)
-        report = paint_tower(
-            step_tower,
-            current,
-            IndexSet.of(window),
-            m,
-            eps_j,
-            alpha=0.0,
-            seed=seed + j,
-            tol=tol,
-        )
+        report = _paint(step_tower, current, IndexSet.of(window), m, eps_j, seed + j, tol, gate)
         cumulative += report.per_level_distance
         current = report.q
         in_e |= flags
@@ -885,7 +877,7 @@ def fiber_surgery(
         raise WindowError(f"tower of height {height} cannot host offsets {tuple(offsets)}")
     size = partition.alphabet.size
     eligible = range(height - span)
-    declared = {int(i) for i in bad_levels if int(i) in eligible}
+    declared = {i for i in _coordinates(bad_levels) if i in eligible}
 
     base = base_aligned_labels(tower, partition)
     counts = _level_counts(base, size)

@@ -29,7 +29,6 @@ from margex import (
     delta_independence,
     extend_family,
     extend_family_chain,
-    extend_one_index,
     inclusion_exclusion_extension,
     product_measure,
     project,
@@ -265,41 +264,35 @@ class TestRightInverse:
 
 
 class TestExtendOneIndex:
+    """Single extension steps, read off ``extend_family``'s trace."""
+
     def test_forced_by_prescription(self):
         mu01 = DenseMeasure.uniform(A2, [0, 1])
         family = MarginalFamily(A2, (mu01,), 0.5, 2)
-        lam = measure(A2, [0], [0.5, 0.5])
-        lam2, step = extend_one_index(family, lam, 1, beta=0.1)
-        assert lam2.allclose(mu01, tol=1e-12)
-        assert step.beta_defect <= 1e-12
+        lam, trace = extend_family(family, [0, 1], beta=0.1)
+        assert project(lam, [0]).allclose(measure(A2, [0], [0.5, 0.5]), tol=1e-12)
+        assert lam.allclose(mu01, tol=1e-12)
+        assert trace.steps[1].beta_defect <= 1e-12
 
     def test_unconstrained_coordinate_is_uniform(self):
         family = MarginalFamily(A2, (DenseMeasure.uniform(A2, [0, 1]),), 0.5, 2)
-        lam = DenseMeasure.uniform(A2, [0, 1])
-        lam2, step = extend_one_index(family, lam, 7, beta=0.1)
-        assert step.trivial
+        lam, trace = extend_family(family, [0, 1, 7], beta=0.1)
+        assert project(lam, [0, 1]).allclose(DenseMeasure.uniform(A2, [0, 1]), tol=1e-12)
+        assert trace.steps[2].index == 7 and trace.steps[2].trivial
         assert sup_distance(
-            project(lam2, [7]), DenseMeasure.uniform(A2, [7])
+            project(lam, [7]), DenseMeasure.uniform(A2, [7])
         ) <= 1e-12
 
     def test_exact_products_give_products(self):
-        rng = np.random.default_rng(4)
         margs = [measure(A2, [i], [0.35, 0.65]) for i in range(4)]
         members = tuple(
             tensor(margs[i], margs[i + 1]) for i in range(3)
         )
         family = MarginalFamily(A2, members, 0.3, 3)
-        lam = DenseMeasure.unit(A2)
-        for n in range(4):
-            lam, step = extend_one_index(family, lam, n, beta=0.05)
-            assert step.beta_defect <= 1e-9
+        lam, trace = extend_family(family, range(4), beta=0.05)
+        assert [step.index for step in trace.steps] == [0, 1, 2, 3]
+        assert all(step.beta_defect <= 1e-9 for step in trace.steps)
         assert sup_distance(lam, product_measure(margs)) <= 1e-9
-
-    def test_existing_coordinate_rejected(self):
-        family = MarginalFamily(A2, (), 0.5, 1)
-        lam = DenseMeasure.uniform(A2, [0])
-        with pytest.raises(DomainError):
-            extend_one_index(family, lam, 0, beta=0.1)
 
 
 class TestExtendFamily:

@@ -21,7 +21,7 @@ from margex import (
     conditional_dist,
     consistency_gap,
     delta_independence,
-    extend_one_index,
+    extend_family,
     extension,
     name_distribution,
     product_of_marginals,
@@ -377,8 +377,8 @@ class TestZeroMassRule:
         assert step.beta_defect == pytest.approx(expected, abs=1e-12)
         # the step's defect does not raise; gluing onto a zero-mass overlap
         # cell is what fails
-        with pytest.raises(SingularityError, match="nonpositive cell"):
-            extend_one_index(family, lam, 1, beta=1.0)
+        with pytest.raises(SingularityError, match="coordinate 1: .*nonpositive cell"):
+            extend_family(family, [0, 1], beta=1.0)
 
     def test_window_deviation_gap_over_massive_atoms(self):
         labels = np.array(

@@ -88,3 +88,16 @@ def test_towers_counts_only_in_the_window_kernel():
         and getattr(call.func, "attr", getattr(call.func, "id", None)) == "bincount"
     ]
     assert callers == []
+
+
+def test_towers_splits_and_gates_only_in_one_pass():
+    # paint, flagging and Krengel share one split and gate per window
+    tree = ast.parse((SOURCE / "towers.py").read_text())
+    callers = [
+        (getattr(node, "name", f"line {node.lineno}"), call.func.id)
+        for node in tree.body
+        if getattr(node, "name", None) != "_gate"
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("_painted_split", "_paint_gates")
+    ]
+    assert callers == []

@@ -204,6 +204,17 @@ class TestNameDistribution:
         with pytest.raises(WindowError):
             name_distribution(tower, partition, base_level, offsets)
 
+    def test_base_level_read_as_an_integer(self):
+        # a fractional level is refused, not passed to numpy as an index;
+        # -0.0 is level 0
+        tower = genutil.permutation_tower(4, 32, seed=5)
+        partition = uniform_random_partition(tower, A2, seed=6)
+        with pytest.raises(DomainError, match="base_level must be an integer, got 1.5"):
+            name_distribution(tower, partition, 1.5, [0])
+        nd = name_distribution(tower, partition, -0.0, [0, 1])
+        assert list(nd.support) == [0, 1]
+        assert np.array_equal(nd.table, name_distribution(tower, partition, 0, [0, 1]).table)
+
     @pytest.mark.parametrize("size, base_level, offsets", [(2, 0, [0, 5]), (3, 90, [-7, 0, 9]), (2, 40, [3])])
     def test_tall_tower_matches_full_alignment(self, size, base_level, offsets):
         # only the window's rows are gathered; the law is the whole base's
@@ -468,6 +479,26 @@ class TestFlagging:
         assert len(calls) == 1
         paint_tower(tower.with_flags(in_e1=flags), partition, [0], 2, epsilon=0.4, alpha=0.3)
         assert len(calls) == 2
+        # paint alone flags in the same pass
+        paint_tower(tower, partition, [0], 2, epsilon=0.4, alpha=0.3)
+        assert len(calls) == 3
+
+    def test_krengel_aligns_once_per_candidate(self, monkeypatch):
+        calls = []
+
+        def counting(tower, partition):
+            calls.append(tower.height)
+            return base_aligned_labels(tower, partition)
+
+        monkeypatch.setattr(towers, "base_aligned_labels", counting)
+        tower = genutil.permutation_tower(16, 2**12, seed=44)
+        partition = genutil.bit_slice_partition(tower, A2, bits=12)
+        # lags 2 and 3 are fully dependent, so step 1 tries 2, 3 and accepts 4
+        partition = genutil.copy_corrupt(tower, partition, 5, 3, 1.0, seed=1)
+        partition = genutil.copy_corrupt(tower, partition, 6, 3, 1.0, seed=2)
+        res = iterate_krengel(tower, partition, [2, 3, 4], epsilon=0.4, steps=1)
+        assert res.chosen_times == (4,)
+        assert len(calls) == 3
 
     def test_wide_window_gates_in_blocks(self, monkeypatch):
         # 2^16 cells per window: four shifts per block of 2^18 cells
@@ -640,6 +671,30 @@ class TestFlagPaintAgreement:
             except MixingSupplyError:
                 pass  # a refusal: no candidate time mixes enough
 
+    @staticmethod
+    def outcome(paint):
+        try:
+            report = paint()
+        except PositivityError as err:  # the chain's own refusal, not the gate's
+            return str(err)
+        return report.q.labels.tobytes(), report.to_dict()
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("offsets, m", [([0], 2), ([0, 1], 3)])
+    def test_paint_alone_equals_flag_then_paint(self, size, offsets, m):
+        alphabet, flagged = Alphabet(size), 0
+        for seed in range(8):
+            tower = genutil.permutation_tower(32, 2**12, seed)
+            partition = uniform_random_partition(tower, alphabet, seed=2000 + seed)
+            flags = flag_dependent_shifts(tower, partition, offsets + [m], 0.4)
+            flagged += int(flags.sum())
+            alone = self.outcome(lambda: paint_tower(tower, partition, offsets, m, 0.4, 0.0, seed))
+            after = self.outcome(
+                lambda: paint_tower(tower.with_flags(in_e1=flags), partition, offsets, m, 0.4, 0.0, seed)
+            )
+            assert alone == after
+        assert flagged > 0
+
 
 class TestPaintTower:
     def test_degenerate_split(self):
@@ -697,15 +752,16 @@ class TestPaintTower:
         assert 7 not in report.window_defects
         assert report.e1_mass == pytest.approx(1 / 16)
 
-    def test_unflagged_dependent_shift_raises(self):
+    def test_unflagged_dependent_shift_flagged(self):
         # the instance of TestFlagging::test_hard_dependence_flagged, whose
-        # flags are [7], painted without them
+        # flags are [7], painted without them: paint's own gate flags shift 7
         tower = genutil.permutation_tower(16, 2**14, seed=22)
         partition = genutil.bit_slice_partition(tower, A2, bits=14)
         partition = genutil.copy_corrupt(tower, partition, 9, 7, 0.5, seed=1)
-        with pytest.raises(PositivityError, match="shift 7 ") as err:
-            paint_tower(tower, partition, [0], 2, 0.4, alpha=0.0)
-        assert err.value.margin < 0 and err.value.cell == 3
+        report = paint_tower(tower, partition, [0], 2, 0.4, alpha=0.0)
+        assert 7 not in report.window_defects
+        assert sorted(report.window_defects) == [j for j in range(14) if j != 7]
+        assert report.e1_mass == 1 / 16
 
     def test_window_cell_cap_checked_before_split(self):
         # two atoms leave the painted slice empty, so only the window's own
@@ -842,6 +898,15 @@ class TestFiberSurgery:
         tower, partition = self._clean_instance(51)
         out = fiber_surgery(tower, partition, [0, 3], [])
         assert np.array_equal(out.labels, partition.labels)
+
+    def test_fractional_bad_level_refused(self):
+        # level 0 relabels this tower, so reading 0.9 as 0 would show
+        tower, partition = self._clean_instance(55, height=8, atoms=2**8, bits=8)
+        relabeled = fiber_surgery(tower, partition, [0, 1], [0])
+        assert not np.array_equal(relabeled.labels, partition.labels)
+        with pytest.raises(DomainError, match="coordinate must be an integer, got 0.9"):
+            fiber_surgery(tower, partition, [0, 1], [0.9])
+        assert np.array_equal(fiber_surgery(tower, partition, [0, 1], [0.0]).labels, relabeled.labels)
 
     def test_single_offset_relabel_preserves_distribution(self):
         tower, partition = self._clean_instance(52)
