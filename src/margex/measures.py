@@ -29,6 +29,10 @@ from .errors import (
 CELL_CAP = 2**24
 DEFAULT_TOL = 1e-9
 SCAN_ALL_LIMIT = 8
+# _sum_out's own kernel starts here. Timed on every reduction pattern of one
+# extension-workload round, it took 1.3x numpy's time at 1024 cells and
+# 0.5x from 2048 cells (2-core Xeon); 4096 leaves a factor of two of margin.
+SUM_OUT_MIN_CELLS = 4096
 
 IndexLike = Union["IndexSet", Iterable[int]]
 
@@ -53,8 +57,8 @@ class Alphabet:
 
 def _spec_int(value, name: str) -> int:
     """The integer field ``name`` of a JSON spec: ``int(value)``, refusing a
-    fractional number that ``int`` would truncate."""
-    if isinstance(value, float) and not value.is_integer():
+    fractional number that ``int`` would truncate, Python's or numpy's."""
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
         raise DomainError(f"{name} must be an integer, got {value}")
     return int(value)
 
@@ -290,9 +294,41 @@ def project(m: DenseMeasure, target: IndexLike) -> DenseMeasure:
 
 def _sum_out(arr: np.ndarray, support: Sequence[int], target) -> np.ndarray:
     """The table ``arr`` over ``support`` summed onto those coordinates in
-    ``target``, by :func:`project`'s reduction; ``arr`` itself if none drop."""
+    ``target``, by :func:`project`'s reduction; ``arr`` itself if none drop.
+
+    The result has the bits of ``arr.sum(axis=drop)``. numpy sums each row
+    of the trailing block of dropped axes pairwise (a row shorter than 8
+    sequentially from its first cell), then adds those row sums into the
+    output, which starts at ``+0.0``, one after another over the other
+    dropped cells in C order. When a kept axis is innermost, numpy does that
+    second part with an inner loop as short as the kept block, two or three
+    cells, which is slow on a big table. A table of at least
+    ``SUM_OUT_MIN_CELLS`` cells that keeps some axis is summed here in the
+    same order with long loops: the trailing rows of ``q`` cells by
+    ``sum(axis=-1)``, or by column adds when ``q < 8``, then the remaining
+    dropped axes by ``np.einsum``, whose output also starts at ``+0.0`` and
+    adds in C order. ``tests/test_measures.py::TestSumOut`` pins the bits
+    to the installed numpy. Tables are C-contiguous, as every table in the
+    package is.
+    """
     drop = tuple(p for p, i in enumerate(support) if i not in target)
-    return arr.sum(axis=drop) if drop else arr
+    if not drop:
+        return arr
+    if arr.size < SUM_OUT_MIN_CELLS or len(drop) == arr.ndim:
+        return arr.sum(axis=drop)
+    cut = arr.ndim
+    while cut - 1 in drop:
+        cut -= 1
+    if cut < arr.ndim:
+        rows = arr.reshape(arr.shape[:cut] + (-1,))
+        if rows.shape[-1] >= 8:
+            arr = rows.sum(axis=-1)
+        else:
+            arr = rows[..., 0] + 0.0  # numpy's +0.0 start: -0.0 rows sum to +0.0
+            for j in range(1, rows.shape[-1]):
+                arr += rows[..., j]
+    keep = [p for p in range(cut) if p not in drop]
+    return arr if len(keep) == cut else np.einsum(arr, list(range(cut)), keep)
 
 
 def tensor(m1: DenseMeasure, m2: DenseMeasure) -> DenseMeasure:
@@ -338,7 +374,8 @@ def sup_distance(m1: DenseMeasure, m2: DenseMeasure) -> float:
     """Sup-norm distance between two measures on the same support."""
     if m1.alphabet != m2.alphabet or m1.support != m2.support:
         raise DomainError("sup_distance requires identical alphabet and support")
-    return float(np.abs(m1.table - m2.table).max())
+    diff = m1.table - m2.table
+    return float(np.abs(diff, out=diff).max())
 
 
 def consistency_gap(m1: DenseMeasure, m2: DenseMeasure) -> float:
@@ -427,7 +464,9 @@ def _glue(size, lam, lam_support, sigma, sigma_support, rho, gap, tol):
 def conditional_rows(m: DenseMeasure, coord: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows: lexicographic cells of the other coordinates; columns: symbols
     of ``coord``. Also each row's mass; zero-mass rows are the caller's."""
-    arr = np.moveaxis(m.as_array(), m.support.position(coord), -1)
+    arr, axis = m.as_array(), m.support.position(coord)
+    if axis != arr.ndim - 1:
+        arr = np.moveaxis(arr, axis, -1)
     rows = arr.reshape(-1, m.alphabet.size)
     return rows, rows.sum(axis=1)
 

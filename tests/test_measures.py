@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -89,7 +90,9 @@ class TestIndexSet:
                 assert all(type(i) is int for i in got)
             assert k.issubset(other) == (a <= b)
 
-    @pytest.mark.parametrize("items", [[0, 2.5], [0.9], [np.float64(1.5), 3]])
+    @pytest.mark.parametrize(
+        "items", [[0, 2.5], [0.9], [np.float64(1.5), 3], [np.float16(1.5)], [0, np.float32(2.5)]]
+    )
     def test_fractional_coordinate_refused(self, items):
         with pytest.raises(DomainError, match="coordinate must be an integer"):
             IndexSet.of(items)
@@ -97,9 +100,21 @@ class TestIndexSet:
             IndexSet(tuple(items))
 
     def test_whole_floats_and_numpy_integers_pass(self):
-        for items in ([0, 2.0], [np.int16(0), np.int64(2)], np.array([0.0, 2.0]), np.array([0, 2])):
+        for items in (
+            [0, 2.0],
+            [np.int16(0), np.int64(2)],
+            [0, np.float32(2.0)],
+            np.array([0.0, 2.0]),
+            np.array([0, 2]),
+        ):
             got = IndexSet.of(items)
             assert got.indices == (0, 2) and all(type(i) is int for i in got)
+
+    @pytest.mark.parametrize("value", [np.float16(1.5), np.float32(1.5), np.float32(2.5)])
+    def test_fractional_numpy_scalar_refused(self, value):
+        with pytest.raises(DomainError, match="x must be an integer"):
+            measures._spec_int(value, "x")
+        assert measures._spec_int(np.float32(2.0), "x") == 2
 
     def test_bad_input_keeps_its_message(self):
         with pytest.raises(DomainError, match=r"^duplicate coordinates in \(1, 1\)$"):
@@ -198,6 +213,13 @@ class TestSupDistanceAndConsistency:
         m1 = measure(A2, [0, 1], [0.26, 0.24, 0.24, 0.26])
         m2 = measure(A2, [0, 1], [0.25] * 4)
         assert sup_distance(m1, m2) == sup_distance(m2, m1)
+
+    def test_nan_and_inf_propagate(self):
+        finite = measure(A2, [0], [0.5, 0.5])
+        nan = DenseMeasure(A2, IndexSet.of([0]), [np.nan, 0.5], "signed")
+        inf = DenseMeasure(A2, IndexSet.of([0]), [np.inf, 0.5], "signed")
+        assert np.isnan(sup_distance(nan, finite)) and np.isnan(sup_distance(finite, nan))
+        assert sup_distance(inf, finite) == np.inf and sup_distance(finite, inf) == np.inf
 
     def test_support_mismatch(self):
         with pytest.raises(DomainError):
@@ -462,6 +484,43 @@ class TestGlueAxisOrder:
         out = relative_product(lam, sigma, tol=1.0)
         assert out.support == union
         assert out.table.tobytes() == expected.tobytes()
+
+
+class TestSumOut:
+    """``_sum_out`` carries the bits of ``arr.sum(axis=drop)`` on both sides
+    of its cell-count crossover. This pins the summation order of the
+    installed numpy: a numpy that sums in another order fails here."""
+
+    @staticmethod
+    def tables(shape, seed):
+        rng = np.random.default_rng(seed)
+        signed = rng.standard_normal(shape)
+        with_zeros = rng.standard_normal(shape)
+        with_zeros[rng.random(shape) < 0.3] = -0.0
+        return [rng.random(shape), signed, with_zeros, np.full(shape, -0.0)]
+
+    @pytest.mark.parametrize(
+        "shape, edge",
+        [((2,) * 10, 10), ((3,) * 7, 7), ((2,) * 13, 3), ((3,) * 8, 3)],
+        ids=["2^10", "3^7", "2^13", "3^8"],
+    )
+    def test_matches_numpy_sum_bit_for_bit(self, shape, edge):
+        # below the crossover every kept subset; above it those that keep
+        # or drop at most ``edge`` axes
+        n = len(shape)
+        assert (int(np.prod(shape)) < measures.SUM_OUT_MIN_CELLS) == (edge == n)
+        support = tuple(range(5, 5 + n))
+        for arr in self.tables(shape, seed=n):
+            for r in range(n + 1):
+                if min(r, n - r) > edge:
+                    continue
+                for kept in itertools.combinations(range(n), r):
+                    drop = tuple(p for p in range(n) if p not in kept)
+                    want = arr.sum(axis=drop) if drop else arr
+                    got = measures._sum_out(arr, support, [support[p] for p in kept])
+                    assert got.shape == want.shape, kept
+                    assert np.array_equal(got, want), kept
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), kept
 
 
 class TestCapacityAndValidation:

@@ -101,3 +101,19 @@ def test_towers_splits_and_gates_only_in_one_pass():
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("_painted_split", "_paint_gates")
     ]
     assert callers == []
+
+
+def test_axis_sums_only_in_the_reduction_kernels():
+    # one kernel sums tables onto coordinates; conditional_rows sums its rows
+    owners = ("_sum_out", "conditional_rows")
+    callers = [
+        (path, getattr(node, "name", f"line {node.lineno}"))
+        for path in ("measures.py", "extension.py")
+        for node in ast.parse((SOURCE / path).read_text()).body
+        if getattr(node, "name", None) not in owners
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "attr", None) == "sum"
+        and any(kw.arg == "axis" for kw in call.keywords)
+    ]
+    assert callers == []

@@ -456,6 +456,12 @@ class TestFlagging:
         with pytest.raises(DomainError, match="coordinate must be an integer, got 2.5"):
             flag_dependent_shifts(tower, partition, [0, 2.5], 0.4)
 
+    def test_fractional_float32_window_refused(self):
+        tower = genutil.permutation_tower(8, 256, seed=3)
+        partition = uniform_random_partition(tower, A2, seed=4)
+        with pytest.raises(DomainError, match="coordinate must be an integer, got 2.5"):
+            flag_dependent_shifts(tower, partition, np.array([0, 2.5], dtype=np.float32), 0.4)
+
     def test_matches_per_shift_reference(self):
         tower = genutil.permutation_tower(16, 2**12, seed=23)
         partition = uniform_random_partition(tower, A2, seed=24)
