@@ -13,8 +13,8 @@ The package has four functional layers:
   distributions of labeled partitions, correcting measures, painting names on
   towers, and exact fiber surgery.
 * :mod:`margex.rds` -- skew products over coin-flip bases at desk scale: the
-  (S, S^-1) construction, sign partitions of long windows, cocycle sums, and
-  fiberwise mixing coefficients on cylinders.
+  (S, S^-1) construction, sign partitions of long windows, and fiberwise
+  mixing coefficients on cylinders.
 """
 
 from .errors import (
@@ -36,7 +36,6 @@ from .measures import (
     DenseMeasure,
     IndexSet,
     MarginalFamily,
-    conditional_dist,
     consistency_gap,
     delta_independence,
     product_measure,
@@ -61,7 +60,6 @@ from .extension import (
     verify_hypotheses,
 )
 from .towers import (
-    FiberSpace,
     LabeledPartition,
     PaintReport,
     TowerSpec,
@@ -75,7 +73,6 @@ from .towers import (
     uniform_random_partition,
 )
 from .rds import (
-    Cocycle,
     CounterexampleReport,
     Cylinder,
     SkewProduct,

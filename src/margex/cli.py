@@ -32,10 +32,9 @@ from .extension import (
     thresholds,
     verify_hypotheses,
 )
-from .measures import CELL_CAP, Alphabet, DenseMeasure, IndexSet, MarginalFamily, _spec_int
+from .measures import CELL_CAP, Alphabet, DenseMeasure, IndexSet, MarginalFamily, _spec_float, _spec_int
 from .rds import Cylinder, SkewProduct, _check_seed, counterexample_check, relative_mixing_coefficient
 from .towers import (
-    FiberSpace,
     LabeledPartition,
     TowerSpec,
     correcting_measure,
@@ -152,7 +151,7 @@ def _tower_from_spec(spec: dict) -> tuple[TowerSpec, LabeledPartition]:
     flags = spec.get("flags", {})
     tower = TowerSpec(
         height,
-        FiberSpace(atoms),
+        atoms,
         transfer,
         np.asarray(flags["in_E"], dtype=bool) if "in_E" in flags else None,
         np.asarray(flags["in_E1"], dtype=bool) if "in_E1" in flags else None,
@@ -177,9 +176,9 @@ def _tower_from_spec(spec: dict) -> tuple[TowerSpec, LabeledPartition]:
 def _cmd_verify(args, spec):
     family, _ = _family_from_spec(spec)
     with _spec_errors():
-        c_prime = float(spec.get("c_prime", 1.0))
+        c_prime = _spec_float(spec.get("c_prime", 1.0), "c_prime")
         _, delta = thresholds(family.alpha, family.n_cap, c_prime)
-        delta = float(spec.get("delta", delta))
+        delta = _spec_float(spec.get("delta", delta), "delta")
     report = verify_hypotheses(family, delta, tol=args.tol)
     return report.to_dict(), report.ok
 
@@ -187,7 +186,7 @@ def _cmd_verify(args, spec):
 def _cmd_extend(args, spec):
     family, window = _family_from_spec(spec, "extend")
     with _spec_errors():
-        beta = float(spec.get("beta", thresholds(family.alpha, family.n_cap, 1.0)[0]))
+        beta = _spec_float(spec.get("beta", thresholds(family.alpha, family.n_cap, 1.0)[0]), "beta")
     measure, trace = extend_family(family, window, beta, tol=args.tol)
     out = {
         "beta": beta,
@@ -209,7 +208,7 @@ def _cmd_correct(args, spec):
         marginals = None
         if "marginals" in spec:
             marginals = [DenseMeasure.from_dict(m) for m in spec["marginals"]]
-        t = float(spec["t"])
+        t = _spec_float(spec["t"], "t")
     xi = correcting_measure(nu, marginals, t, tol=args.tol)
     blend_gap = float(
         np.max(
@@ -228,8 +227,8 @@ def _cmd_paint(args, spec):
         tower, partition = _tower_from_spec(spec["tower"])
         offsets = IndexSet.of([_spec_int(k, "K") for k in spec.get("K", [0])])
         m = _spec_int(spec["m"], "m")
-        epsilon = float(spec.get("epsilon", 0.4))
-        alpha = float(spec.get("alpha", 0.0))
+        epsilon = _spec_float(spec.get("epsilon", 0.4), "epsilon")
+        alpha = _spec_float(spec.get("alpha", 0.0), "alpha")
     report = paint_tower(tower, partition, offsets, m, epsilon, alpha, seed=args.seed, tol=args.tol)
     payload = report.to_dict()
     ok = report.error_mass() < epsilon
@@ -240,7 +239,7 @@ def _cmd_krengel(args, spec):
     with _spec_errors():
         tower, partition = _tower_from_spec(spec["tower"])
         times = [_spec_int(t, "mixing_times") for t in spec.get("mixing_times", [])]
-        epsilon = float(spec.get("epsilon", 0.4))
+        epsilon = _spec_float(spec.get("epsilon", 0.4), "epsilon")
         steps = _spec_int(spec.get("steps", 1), "steps")
     result = iterate_krengel(tower, partition, times, epsilon, steps, seed=args.seed, tol=args.tol)
     payload = result.to_dict()

@@ -547,8 +547,7 @@ class ChainExtension:
     def dense(self) -> DenseMeasure:
         return self.marginal(self.window)
 
-    def max_beta_defect(self) -> float:
-        return max((s.beta_defect for s in self.steps), default=0.0)
+    max_beta_defect = ExtensionTrace.max_beta_defect
 
 
 def extend_family_chain(

@@ -63,6 +63,15 @@ def _spec_int(value, name: str) -> int:
     return int(value)
 
 
+def _spec_float(value, name: str) -> float:
+    """The real field ``name`` of a JSON spec: ``float(value)``, refusing NaN
+    and infinities, which would pass every range check unseen."""
+    out = float(value)
+    if not np.isfinite(out):
+        raise DomainError(f"{name} must be finite, got {out}")
+    return out
+
+
 def _coordinates(items) -> tuple[int, ...]:
     """``items`` as ints, each refused by the rule of ``_spec_int``; the rule
     is checked only when some item is not already equal to its int."""
@@ -216,14 +225,6 @@ class DenseMeasure:
         return cls(alphabet, support, np.full(cells, 1.0 / cells), "probability")
 
     @classmethod
-    def point(cls, alphabet: Alphabet, support: IndexLike, cell: Sequence[int]) -> "DenseMeasure":
-        support = IndexSet.of(support)
-        cells = _cell_count(alphabet.size, support)
-        table = np.zeros(cells)
-        table[np.ravel_multi_index(tuple(cell), (alphabet.size,) * len(support))] = 1.0
-        return cls(alphabet, support, table, "probability")
-
-    @classmethod
     def unit(cls, alphabet: Alphabet) -> "DenseMeasure":
         """The unique probability measure on the one-point space ``A^{}``."""
         return cls(alphabet, EMPTY, np.ones(1), "probability")
@@ -236,18 +237,8 @@ class DenseMeasure:
     def as_array(self) -> np.ndarray:
         return self.table.reshape(self.shape)
 
-    def total_mass(self) -> float:
-        return float(self.table.sum())
-
     def min_entry(self) -> float:
         return float(self.table.min())
-
-    def allclose(self, other: "DenseMeasure", tol: float = DEFAULT_TOL) -> bool:
-        return (
-            self.alphabet == other.alphabet
-            and self.support == other.support
-            and bool(np.all(np.abs(self.table - other.table) <= tol))
-        )
 
     # -- method mirrors of the module operations --------------------------------
     def project(self, target: IndexLike) -> "DenseMeasure":
@@ -265,13 +256,12 @@ class DenseMeasure:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, tol: float = DEFAULT_TOL) -> "DenseMeasure":
+    def from_dict(cls, data: dict) -> "DenseMeasure":
         return cls(
             Alphabet(_spec_int(data["alphabet_size"], "alphabet_size")),
             IndexSet.of([_spec_int(i, "indices") for i in data["indices"]]),
             np.asarray(data["table"], dtype=np.float64),
             data.get("kind", "probability"),
-            tol,
         )
 
 
@@ -347,6 +337,8 @@ def tensor(m1: DenseMeasure, m2: DenseMeasure) -> DenseMeasure:
 
 def product_measure(marginals: Sequence[DenseMeasure]) -> DenseMeasure:
     """Product of one-dimensional measures on pairwise distinct coordinates."""
+    if not marginals:
+        raise DomainError("product_measure needs at least one marginal")
     out = DenseMeasure.unit(marginals[0].alphabet)
     for m in marginals:
         out = tensor(out, m)
@@ -382,37 +374,6 @@ def consistency_gap(m1: DenseMeasure, m2: DenseMeasure) -> float:
     """Sup distance on the common coordinates; for disjoint supports, of the total masses."""
     common = m1.support.intersection(m2.support)
     return sup_distance(project(m1, common), project(m2, common))
-
-
-def conditional_dist(
-    m: DenseMeasure, given: IndexLike, value: Sequence[int]
-) -> DenseMeasure:
-    """Conditional distribution of ``m`` on the remaining coordinates.
-
-    ``value`` fixes the coordinates in ``given`` (aligned with ascending
-    order). Conditioning on the empty set returns ``m`` itself.
-    """
-    given = IndexSet.of(given)
-    if m.kind != "probability":
-        raise DomainError("conditional_dist needs a probability measure")
-    if not given.issubset(m.support):
-        raise DomainError(f"{tuple(given)} is not a subset of {tuple(m.support)}")
-    if not given:
-        return m
-    value = tuple(int(v) for v in value)
-    if len(value) != len(given):
-        raise DomainError("conditioning value length does not match the given coordinates")
-    idx: list[object] = [slice(None)] * len(m.support)
-    for i, v in zip(given, value):
-        if not 0 <= v < m.alphabet.size:
-            raise DomainError(f"symbol {v} outside alphabet of size {m.alphabet.size}")
-        idx[m.support.position(i)] = v
-    sub = m.as_array()[tuple(idx)]
-    mass = float(sub.sum())
-    if mass <= 0.0:
-        raise ZeroMassError(f"conditioning atom {value} on {tuple(given)} has mass {mass}")
-    rest = m.support.difference(given)
-    return DenseMeasure(m.alphabet, rest, (sub / mass).reshape(-1), "probability", tol=1e-6)
 
 
 def relative_product(
@@ -633,7 +594,7 @@ class MarginalFamily:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, tol: float = DEFAULT_TOL) -> "MarginalFamily":
+    def from_dict(cls, data: dict) -> "MarginalFamily":
         alphabet = Alphabet(_spec_int(data["alphabet_size"], "alphabet_size"))
         members = tuple(
             DenseMeasure(
@@ -641,8 +602,7 @@ class MarginalFamily:
                 IndexSet.of([_spec_int(i, "indices") for i in item["indices"]]),
                 np.asarray(item["table"], dtype=np.float64),
                 "probability",
-                tol,
             )
             for item in data["members"]
         )
-        return cls(alphabet, members, float(data["alpha"]), _spec_int(data["N"], "N"))
+        return cls(alphabet, members, _spec_float(data["alpha"], "alpha"), _spec_int(data["N"], "N"))

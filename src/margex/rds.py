@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, WindowError
 from .measures import CELL_CAP
-from .towers import FiberSpace, TowerSpec, _check_tower_cells, seeded_permutation_transfer
+from .towers import TowerSpec, _check_tower_cells, seeded_permutation_transfer
 
 # caps the window W and the iterate n of the counterexample, `_walk_count` and
 # so the exact fallback of `_central_walk_mass`
@@ -39,23 +39,6 @@ _STIRLING = tuple(map(Fraction, (
 def _check_odd_window(w: int) -> None:
     if w < 3 or w % 2 == 0:
         raise DomainError(f"window must be odd and >= 3, got {w}")
-
-
-class Cocycle:
-    """Running sums of base symbols: the fiber displacement after n steps."""
-
-    @staticmethod
-    def evaluate(n: int, omega: np.ndarray) -> int:
-        if n < 0 or n > len(omega):
-            raise DomainError(f"need {n} symbols, got {len(omega)}")
-        return int(np.sum(omega[:n]))
-
-    @staticmethod
-    def identity_gap(n: int, m: int, omega: np.ndarray) -> int:
-        """phi(n+m) - phi(n) - phi(m, shifted); zero for every word."""
-        lhs = Cocycle.evaluate(n + m, omega)
-        rhs = Cocycle.evaluate(n, omega) + Cocycle.evaluate(m, omega[n:])
-        return lhs - rhs
 
 
 @dataclass(frozen=True)
@@ -78,9 +61,6 @@ class Cylinder:
 
     def shifted(self, offset: int) -> "Cylinder":
         return Cylinder(tuple((i + offset, v) for i, v in self.constraints))
-
-    def coordinates(self) -> list[int]:
-        return [i for i, _ in self.constraints]
 
 
 @dataclass(frozen=True)
@@ -415,4 +395,4 @@ def build_tower_from_base(
         transfer = seeded_permutation_transfer(height, n, seed)
     else:
         raise DomainError(f"unknown fiber rule {fiber_rule!r}")
-    return TowerSpec(height, FiberSpace(n), transfer)
+    return TowerSpec(height, n, transfer)

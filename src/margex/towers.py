@@ -78,41 +78,32 @@ def _check_tower_cells(height: int, atoms: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FiberSpace:
-    """A fiber approximated by equal-mass atoms."""
-
-    atom_count: int
-
-    def __post_init__(self):
-        if self.atom_count < 1:
-            raise DomainError(f"fiber needs at least one atom, got {self.atom_count}")
-
-
 @dataclass(eq=False)
 class TowerSpec:
-    """A tower of ``height`` equal fibers with bijective transfer maps.
+    """A tower of ``height`` fibers of ``atom_count`` equal-mass atoms each,
+    with bijective transfer maps.
 
     ``transfer[j]`` maps the atom index at level ``j`` to its image index at
     level ``j + 1``; ``None`` means the identity at every step. The tower keeps
     only their composition, the read-only ``positions[j][b]``: the level-``j``
     index of the atom based at ``b``. ``in_e`` and ``in_e1`` flag shifts whose
     windows are exempt from independence claims (established by the caller
-    from measured defects). ``residual_mass`` is the mass not covered.
+    from measured defects).
     """
 
     height: int
-    fiber: FiberSpace
+    atom_count: int
     transfer: InitVar[np.ndarray | None] = None
     in_e: np.ndarray | None = None
     in_e1: np.ndarray | None = None
-    residual_mass: float = 0.0
     positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, transfer):
+        n = self.atom_count
+        if n < 1:
+            raise DomainError(f"fiber needs at least one atom, got {n}")
         if self.height < 1:
             raise DomainError(f"tower height must be >= 1, got {self.height}")
-        n = self.fiber.atom_count
         _check_tower_cells(self.height, n)
         pos = np.empty((self.height, n), dtype=np.int32)
         pos[0] = np.arange(n, dtype=np.int32)
@@ -134,8 +125,6 @@ class TowerSpec:
         pos.setflags(write=False)
         self.positions = pos
         self._set_flags(self.in_e, self.in_e1)
-        if not 0.0 <= self.residual_mass < 1.0:
-            raise DomainError("residual mass must lie in [0, 1)")
 
     def _set_flags(self, in_e, in_e1) -> None:
         for name, flags in (("in_e", in_e), ("in_e1", in_e1)):
@@ -146,10 +135,6 @@ class TowerSpec:
                 if flags.shape != (self.height,):
                     raise DomainError(f"{name} must have one flag per level")
             setattr(self, name, flags)
-
-    @property
-    def atom_count(self) -> int:
-        return self.fiber.atom_count
 
     def with_flags(
         self, in_e: np.ndarray | None = None, in_e1: np.ndarray | None = None
@@ -378,6 +363,8 @@ def correcting_measure(
         raise DomainError(f"blend weight must lie in (0, 1), got {t}")
     if nu.kind != "probability":
         raise DomainError("correcting_measure needs a probability measure")
+    if not nu.support:
+        raise DomainError("correcting_measure needs a measure on at least one coordinate")
     if marginals is None:
         marginals = [nu.project((i,)) for i in nu.support]
     else:
@@ -573,7 +560,7 @@ class PaintReport:
     degenerate: bool
     engine_max_defect: float
     engine_max_b_norm: float
-    engine_max_clip: float = 0.0
+    engine_max_clip: float
 
     def error_mass(self) -> float:
         return self.e1_mass + self.e2_mass + self.e3_mass
@@ -662,97 +649,83 @@ def _paint(
 
     painted, painted_base, _, rows = gate
     m0 = len(painted)
-    if m0 == 0:
-        zero = np.zeros(height)
-        return PaintReport(
-            q=partition,
-            chosen_m=m,
-            offsets=offsets,
-            e1_mass=e1_mass,
-            e2_mass=tower.residual_mass,
-            e3_mass=e3_mass,
-            per_level_distance=zero,
-            per_level_distribution_gap=zero.copy(),
-            window_defects={},
-            window_sup_gaps={},
-            positivity_margins={},
-            quantization_level_bound=float("inf"),
-            painted_fraction=0.0,
-            painted_atoms=0,
-            budget_ok=budget_ok,
-            degenerate=True,
-            engine_max_defect=0.0,
-            engine_max_b_norm=0.0,
-        )
-    painted_counts = _level_counts(painted_base, size)
-    if painted_counts.min() <= 0:
-        raise QuantizationError(
-            "the painted slice misses a symbol on some level; increase the atom count"
-        )
-    slice_marginals = [
-        DenseMeasure(partition.alphabet, (lvl,), painted_counts[lvl] / m0, tol=1e-12)
-        for lvl in range(height)
-    ]
-    valid, kept_counts, xi_rows, margins = rows[0].tolist(), *rows[1:]
-    members = [
-        DenseMeasure(partition.alphabet, window.shift(j), xi, "probability", tol=1e-6)
-        for j, xi in zip(valid, xi_rows)
-    ]
-    members.extend(slice_marginals)
-
-    alpha_family = min(mu.min_entry() for mu in slice_marginals)
-    family = MarginalFamily(
-        partition.alphabet,
-        tuple(members),
-        min(alpha_family, 0.5),
-        max((len(window) - 1) * len(window) + 1, 2),
-    )
-    # positivity and the prescription identities are enforced inside the chain;
-    # per-step defects are amplified member defects and are reported, not gated.
-    # negativity up to a small fraction of the window's product floor is clipped
-    # and recorded: the blend cancels it down to a painted-fraction multiple.
-    pos_slack = 0.05 * alpha_family ** len(window)
-    chain = extend_family_chain(
-        family, range(height), beta=None, tol=max(tol, 1e-7), pos_tol=pos_slack
-    )
-
-    names = _paint_names(chain, m0, seed).T
-    per_level_distance = np.count_nonzero(names != painted_base, axis=1) / atoms
-    # only the painted atoms change: write them at their level-j indices, and
-    # update counts and window laws by the painted names less the old slice
-    labels = partition.labels.copy()
-    for j, pos in enumerate(tower.positions):
-        labels[j, pos[painted]] = names[j]
-    q = LabeledPartition._owned(partition.alphabet, labels)
-    per_level_gap = np.abs(_level_counts(names, size) - painted_counts).max(axis=1) / atoms
-
+    # an empty slice paints nothing: the report keeps these values
+    q, per_level_distance, per_level_gap = partition, np.zeros(height), np.zeros(height)
+    valid, margins = [], np.zeros(0)
+    max_defect = max_b_norm = max_clip = 0.0
     window_defects: dict[int, float] = {}
     window_sup_gaps: dict[int, float] = {}
-    for j, counts in zip(valid, kept_counts + _window_counts(names, _shifted(valid, window), size)):
-        nu_new = _count_law(counts, partition.alphabet, j, window)
-        window_sup_gaps[j] = sup_distance(nu_new, nu_new.product_of_marginals())
-        window_defects[j] = delta_independence(nu_new, "ascending")
+    if m0:
+        painted_counts = _level_counts(painted_base, size)
+        if painted_counts.min() <= 0:
+            raise QuantizationError(
+                "the painted slice misses a symbol on some level; increase the atom count"
+            )
+        slice_marginals = [
+            DenseMeasure(partition.alphabet, (lvl,), painted_counts[lvl] / m0, tol=1e-12)
+            for lvl in range(height)
+        ]
+        valid, kept_counts, xi_rows, margins = rows[0].tolist(), *rows[1:]
+        members = [
+            DenseMeasure(partition.alphabet, window.shift(j), xi, "probability", tol=1e-6)
+            for j, xi in zip(valid, xi_rows)
+        ]
+        members.extend(slice_marginals)
+
+        alpha_family = min(mu.min_entry() for mu in slice_marginals)
+        family = MarginalFamily(
+            partition.alphabet,
+            tuple(members),
+            min(alpha_family, 0.5),
+            max((len(window) - 1) * len(window) + 1, 2),
+        )
+        # positivity and the prescription identities are enforced inside the chain;
+        # per-step defects are amplified member defects and are reported, not gated.
+        # negativity up to a small fraction of the window's product floor is clipped
+        # and recorded: the blend cancels it down to a painted-fraction multiple.
+        pos_slack = 0.05 * alpha_family ** len(window)
+        chain = extend_family_chain(
+            family, range(height), beta=None, tol=max(tol, 1e-7), pos_tol=pos_slack
+        )
+        max_defect = chain.max_beta_defect()
+        max_b_norm = max((s.b_norm for s in chain.steps), default=0.0)
+        max_clip = max((s.clipped for s in chain.steps), default=0.0)
+
+        names = _paint_names(chain, m0, seed).T
+        per_level_distance = np.count_nonzero(names != painted_base, axis=1) / atoms
+        # only the painted atoms change: write them at their level-j indices, and
+        # update counts and window laws by the painted names less the old slice
+        labels = partition.labels.copy()
+        for j, pos in enumerate(tower.positions):
+            labels[j, pos[painted]] = names[j]
+        q = LabeledPartition._owned(partition.alphabet, labels)
+        per_level_gap = np.abs(_level_counts(names, size) - painted_counts).max(axis=1) / atoms
+
+        for j, counts in zip(valid, kept_counts + _window_counts(names, _shifted(valid, window), size)):
+            nu_new = _count_law(counts, partition.alphabet, j, window)
+            window_sup_gaps[j] = sup_distance(nu_new, nu_new.product_of_marginals())
+            window_defects[j] = delta_independence(nu_new, "ascending")
 
     return PaintReport(
         q=q,
         chosen_m=m,
         offsets=offsets,
         e1_mass=e1_mass,
-        e2_mass=tower.residual_mass,
+        e2_mass=0.0,  # a finite tower leaves no residual mass
         e3_mass=e3_mass,
         per_level_distance=per_level_distance,
         per_level_distribution_gap=per_level_gap,
         window_defects=window_defects,
         window_sup_gaps=window_sup_gaps,
         positivity_margins=dict(zip(valid, margins.tolist())),
-        quantization_level_bound=size / m0,
+        quantization_level_bound=size / m0 if m0 else float("inf"),
         painted_fraction=m0 / atoms,
         painted_atoms=m0,
         budget_ok=budget_ok,
-        degenerate=False,
-        engine_max_defect=chain.max_beta_defect(),
-        engine_max_b_norm=max((s.b_norm for s in chain.steps), default=0.0),
-        engine_max_clip=max((s.clipped for s in chain.steps), default=0.0),
+        degenerate=not m0,
+        engine_max_defect=max_defect,
+        engine_max_b_norm=max_b_norm,
+        engine_max_clip=max_clip,
     )
 
 

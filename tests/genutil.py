@@ -7,7 +7,6 @@ import numpy as np
 from margex import (
     Alphabet,
     DenseMeasure,
-    FiberSpace,
     IndexSet,
     LabeledPartition,
     MarginalFamily,
@@ -100,7 +99,7 @@ def near_product_family(
 
 
 def permutation_tower(height: int, atoms: int, seed: int) -> TowerSpec:
-    return TowerSpec(height, FiberSpace(atoms), seeded_permutation_transfer(height, atoms, seed))
+    return TowerSpec(height, atoms, seeded_permutation_transfer(height, atoms, seed))
 
 
 def bit_slice_partition(

@@ -15,7 +15,6 @@ import pytest
 import genutil
 from margex import (
     Alphabet,
-    Cocycle,
     Cylinder,
     DenseMeasure,
     IndexSet,
@@ -293,14 +292,20 @@ def test_criterion_7_counterexample_numbers():
 def test_criterion_8_cocycle_and_mixing():
     t0 = time.perf_counter()
     failures = []
-    rng = np.random.default_rng(88)
-    words = rng.choice((-1, 1), size=(10**4, 129))
-    ns = rng.integers(0, 65, size=10**4)
-    ms = rng.integers(0, 64, size=10**4)
-    for i in range(10**4):
-        if Cocycle.identity_gap(int(ns[i]), int(ms[i]), words[i]) != 0:
-            failures.append(f"case {i}: cocycle identity broken")
-            break
+    # the displacements are the cocycle phi(n), the sum of the first n symbols
+    # of each documented seeded word, and phi(k + l) = phi(k) + phi(l) on the
+    # word shifted by k at every split point
+    wide = SkewProduct(-64, 64)
+    for n, seed in ((0, 88), (1, 89), (37, 90), (64, 91)):
+        mix = relative_mixing_coefficient(wide, Cylinder.of({0: 1}), Cylinder.of({0: 1}), n, 10**3, seed)
+        heads = np.random.default_rng(seed).integers(0, 2, size=(10**3, max(n, 1)))
+        words = 2 * heads[:, :n] - 1
+        if not np.array_equal(mix.displacements, words.sum(axis=1)):
+            failures.append(f"n={n}: displacements are not the cocycle sums")
+        for k in range(n + 1):
+            if not np.array_equal(mix.displacements, words[:, :k].sum(axis=1) + words[:, k:].sum(axis=1)):
+                failures.append(f"n={n}: cocycle identity broken at split {k}")
+                break
 
     system = SkewProduct(-16, 16)
     a_cyl = Cylinder.of({0: 1, 1: 1})

@@ -171,6 +171,15 @@ class TestCorrectCommand:
         assert code == 1
         assert report["reason"]["code"] == "PositivityError"
 
+    def test_nu_without_coordinates_is_usage_error(self, tmp_path):
+        spec = {"nu": {"alphabet_size": 2, "indices": [], "table": [1.0]}, "t": 0.1}
+        path = tmp_path / "corr.json"
+        path.write_text(json.dumps(spec))
+        code, report = run(tmp_path, "correct", "--input", str(path))
+        assert code == 2
+        assert report["reason"]["code"] == "DomainError"
+        assert "at least one coordinate" in report["reason"]["message"]
+
 
 class TestPaintAndKrengel:
     def test_paint_report(self, tmp_path, tower_file):
@@ -503,6 +512,34 @@ class TestPlumbing:
         assert code == 2
         assert report["reason"]["code"] == "DomainError"
         assert report["reason"]["message"].startswith(f"{field} must be an integer")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "command, spec, field",
+        [
+            ("verify", "family", "c_prime"),
+            ("verify", "family", "delta"),
+            ("verify", "family", "alpha"),
+            ("extend", "family", "beta"),
+            ("extend", "family", "alpha"),
+            ("oracle", "family", "alpha"),
+            ("correct", "correct", "t"),
+            ("paint", "paint", "epsilon"),
+            ("paint", "paint", "alpha"),
+            ("krengel", "krengel", "epsilon"),
+        ],
+    )
+    def test_non_finite_float_field_is_usage_error(self, tmp_path, command, spec, field, value):
+        data = json.loads((GOLDEN / "specs" / f"{spec}.json").read_text())
+        data[field] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        code = main([command, "--input", str(path), "--output", str(out), "--no-timestamp"])
+        report = strict_loads(out.read_text())
+        assert code == 2
+        assert report["reason"]["code"] == "DomainError"
+        assert report["reason"]["message"].startswith(f"{field} must be finite")
 
     def test_whole_floats_and_digit_strings_keep_parsing(self, tmp_path, tower_file):
         spec = json.loads(tower_file.read_text())

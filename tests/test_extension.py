@@ -136,7 +136,7 @@ class TestInclusionExclusion:
         out = inclusion_exclusion_extension(parts)
         for p in parts:
             assert sup_distance(project(out, p.support), p) <= 1e-9
-        assert out.total_mass() == pytest.approx(hidden.total_mass())
+        assert float(out.table.sum()) == pytest.approx(float(hidden.table.sum()))
 
 
 class TestRightInverse:
@@ -270,14 +270,14 @@ class TestExtendOneIndex:
         mu01 = DenseMeasure.uniform(A2, [0, 1])
         family = MarginalFamily(A2, (mu01,), 0.5, 2)
         lam, trace = extend_family(family, [0, 1], beta=0.1)
-        assert project(lam, [0]).allclose(measure(A2, [0], [0.5, 0.5]), tol=1e-12)
-        assert lam.allclose(mu01, tol=1e-12)
+        assert sup_distance(project(lam, [0]), measure(A2, [0], [0.5, 0.5])) <= 1e-12
+        assert sup_distance(lam, mu01) <= 1e-12
         assert trace.steps[1].beta_defect <= 1e-12
 
     def test_unconstrained_coordinate_is_uniform(self):
         family = MarginalFamily(A2, (DenseMeasure.uniform(A2, [0, 1]),), 0.5, 2)
         lam, trace = extend_family(family, [0, 1, 7], beta=0.1)
-        assert project(lam, [0, 1]).allclose(DenseMeasure.uniform(A2, [0, 1]), tol=1e-12)
+        assert sup_distance(project(lam, [0, 1]), DenseMeasure.uniform(A2, [0, 1])) <= 1e-12
         assert trace.steps[2].index == 7 and trace.steps[2].trivial
         assert sup_distance(
             project(lam, [7]), DenseMeasure.uniform(A2, [7])

@@ -9,7 +9,6 @@ import genutil
 from margex import (
     Alphabet,
     CapacityError,
-    Cocycle,
     Cylinder,
     DomainError,
     SkewProduct,
@@ -228,20 +227,6 @@ class TestCentralWalkMass:
         assert report.parity_set_mass_exact == comb_quotient(WALK_STEP_CAP)
 
 
-class TestCocycle:
-    def test_identity_exact(self):
-        rng = np.random.default_rng(17)
-        for case in range(200):
-            omega = rng.choice((-1, 1), size=128)
-            n = int(rng.integers(0, 64))
-            m = int(rng.integers(0, 64))
-            assert Cocycle.identity_gap(n, m, omega) == 0
-
-    def test_needs_enough_symbols(self):
-        with pytest.raises(DomainError):
-            Cocycle.evaluate(5, np.array([1, -1]))
-
-
 class TestCylinders:
     def test_masses(self):
         sp = SkewProduct(-8, 8)
@@ -458,7 +443,7 @@ class TestBuildTower:
         )
         partition = uniform_random_partition(tower, Alphabet(2), seed=9)
         nd = name_distribution(tower, partition, 0, [0, 5])
-        assert nd.total_mass() == pytest.approx(1.0)
+        assert float(nd.table.sum()) == pytest.approx(1.0)
         flags = flag_dependent_shifts(tower, partition, [0, 2], 0.4)
         report = paint_tower(
             tower.with_flags(in_e1=flags),

@@ -1,8 +1,11 @@
 """Every top-level function, class and ALL-CAPS constant of the package has a
-caller in it, and every mode a function offers is chosen by some caller."""
+caller in it or is exported; every method and every exported name has a caller
+in the package or the benchmark, or a stated role; and every mode a function
+offers is chosen by some caller."""
 
 import ast
 import re
+import types
 from pathlib import Path
 
 import margex
@@ -10,6 +13,17 @@ import margex
 SOURCE = Path(margex.__file__).parent
 PERFBENCH = SOURCE.parents[1] / "perfbench"
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+# public names that neither the package nor the benchmark calls, each kept
+# for its role: a construction of the paper, the family format the README
+# documents, or the reference a test checks library code against
+ALLOWED = {
+    "choose_eta": "paper construction: the mixing-defect budget of a paint step",
+    "inclusion_exclusion_extension": "paper construction: the common extension",
+    "fiber_surgery": "paper construction: exact repair of window independence",
+    "ProjectionOperator.apply": "README family format: the flat array of target tables",
+    "RightInverse.evaluate": "README family format: takes that flat array",
+    "SkewProduct.joint_mass": "test reference of relative_mixing_coefficient",
+}
 
 
 def _definitions(node):
@@ -21,16 +35,43 @@ def _definitions(node):
     return [t.id for t in targets if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
 
 
-def test_every_definition_is_used_or_exported():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
-    used = set(vars(margex))
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            # an assignment's own target does not count as a use
+def _methods(tree):
+    """``(class, method)`` for each method of a top-level class that is not a dunder."""
+    return [
+        (node.name, item.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not re.fullmatch(r"__\w+__", item.name)
+    ]
+
+
+def _uses(paths):
+    """Names and attributes the files read; an assignment's own target is not a use."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def _callers():
+    """Names the package or the benchmark reads, and the attributes the
+    benchmark's ``SPANS`` names as strings to wrap."""
+    used = _uses([*SOURCE.glob("*.py"), *PERFBENCH.glob("*.py")])
+    layers = ast.parse((PERFBENCH / "layers.py").read_text())
+    spans = next(
+        n.value for n in layers.body if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "SPANS"
+    )
+    return used | {path.split(".")[-1] for _, _, path in ast.literal_eval(spans)}
+
+
+def test_every_definition_is_used_or_exported():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    used = set(vars(margex)) | _uses(SOURCE.glob("*.py"))
     unused = [
         f"{name}.{defined}"
         for name, tree in trees.items()
@@ -38,7 +79,27 @@ def test_every_definition_is_used_or_exported():
         for defined in _definitions(node)
         if defined not in used
     ]
+    # a method is never exported on its own: it needs a caller or a role
+    callers = _callers()
+    unused += [
+        f"{name}.{cls}.{method}"
+        for name, tree in trees.items()
+        for cls, method in _methods(tree)
+        if method not in callers and f"{cls}.{method}" not in ALLOWED
+    ]
     assert unused == []
+
+
+def test_every_export_has_a_caller_or_a_role():
+    callers = _callers()
+    exported = [
+        name
+        for name, value in vars(margex).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert [name for name in exported if name not in callers and name not in ALLOWED] == []
+    # the allow list stays short: an entry whose name gained a caller goes
+    assert [name for name in ALLOWED if name.split(".")[-1] in callers] == []
 
 
 def _str_defaults(func):

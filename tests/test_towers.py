@@ -11,7 +11,6 @@ from margex import (
     CapacityError,
     DenseMeasure,
     DomainError,
-    FiberSpace,
     IndexSet,
     LabeledPartition,
     MixingSupplyError,
@@ -60,13 +59,18 @@ def big_tower():
 
 
 class TestTowerSpec:
+    @pytest.mark.parametrize("height", [1, 4])
+    def test_needs_an_atom(self, height):
+        with pytest.raises(DomainError, match="at least one atom"):
+            TowerSpec(height, 0)
+
     def test_transfer_must_be_bijection(self):
         bad = np.zeros((1, 4), dtype=np.int32)
         with pytest.raises(DomainError):
-            TowerSpec(2, FiberSpace(4), bad)
+            TowerSpec(2, 4, bad)
         # the atoms level 0 hits leave no mark on the check of level 1
         with pytest.raises(DomainError, match="transfer at level 1 is not a bijection"):
-            TowerSpec(3, FiberSpace(4), [[1, 0, 3, 2], [0, 1, 1, 3]])
+            TowerSpec(3, 4, [[1, 0, 3, 2], [0, 1, 1, 3]])
 
     @pytest.mark.parametrize(
         "transfer",
@@ -80,11 +84,11 @@ class TestTowerSpec:
     )
     def test_transfer_entries_must_be_atom_indices(self, transfer):
         with pytest.raises(DomainError):
-            TowerSpec(2, FiberSpace(4), transfer)
+            TowerSpec(2, 4, transfer)
 
     def test_positions_compose_transfer(self):
         transfer = np.array([[1, 2, 3, 0], [2, 3, 0, 1]], dtype=np.int32)
-        tower = TowerSpec(3, FiberSpace(4), transfer)
+        tower = TowerSpec(3, 4, transfer)
         pos = tower.positions
         assert list(pos[0]) == [0, 1, 2, 3]
         assert list(pos[1]) == [1, 2, 3, 0]
@@ -118,7 +122,7 @@ class TestTowerSpec:
     def test_cell_cap_fires_before_any_array(self, monkeypatch):
         monkeypatch.setattr(towers, "np", genutil.NoNumpy())
         with pytest.raises(CapacityError):
-            TowerSpec(64, FiberSpace(2**40))
+            TowerSpec(64, 2**40)
         with pytest.raises(CapacityError):
             towers.seeded_permutation_transfer(64, 2**40, seed=1)
         # 256 levels over 2^20 atoms stay legal (checked, not built)
@@ -566,7 +570,7 @@ class TestPaintedSplit:
     def test_tied_names_break_by_index(self):
         # identity transfer over bit-slice labels: every name is shared by
         # 2^6 atoms, so the split rests on the tie order
-        tower = TowerSpec(130, FiberSpace(2**10))
+        tower = TowerSpec(130, 2**10)
         base = base_aligned_labels(tower, genutil.bit_slice_partition(tower, A2, bits=4))
         got = towers._painted_split(base, 2, 0.04)
         assert np.array_equal(got, self.lexsort_split(base, 0.04))
@@ -772,7 +776,7 @@ class TestPaintTower:
     def test_window_cell_cap_checked_before_split(self):
         # two atoms leave the painted slice empty, so only the window's own
         # cap check can refuse its 2^15001 cells
-        tower = TowerSpec(16000, FiberSpace(2))
+        tower = TowerSpec(16000, 2)
         partition = uniform_random_partition(tower, A2, seed=3)
         with pytest.raises(CapacityError):
             paint_tower(tower, partition, range(15000), 15001, 0.4, alpha=0.0)
@@ -955,7 +959,7 @@ class TestFiberSurgery:
         # level is constant. No window holds both 10 and 31, so only the
         # halo classes keep the new level 31 independent of level 10.
         alphabet, atoms = Alphabet(4), 4**4
-        tower = TowerSpec(80, FiberSpace(atoms))
+        tower = TowerSpec(80, atoms)
         labels = np.zeros((80, atoms), dtype=np.int16)
         idx = np.arange(atoms)
         labels[10] = idx // 64
@@ -1022,7 +1026,7 @@ def test_tower_tables_kept_once():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        tower = TowerSpec(height, FiberSpace(atoms), transfer)
+        tower = TowerSpec(height, atoms, transfer)
         flagged = tower.with_flags(in_e1=np.zeros(height, dtype=bool))
         retained = tracemalloc.get_traced_memory()[0] - start
         partition = genutil.bit_slice_partition(flagged, A2, bits=14)
