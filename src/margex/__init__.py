@@ -47,7 +47,6 @@ from .measures import (
 )
 from .extension import (
     ChainExtension,
-    ExtensionTrace,
     HypothesisReport,
     ProjectionOperator,
     RightInverse,

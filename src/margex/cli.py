@@ -32,7 +32,16 @@ from .extension import (
     thresholds,
     verify_hypotheses,
 )
-from .measures import CELL_CAP, Alphabet, DenseMeasure, IndexSet, MarginalFamily, _spec_float, _spec_int
+from .measures import (
+    CELL_CAP,
+    Alphabet,
+    DenseMeasure,
+    IndexSet,
+    MarginalFamily,
+    _spec_float,
+    _spec_int,
+    product_of_marginals,
+)
 from .rds import Cylinder, SkewProduct, _check_seed, counterexample_check, relative_mixing_coefficient
 from .towers import (
     LabeledPartition,
@@ -149,13 +158,7 @@ def _tower_from_spec(spec: dict) -> tuple[TowerSpec, LabeledPartition]:
     else:
         raise DomainError(f"unknown transfer spec {transfer_spec!r}")
     flags = spec.get("flags", {})
-    tower = TowerSpec(
-        height,
-        atoms,
-        transfer,
-        np.asarray(flags["in_E"], dtype=bool) if "in_E" in flags else None,
-        np.asarray(flags["in_E1"], dtype=bool) if "in_E1" in flags else None,
-    )
+    tower = TowerSpec(height, atoms, transfer, flags.get("in_E"), flags.get("in_E1"))
     labels_spec = spec.get("labels")
     if labels_spec is None:
         raise DomainError("tower spec needs labels")
@@ -215,7 +218,7 @@ def _cmd_correct(args, spec):
             np.abs(
                 (1 - t) * nu.table
                 + t * xi.table
-                - xi.product_of_marginals().table
+                - product_of_marginals(xi).table
             )
         )
     )

@@ -18,7 +18,7 @@ fails loudly when a budget is violated.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -46,6 +46,7 @@ from .measures import (
     _conditional_gap,
     _embed,
     _glue,
+    _report,
     _sum_out,
     consistency_gap,
     delta_independence,
@@ -284,30 +285,54 @@ class ExtensionStep:
     restriction_gap: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "s_bar": list(self.s_bar),
-            "r_bar": list(self.r_bar),
-            "positivity_margin": self.positivity_margin,
-            "beta_defect": self.beta_defect,
-            "b_norm": self.b_norm,
-            "trivial": self.trivial,
-            "clipped": self.clipped,
-        }
+        return _report(self, "sigma", "restriction_gap")
 
 
 @dataclass(frozen=True, eq=False)
-class ExtensionTrace:
+class ChainExtension:
+    """A window measure represented by the extension steps of either driver.
+
+    Each step is a kernel ``(index, r_bar, sigma)`` with ``r_bar`` inside the
+    trailing ``span`` coordinates. The chain never keeps more than those, so
+    it scales to windows whose full table would be huge.
+    """
+
+    family: MarginalFamily
+    window: IndexSet
+    span: int
     steps: tuple[ExtensionStep, ...]
+
+    def marginal(self, target: IndexLike) -> DenseMeasure:
+        """Projection onto ``target`` by forward filtering along the window."""
+        target = IndexSet.of(target)
+        if not target.issubset(self.window):
+            raise DomainError("target must lie inside the window")
+        state = DenseMeasure.unit(self.family.alphabet)
+        done_upto = None
+        for step in self.steps:
+            n = step.index
+            state = relative_product(state, step.sigma, tol=1e-6)
+            keep = {
+                i
+                for i in state.support
+                if i in target or i > n - self.span
+            }
+            state = project(state, IndexSet.of(keep))
+            done_upto = n
+            if target and n >= max(target):
+                break
+        if target and (done_upto is None or done_upto < max(target)):
+            raise DomainError("window does not cover the requested target")
+        return project(state, target)
+
+    def dense(self) -> DenseMeasure:
+        return self.marginal(self.window)
 
     def max_beta_defect(self) -> float:
         return max((s.beta_defect for s in self.steps), default=0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "steps": [s.to_dict() for s in self.steps],
-            "max_beta_defect": self.max_beta_defect(),
-        }
+        return {**_report(self, "family", "window", "span"), "max_beta_defect": self.max_beta_defect()}
 
 
 def _sigma_step(family, members_n, lam, support, n, tol, pos_tol, structures):
@@ -461,12 +486,22 @@ def _extension_step(family, lam, support, n, beta, tol, pos_tol, structures):
     return (*_glue(size, lam, support, sigma.as_array(), s_bar, v, gap, glue_tol), step)
 
 
-def _extend(family, window, beta, tol, pos_tol, span):
-    """The coordinate-extension loop on tables: ``(final measure, steps)``.
-
-    ``span=None`` keeps every coordinate (dense); an integer keeps only the
-    trailing ``span`` (chain). A failing step's error names its coordinate.
+def _extend(family, window, beta, tol, pos_tol, dense):
+    """The coordinate-extension loop of both drivers on tables:
+    ``(final measure, ChainExtension)``. ``dense`` keeps every coordinate, the
+    chain only those within the widest member span of the newest, which are
+    all a step reads. A failing step's error names its coordinate.
     """
+    if beta is not None and beta < 0:
+        raise DomainError(f"independence budget beta must be >= 0, got {beta}")
+    window = IndexSet.of(window)
+    if not family.union_support().issubset(window):
+        raise DomainError("window must contain every member support")
+    span = 1
+    for mu in family.members:
+        if len(mu.support) >= 2:
+            span = max(span, max(mu.support) - min(mu.support))
+    _cell_count(family.alphabet.size, window if dense else range(span + 1))
     table, support = np.ones(()), ()
     structures: dict = {}
     steps = []
@@ -477,11 +512,11 @@ def _extend(family, window, beta, tol, pos_tol, span):
             err.args = (f"extension failed at coordinate {n}: {err}", *err.args[1:])
             raise
         steps.append(step)
-        if span is not None:
+        if not dense:
             keep = tuple(i for i in support if i > n - span)
             table, support = _sum_out(table, support, keep), keep
     lam = DenseMeasure._owned(family.alphabet, IndexSet(support), table, "probability", 1e-6)
-    return lam, tuple(steps)
+    return lam, ChainExtension(family, window, span, tuple(steps))
 
 
 def extend_family(
@@ -489,65 +524,15 @@ def extend_family(
     window: IndexLike,
     beta: float,
     tol: float = DEFAULT_TOL,
-) -> tuple[DenseMeasure, ExtensionTrace]:
+) -> tuple[DenseMeasure, ChainExtension]:
     """Extend the family to one measure on the whole window, low index first.
 
     Starts from the trivial measure on no coordinates and takes one extension
-    step per window coordinate in ascending order, keeping every coordinate.
-    Raises with the failing coordinate attached if a step loses positivity or
-    exceeds the independence budget.
+    step per window coordinate in ascending order, keeping every coordinate,
+    and returns the measure with its steps. Raises with the failing coordinate
+    attached if a step loses positivity or exceeds the independence budget.
     """
-    window = IndexSet.of(window)
-    if not family.union_support().issubset(window):
-        raise DomainError("window must contain every member support")
-    _cell_count(family.alphabet.size, window)
-    lam, steps = _extend(family, window, beta, tol, None, None)
-    return lam, ExtensionTrace(steps)
-
-
-# -- streaming extension with bounded memory -------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ChainExtension:
-    """A window measure represented by its extension steps.
-
-    Each step is a kernel ``(index, r_bar, sigma)``. The dense extension takes
-    the same steps, but the chain never kept more than the trailing ``span``
-    coordinates, so it scales to windows whose full table would be huge.
-    """
-
-    family: MarginalFamily
-    window: IndexSet
-    span: int
-    steps: tuple[ExtensionStep, ...]
-
-    def marginal(self, target: IndexLike) -> DenseMeasure:
-        """Projection onto ``target`` by forward filtering along the window."""
-        target = IndexSet.of(target)
-        if not target.issubset(self.window):
-            raise DomainError("target must lie inside the window")
-        state = DenseMeasure.unit(self.family.alphabet)
-        done_upto = None
-        for step in self.steps:
-            n = step.index
-            state = relative_product(state, step.sigma, tol=1e-6)
-            keep = {
-                i
-                for i in state.support
-                if i in target or i > n - self.span
-            }
-            state = project(state, IndexSet.of(keep))
-            done_upto = n
-            if target and n >= max(target):
-                break
-        if target and (done_upto is None or done_upto < max(target)):
-            raise DomainError("window does not cover the requested target")
-        return project(state, target)
-
-    def dense(self) -> DenseMeasure:
-        return self.marginal(self.window)
-
-    max_beta_defect = ExtensionTrace.max_beta_defect
+    return _extend(family, window, beta, tol, None, True)
 
 
 def extend_family_chain(
@@ -564,16 +549,7 @@ def extend_family_chain(
     recorded but not enforced. ``pos_tol`` bounds the per-step negativity
     that is clipped rather than fatal.
     """
-    window = IndexSet.of(window)
-    if not family.union_support().issubset(window):
-        raise DomainError("window must contain every member support")
-    span = 1
-    for mu in family.members:
-        if len(mu.support) >= 2:
-            span = max(span, max(mu.support) - min(mu.support))
-    _cell_count(family.alphabet.size, range(span + 1))
-    _, steps = _extend(family, window, beta, tol, pos_tol, span)
-    return ChainExtension(family, window, span, steps)
+    return _extend(family, window, beta, tol, pos_tol, False)[1]
 
 
 # -- linear-feasibility oracle ----------------------------------------------------
@@ -585,11 +561,7 @@ class OracleResult:
     max_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "max_residual": self.max_residual,
-            "witness": self.witness.to_dict() if self.witness is not None else None,
-        }
+        return _report(self)
 
 
 def brute_force_extension_exists(
@@ -661,7 +633,7 @@ class Violation:
     limit: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _report(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -671,11 +643,7 @@ class HypothesisReport:
     stats: dict
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [v.to_dict() for v in self.violations],
-            "stats": self.stats,
-        }
+        return _report(self)
 
 
 def verify_hypotheses(
@@ -691,6 +659,8 @@ def verify_hypotheses(
     member (natural ordering, improved by a full ordering scan on small
     supports). Every violation carries its location and magnitude.
     """
+    if delta < 0:
+        raise DomainError(f"independence budget delta must be >= 0, got {delta}")
     violations: list[Violation] = []
 
     union = family.union_support()

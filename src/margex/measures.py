@@ -13,7 +13,7 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -148,6 +148,27 @@ class IndexSet:
 EMPTY = IndexSet(())
 
 
+def _json(value):
+    """``value`` in a report: an array, tuple or index set as a list, a dict
+    with string keys, a numpy scalar as a Python number, and a result or
+    measure by its own ``to_dict``."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (tuple, IndexSet)):
+        return [_json(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json(v) for k, v in value.items()}
+    return value
+
+
+def _report(result, *skip: str) -> dict:
+    """The report of the dataclass ``result``: each of its fields but those
+    named in ``skip``, by :func:`_json`."""
+    return {f.name: _json(getattr(result, f.name)) for f in fields(result) if f.name not in skip}
+
+
 def _cell_count(size: int, support: IndexLike) -> int:
     n = len(support)
     cells = size ** n
@@ -239,13 +260,6 @@ class DenseMeasure:
 
     def min_entry(self) -> float:
         return float(self.table.min())
-
-    # -- method mirrors of the module operations --------------------------------
-    def project(self, target: IndexLike) -> "DenseMeasure":
-        return project(self, target)
-
-    def product_of_marginals(self) -> "DenseMeasure":
-        return product_of_marginals(self)
 
     def to_dict(self) -> dict:
         return {
@@ -432,18 +446,14 @@ def conditional_rows(m: DenseMeasure, coord: int) -> tuple[np.ndarray, np.ndarra
     return rows, rows.sum(axis=1)
 
 
-def conditional_gap(m: DenseMeasure, prefix: tuple[int, ...], nxt: int) -> tuple[float, bool]:
-    """Worst gap between the law of ``nxt`` given an atom of ``prefix`` and
-    its own law, and whether some atom of ``prefix`` has zero mass.
+def _conditional_gap(joint: DenseMeasure, nxt: int, law: np.ndarray) -> tuple[float, bool]:
+    """Worst gap between the law of ``nxt`` given an atom of the other
+    coordinates of ``joint`` and ``law``, the table of its own law, and
+    whether some atom of those coordinates has zero mass.
 
     The one zero-mass rule: an atom without mass has no conditional law, so
     the gap runs over the atoms that carry mass and is ``inf`` when none does.
     """
-    return _conditional_gap(project(m, prefix + (nxt,)), nxt, project(m, (nxt,)).table)
-
-
-def _conditional_gap(joint: DenseMeasure, nxt: int, law: np.ndarray) -> tuple[float, bool]:
-    """:func:`conditional_gap` given the law of prefix and ``nxt`` and the table of ``nxt``'s."""
     rows, row_mass = conditional_rows(joint, nxt)
     good = row_mass > 0.0
     if not good.any():
@@ -456,7 +466,8 @@ def _conditional_gap(joint: DenseMeasure, nxt: int, law: np.ndarray) -> tuple[fl
 def _ordering_defect(m: DenseMeasure, order: tuple[int, ...]) -> float:
     worst = 0.0
     for i in range(1, len(order)):
-        gap, has_zero_atom = conditional_gap(m, tuple(sorted(order[:i])), order[i])
+        joint = project(m, order[: i + 1])
+        gap, has_zero_atom = _conditional_gap(joint, order[i], project(m, (order[i],)).table)
         if has_zero_atom:
             raise ZeroMassError(
                 f"ordering {order} conditions on a zero-mass atom of {order[:i]}"
@@ -504,7 +515,7 @@ def delta_independence(
     coordinate order. ``"scan_all"`` minimizes over every ordering and is
     gated at ``|K| <= 8``.
 
-    Zero mass follows :func:`conditional_gap`: an ordering that conditions
+    Zero mass follows :func:`_conditional_gap`: an ordering that conditions
     on a zero-mass atom has no defect, so an explicit ordering raises
     :class:`ZeroMassError` and ``"scan_all"`` raises only when every
     ordering does.

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, WindowError
-from .measures import CELL_CAP
+from .measures import CELL_CAP, _json, _report
 from .towers import TowerSpec, _check_tower_cells, seeded_permutation_transfer
 
 # caps the window W and the iterate n of the counterexample, `_walk_count` and
@@ -226,7 +226,7 @@ class CounterexampleReport:
     contradiction_margin_measured: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _report(self)
 
 
 def counterexample_check(
@@ -253,11 +253,9 @@ def counterexample_check(
         raise DomainError("need at least one iterate")
     _check_samples(samples, n)
     _check_seed(seed)
-    _check_odd_window(w)
-    _check_walk_steps(w)
+    d_shift = shift_distance(w)
     _check_walk_steps(n)
     delta = n % 2
-    d_shift = _central_walk_mass(w) / 2
     flip_one = _central_walk_mass(w - 1) / 2
     preconditions_ok = d_shift < 0.01
 
@@ -303,14 +301,8 @@ class MixingReport:
     mean_abs: float
 
     def to_dict(self) -> dict:
-        return {
-            "max_abs": self.max_abs,
-            "mean_abs": self.mean_abs,
-            "displacement_histogram": {
-                str(int(d)): int(c)
-                for d, c in zip(*np.unique(self.displacements, return_counts=True))
-            },
-        }
+        histogram = dict(zip(*np.unique(self.displacements, return_counts=True)))
+        return {**_report(self, "coefficients", "displacements"), "displacement_histogram": _json(histogram)}
 
 
 def relative_mixing_coefficient(

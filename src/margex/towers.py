@@ -44,10 +44,13 @@ from .measures import (
     MarginalFamily,
     _cell_count,
     _coordinates,
+    _report,
     _spec_int,
     conditional_rows,
     delta_independence,
     product_measure,
+    product_of_marginals,
+    project,
     sup_distance,
 )
 
@@ -131,7 +134,7 @@ class TowerSpec:
             if flags is None:
                 flags = np.zeros(self.height, dtype=bool)
             else:
-                flags = np.asarray(flags, dtype=bool)
+                flags = _checked_indices(flags, 2, name).astype(bool)
                 if flags.shape != (self.height,):
                     raise DomainError(f"{name} must have one flag per level")
             setattr(self, name, flags)
@@ -142,10 +145,7 @@ class TowerSpec:
         """This tower with other exemption flags (``None`` copies the current
         ones), sharing the read-only positions table."""
         tower = copy.copy(self)
-        tower._set_flags(
-            self.in_e.copy() if in_e is None else in_e,
-            self.in_e1.copy() if in_e1 is None else in_e1,
-        )
+        tower._set_flags(self.in_e if in_e is None else in_e, self.in_e1 if in_e1 is None else in_e1)
         return tower
 
 
@@ -366,13 +366,13 @@ def correcting_measure(
     if not nu.support:
         raise DomainError("correcting_measure needs a measure on at least one coordinate")
     if marginals is None:
-        marginals = [nu.project((i,)) for i in nu.support]
+        marginals = [project(nu, (i,)) for i in nu.support]
     else:
         marginals = list(marginals)
         if [tuple(m.support) for m in marginals] != [(i,) for i in nu.support]:
             raise DomainError("marginals must be one-dimensional and aligned with nu's support")
         for m in marginals:
-            gap = sup_distance(m, nu.project(tuple(m.support)))
+            gap = sup_distance(m, project(nu, m.support))
             if gap > tol:
                 raise DomainError(
                     f"marginal on {tuple(m.support)} differs from nu's by {gap}"
@@ -566,27 +566,7 @@ class PaintReport:
         return self.e1_mass + self.e2_mass + self.e3_mass
 
     def to_dict(self) -> dict:
-        return {
-            "chosen_m": self.chosen_m,
-            "offsets": list(self.offsets),
-            "e1_mass": self.e1_mass,
-            "e2_mass": self.e2_mass,
-            "e3_mass": self.e3_mass,
-            "error_mass": self.error_mass(),
-            "per_level_distance": [float(x) for x in self.per_level_distance],
-            "per_level_distribution_gap": [float(x) for x in self.per_level_distribution_gap],
-            "window_defects": {str(k): v for k, v in self.window_defects.items()},
-            "window_sup_gaps": {str(k): v for k, v in self.window_sup_gaps.items()},
-            "positivity_margins": {str(k): v for k, v in self.positivity_margins.items()},
-            "quantization_level_bound": self.quantization_level_bound,
-            "painted_fraction": self.painted_fraction,
-            "painted_atoms": self.painted_atoms,
-            "budget_ok": self.budget_ok,
-            "degenerate": self.degenerate,
-            "engine_max_defect": self.engine_max_defect,
-            "engine_max_b_norm": self.engine_max_b_norm,
-            "engine_max_clip": self.engine_max_clip,
-        }
+        return {**_report(self, "q"), "error_mass": self.error_mass()}
 
 
 def paint_tower(
@@ -617,6 +597,8 @@ def paint_tower(
     per-level distances stay below the painted fraction, and flagged shifts
     plus the top ``m`` levels are exempt.
     """
+    if alpha < 0:
+        raise DomainError(f"alpha must be >= 0, got {alpha}")
     offsets = _window_offsets(offsets)
     if m <= max(offsets):
         raise DomainError(f"fresh time {m} must exceed max offset {max(offsets)}")
@@ -703,7 +685,7 @@ def _paint(
 
         for j, counts in zip(valid, kept_counts + _window_counts(names, _shifted(valid, window), size)):
             nu_new = _count_law(counts, partition.alphabet, j, window)
-            window_sup_gaps[j] = sup_distance(nu_new, nu_new.product_of_marginals())
+            window_sup_gaps[j] = sup_distance(nu_new, product_of_marginals(nu_new))
             window_defects[j] = delta_independence(nu_new, "ascending")
 
     return PaintReport(
@@ -740,12 +722,7 @@ class KrengelResult:
     reports: tuple[PaintReport, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "chosen_times": list(self.chosen_times),
-            "cumulative_error_mass": self.cumulative_error_mass,
-            "cumulative_distance": [float(x) for x in self.cumulative_distance],
-            "reports": [r.to_dict() for r in self.reports],
-        }
+        return _report(self, "q")
 
 
 def iterate_krengel(
@@ -769,6 +746,8 @@ def iterate_krengel(
     """
     if steps < 0:
         raise DomainError("steps must be >= 0")
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     current = partition
     in_e = tower.in_e.copy()
     window = [0]

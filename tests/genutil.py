@@ -12,18 +12,26 @@ from margex import (
     MarginalFamily,
     TowerSpec,
     name_distribution,
+    product_of_marginals,
     project,
     sup_distance,
     tensor,
     thresholds,
 )
-from margex.measures import conditional_gap
+from margex.measures import _conditional_gap
 from margex.towers import (
     _systematic_split,
     base_aligned_labels,
     labels_from_base,
     seeded_permutation_transfer,
 )
+
+
+def conditional_gap(m: DenseMeasure, prefix: tuple[int, ...], nxt: int) -> tuple[float, bool]:
+    """Worst gap between the law of ``nxt`` given an atom of ``prefix`` and
+    its own law, and whether some atom of ``prefix`` has zero mass: the
+    library's kernel on ``m`` projected onto ``prefix + (nxt,)`` and ``(nxt,)``."""
+    return _conditional_gap(project(m, prefix + (nxt,)), nxt, project(m, (nxt,)).table)
 
 
 class NoNumpy:
@@ -141,7 +149,7 @@ def window_deviation(tower: TowerSpec, partition: LabeledPartition, shift: int, 
     nu = name_distribution(tower, partition, shift, offsets)
     *prefix, last = nu.support
     gap = conditional_gap(nu, tuple(prefix), last)[0] if prefix else 0.0
-    return sup_distance(nu, nu.product_of_marginals()), gap
+    return sup_distance(nu, product_of_marginals(nu)), gap
 
 
 def paint_gate_flags(tower: TowerSpec, partition: LabeledPartition, offsets, epsilon: float):

@@ -458,6 +458,18 @@ class TestPlumbing:
                     "m": 2,
                 },
             ),
+            (
+                "paint",
+                {
+                    "tower": {
+                        "height": 4,
+                        "atom_count": 256,
+                        "labels": {"generator": "seeded_uniform:3"},
+                        "flags": {"in_E": [0.5, 0, 0, 0]},
+                    },
+                    "m": 2,
+                },
+            ),
         ],
         ids=[
             "paint-no-tower",
@@ -471,6 +483,7 @@ class TestPlumbing:
             "negative-seed",
             "nan-table",
             "fractional-labels",
+            "fractional-flags",
         ],
     )
     def test_bad_spec_is_usage_error(self, tmp_path, command, spec):
@@ -540,6 +553,28 @@ class TestPlumbing:
         assert code == 2
         assert report["reason"]["code"] == "DomainError"
         assert report["reason"]["message"].startswith(f"{field} must be finite")
+
+    @pytest.mark.parametrize(
+        "command, spec, changes",
+        [
+            ("verify", "family", {"delta": -1}),
+            ("extend", "family", {"beta": -1}),
+            ("paint", "paint", {"alpha": -5}),
+            ("krengel", "krengel", {"epsilon": 1.5}),
+            ("krengel", "krengel", {"epsilon": 7, "mixing_times": []}),
+        ],
+        ids=["negative-delta", "negative-beta", "negative-alpha", "epsilon-past-one", "epsilon-seven"],
+    )
+    def test_degenerate_budget_is_usage_error(self, tmp_path, command, spec, changes):
+        # each budget is refused before it runs, not read as a failed check or as ok
+        data = {**json.loads((GOLDEN / "specs" / f"{spec}.json").read_text()), **changes}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        code = main([command, "--input", str(path), "--output", str(out), "--no-timestamp"])
+        report = strict_loads(out.read_text())
+        assert code == 2
+        assert report["reason"]["code"] == "DomainError"
 
     def test_whole_floats_and_digit_strings_keep_parsing(self, tmp_path, tower_file):
         spec = json.loads(tower_file.read_text())

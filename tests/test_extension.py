@@ -440,13 +440,27 @@ class TestChainExtension:
         beta, _ = thresholds(family.alpha, family.n_cap, 1.0)
         # range(8) ends on a coordinate no member covers: a trivial step
         for window in (range(7), range(8)):
-            dense, _ = extend_family(family, window, beta)
+            dense, trace = extend_family(family, window, beta)
             chain = extend_family_chain(family, window, beta)
             assert sup_distance(chain.dense(), dense) <= 1e-9
+            assert trace.span == chain.span
+            assert sup_distance(trace.dense(), dense) <= 1e-9
             for target in ([1, 4], [1, len(window) - 1]):
                 assert sup_distance(
                     chain.marginal(target), project(dense, target)
                 ) <= 1e-9
+
+    def test_dense_steps_replay_their_measure(self):
+        # members three coordinates wide: a dense step still reads only the
+        # trailing span, so the dense run's own steps replay its measure
+        hidden = genutil.random_measure(np.random.default_rng(61), A2, range(6))
+        supports = ([0, 3], [1, 2, 4], [3, 5])
+        family = MarginalFamily(A2, tuple(project(hidden, s) for s in supports), 0.05, 6)
+        dense, trace = extend_family(family, range(6), beta=1.0)
+        chain = extend_family_chain(family, range(6), beta=1.0)
+        assert trace.span == chain.span == 3
+        assert sup_distance(trace.dense(), dense) <= 1e-9
+        assert sup_distance(trace.marginal([1, 4]), project(dense, [1, 4])) <= 1e-9
 
     def test_marginal_outside_window(self):
         family = MarginalFamily(A2, (), 0.5, 1)

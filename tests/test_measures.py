@@ -1,5 +1,7 @@
 import itertools
+import json
 import re
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from margex import (
     tensor,
 )
 from margex import measures
-from margex.measures import DEFAULT_TOL, EMPTY, conditional_gap
+from margex.measures import DEFAULT_TOL, EMPTY
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -55,6 +57,56 @@ def random_measures(draw, max_coords=3, alphabet_sizes=(2, 3)):
     )
     table = np.asarray(raw)
     return DenseMeasure(Alphabet(size), IndexSet.of(support), table / table.sum())
+
+
+@dataclass(frozen=True, eq=False)
+class _Result:
+    table: np.ndarray
+    support: IndexSet
+    items: tuple
+    by_index: dict
+    scalar: object
+    nested: object
+    hidden: float = 0.0
+
+    def to_dict(self):
+        return measures._report(self, "hidden")
+
+
+class TestReport:
+    """A report is its result's fields but the skipped ones, in JSON form."""
+
+    def test_fields_in_json_form(self):
+        inner = _Result(np.array([1, 2]), IndexSet.of([3]), (), {}, np.float64(0.5), None)
+        outer = _Result(
+            np.array([[0.25, 0.75]]),
+            IndexSet.of([2, 0]),
+            (inner, 1),
+            {3: np.int64(4), -1: (np.bool_(True),)},
+            np.int64(7),
+            DenseMeasure.unit(A2),
+        )
+        report = outer.to_dict()
+        assert report == {
+            "table": [[0.25, 0.75]],
+            "support": [0, 2],
+            "items": [
+                {"table": [1, 2], "support": [3], "items": [], "by_index": {}, "scalar": 0.5, "nested": None},
+                1,
+            ],
+            "by_index": {"3": 4, "-1": [True]},
+            "scalar": 7,
+            "nested": DenseMeasure.unit(A2).to_dict(),
+        }
+        # Python values only, which the JSON writer takes as they are
+        assert json.loads(json.dumps(report)) == report
+        assert type(report["scalar"]) is int
+
+    def test_skip_drops_only_the_named_fields(self):
+        result = _Result(np.zeros(1), EMPTY, (), {}, 0, None, hidden=1.0)
+        assert list(measures._report(result)) == [f.name for f in fields(_Result)]
+        kept = ["support", "items", "by_index", "scalar", "nested"]
+        assert list(measures._report(result, "table", "hidden")) == kept
 
 
 class TestIndexSet:
@@ -305,7 +357,7 @@ def _gap_over_massive_atoms(arr):
 
 
 def _scan_all_by_public_gaps(m):
-    """The subset DP of scan_all, written with the public conditional_gap."""
+    """The subset DP of scan_all, written with the reference conditional_gap."""
     coords = tuple(m.support)
     best = {1 << j: 0.0 for j in range(len(coords))}
     for mask in range(1, 2 ** len(coords)):
@@ -314,7 +366,7 @@ def _scan_all_by_public_gaps(m):
         prefix = tuple(c for b, c in enumerate(coords) if mask & (1 << b))
         for j, c in enumerate(coords):
             if not mask & (1 << j):
-                gap, has_zero_atom = conditional_gap(m, prefix, c)
+                gap, has_zero_atom = genutil.conditional_gap(m, prefix, c)
                 if not has_zero_atom:
                     best[mask | 1 << j] = min(best.get(mask | 1 << j, np.inf), max(best[mask], gap))
     return best[2 ** len(coords) - 1]

@@ -137,6 +137,21 @@ def test_every_mode_switch_is_set_by_a_caller():
     assert unset == []
 
 
+def test_every_report_is_its_fields():
+    # a result's JSON view is one rule; the two input formats from_dict reads stay as they are
+    formats = {"DenseMeasure", "MarginalFamily"}
+    by_hand = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name not in formats
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "to_dict"
+        if not any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_report" for c in ast.walk(item))
+    ]
+    assert by_hand == []
+
+
 def test_towers_counts_only_in_the_window_kernel():
     # one function decides how tower windows are counted
     tree = ast.parse((SOURCE / "towers.py").read_text())

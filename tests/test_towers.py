@@ -27,6 +27,8 @@ from margex import (
     name_distribution,
     paint_tower,
     product_measure,
+    product_of_marginals,
+    project,
     sup_distance,
     uniform_random_partition,
 )
@@ -108,6 +110,17 @@ class TestTowerSpec:
         assert not flagged.positions.flags.writeable
         assert list(flagged.in_e1) == [False, True, False, False, False]
         assert not tower.in_e1.any()
+
+    @pytest.mark.parametrize("flags", [[0.5, 0, 0, 2.7], [0, 2, 0, 0], [-1, 0, 0, 0], ["yes"] * 4])
+    def test_flags_must_be_zero_or_one(self, flags):
+        for slot in (3, 4):
+            args = [4, 8, None, None, None]
+            args[slot] = flags
+            with pytest.raises(DomainError):
+                TowerSpec(*args)
+        tower = TowerSpec(4, 8, None, [1, 0, 0, True], np.array([0.0, 1.0, 0.0, 0.0]))
+        assert tower.in_e.tolist() == [True, False, False, True]
+        assert tower.in_e1.tolist() == [False, True, False, False]
 
     def test_with_flags_checks_shape(self):
         tower = genutil.permutation_tower(5, 64, seed=1)
@@ -384,7 +397,7 @@ class TestCorrectingMeasure:
         blend = (1 - t) * nu.table + t * xi.table
         assert np.max(np.abs(blend - prod.table)) <= 1e-12
         for i in range(k):
-            assert sup_distance(xi.project([i]), margs[i]) <= 1e-12
+            assert sup_distance(project(xi, [i]), margs[i]) <= 1e-12
 
     def test_defect_transfer(self):
         # when the leading block is an exact product and the deviation stays
@@ -830,7 +843,7 @@ class TestPaintOnlyThePaintedSlice:
         for j, defect in report.window_defects.items():
             nu = name_distribution(tower, report.q, j, window)
             assert defect == delta_independence(nu, "ascending")
-            assert report.window_sup_gaps[j] == sup_distance(nu, nu.product_of_marginals())
+            assert report.window_sup_gaps[j] == sup_distance(nu, product_of_marginals(nu))
 
 
 class TestIterateKrengel:
