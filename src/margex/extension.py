@@ -18,6 +18,7 @@ fails loudly when a budget is violated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -56,6 +57,7 @@ from .measures import (
 )
 
 ORACLE_CELL_CAP = 2**16
+ORACLE_TOL = 1e-7
 
 
 class SolverError(MargexError, RuntimeError):
@@ -85,7 +87,6 @@ def thresholds(alpha: float, n_cap: int, c_prime: float) -> tuple[float, float]:
 def inclusion_exclusion_extension(
     parts: list[DenseMeasure],
     q: DenseMeasure | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> DenseMeasure:
     """Common extension of a consistent family of signed measures.
 
@@ -113,7 +114,7 @@ def inclusion_exclusion_extension(
         raise DomainError("reference measure must be strictly positive")
     for i, j in combinations(range(len(parts)), 2):
         gap = consistency_gap(parts[i], parts[j])
-        if gap > tol:
+        if gap > DEFAULT_TOL:
             raise ConsistencyError(f"parts {i} and {j} disagree by {gap} on their overlap")
 
     # order the parts deterministically so the "shared projection" choice is stable
@@ -210,19 +211,25 @@ class RightInverse:
         return self._pinv @ u + self._corr * (self._w_vec @ u) / self._w_norm2
 
 
-def _structure(op: ProjectionOperator) -> tuple:
-    """The anchor-free part of a right inverse of ``op``: its matrix, the
-    pseudo-inverse and, per column ``u`` of an orthonormal image basis,
-    ``(u, pinv @ u, |u|.max())``. It depends only on the alphabet size, the
-    domain length and the target positions. One SVD gives the pseudo-inverse,
-    formed as np.linalg.pinv forms it (so bit for bit), and the basis."""
-    mat = op.matrix()
+@functools.cache
+def _structure(size: int, length: int, positions: tuple[tuple[int, ...], ...]) -> tuple:
+    """The anchor-free part of a right inverse of the operator onto the
+    target ``positions`` in a domain of ``length`` coordinates over ``size``
+    symbols: its matrix, the pseudo-inverse and, per column ``u`` of an
+    orthonormal image basis, ``(u, pinv @ u, |u|.max())``. One SVD gives the
+    pseudo-inverse, formed as np.linalg.pinv forms it (so bit for bit), and
+    the basis. The whole process shares one structure per shape, read-only."""
+    targets = tuple(map(IndexSet.of, positions))
+    mat = ProjectionOperator(Alphabet(size), IndexSet.of(range(length)), targets).matrix()
     u_svd, s, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(s > s[0] * 1e-12))
     large = s > 1e-15 * s.max()
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
     pinv = vt.T @ (s_inv[:, None] * u_svd.T)
-    return mat, pinv, [(u, pinv @ u, np.abs(u).max()) for u in u_svd.T[:rank]]
+    basis = tuple((u, pinv @ u, np.abs(u).max()) for u in u_svd.T[:rank])
+    for arr in (mat, pinv, *(a for entry in basis for a in entry[:2])):
+        arr.flags.writeable = False
+    return mat, pinv, basis
 
 
 def bounded_right_inverse(
@@ -230,24 +237,16 @@ def bounded_right_inverse(
     v: DenseMeasure,
     w: np.ndarray,
     tol: float = DEFAULT_TOL,
-    structures: dict | None = None,
 ) -> RightInverse:
     """Right inverse of ``op`` with ``B(w) = v``, plus its measured sup-norm.
 
     ``w`` is a family over the operator's targets in :meth:`ProjectionOperator.apply`
-    form. Requires ``op(v) = w`` within ``tol`` and ``w != 0``. ``structures``
-    is a cache of :func:`_structure` keyed by the alphabet size, the domain
-    length and the target positions; an extension loop passes one dict for
-    all its steps. Cached and uncached calls give the same bits.
+    form. Requires ``op(v) = w`` within ``tol`` and ``w != 0``.
     """
     if v.support != op.domain:
         raise DomainError("anchor measure must live on the operator domain")
-    key = (op.alphabet.size, len(op.domain), tuple(op.domain.positions(t) for t in op.targets))
-    if structures is None:
-        structures = {}
-    if key not in structures:
-        structures[key] = _structure(op)
-    mat, pinv, basis = structures[key]
+    positions = tuple(op.domain.positions(t) for t in op.targets)
+    mat, pinv, basis = _structure(op.alphabet.size, len(op.domain), positions)
     w_vec = np.asarray(w, dtype=np.float64)
     if w_vec.shape != mat.shape[:1]:
         raise DomainError("anchor family must belong to the operator")
@@ -335,7 +334,7 @@ class ChainExtension:
         return {**_report(self, "family", "window", "span"), "max_beta_defect": self.max_beta_defect()}
 
 
-def _sigma_step(family, members_n, lam, support, n, tol, pos_tol, structures):
+def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
     """Construct the prospective marginal on the reach of coordinate ``n``
     from ``members_n``, the family members through ``n``.
 
@@ -383,7 +382,7 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol, structures):
         )
     op = ProjectionOperator(alphabet, r_bar, tuple(IndexSet._from_set(set(t)) for t in targets))
     anchor = DenseMeasure._owned(alphabet, r_bar, v, "signed", np.inf)
-    binv = bounded_right_inverse(op, anchor, w, tol, structures)
+    binv = bounded_right_inverse(op, anchor, w, tol)
 
     # symbol a's family: each source table sliced at coordinate n = a
     sliced = [(slice_sources[sources[t]], sources[t].index(n)) for t in targets]
@@ -443,7 +442,7 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol, structures):
     return sigma, v, step
 
 
-def _extension_step(family, lam, support, n, beta, tol, pos_tol, structures):
+def _extension_step(family, lam, support, n, beta, tol, pos_tol):
     """Extend the table ``lam`` over ``support`` by coordinate ``n``: the step
     of every driver, returning ``(table, support, step)``.
 
@@ -468,7 +467,7 @@ def _extension_step(family, lam, support, n, beta, tol, pos_tol, structures):
         out = _embed(lam, support, union) * _embed(sigma.as_array(), (n,), union)
         return out, union, step
 
-    sigma, v, step = _sigma_step(family, members_n, lam, support, n, tol, pos_tol, structures)
+    sigma, v, step = _sigma_step(family, members_n, lam, support, n, tol, pos_tol)
     if beta is not None and step.beta_defect > beta + tol:
         raise IndependenceError(
             f"coordinate {n} is only {step.beta_defect}-independent of the prior block "
@@ -492,7 +491,7 @@ def _extend(family, window, beta, tol, pos_tol, dense):
     chain only those within the widest member span of the newest, which are
     all a step reads. A failing step's error names its coordinate.
     """
-    if beta is not None and beta < 0:
+    if beta is not None and not beta >= 0:
         raise DomainError(f"independence budget beta must be >= 0, got {beta}")
     window = IndexSet.of(window)
     if not family.union_support().issubset(window):
@@ -503,11 +502,10 @@ def _extend(family, window, beta, tol, pos_tol, dense):
             span = max(span, max(mu.support) - min(mu.support))
     _cell_count(family.alphabet.size, window if dense else range(span + 1))
     table, support = np.ones(()), ()
-    structures: dict = {}
     steps = []
     for n in window:
         try:
-            table, support, step = _extension_step(family, table, support, n, beta, tol, pos_tol, structures)
+            table, support, step = _extension_step(family, table, support, n, beta, tol, pos_tol)
         except (PositivityError, IndependenceError, ConsistencyError, SingularityError) as err:
             err.args = (f"extension failed at coordinate {n}: {err}", *err.args[1:])
             raise
@@ -567,7 +565,6 @@ class OracleResult:
 def brute_force_extension_exists(
     family: MarginalFamily,
     window: IndexLike,
-    tol: float = 1e-7,
 ) -> OracleResult:
     """Decide by linear feasibility whether a common extension exists.
 
@@ -617,8 +614,8 @@ def brute_force_extension_exists(
     x = np.clip(res.x, 0.0, None)
     x = x / x.sum()
     residual = float(np.max(np.abs(a_eq @ x - b_eq)))
-    if residual > tol:
-        raise SolverError(f"solver residual {residual} exceeds tolerance {tol}")
+    if residual > ORACLE_TOL:
+        raise SolverError(f"solver residual {residual} exceeds tolerance {ORACLE_TOL}")
     witness = DenseMeasure(family.alphabet, window, x, "probability", tol=1e-6)
     return OracleResult(True, witness, residual)
 
@@ -659,7 +656,7 @@ def verify_hypotheses(
     member (natural ordering, improved by a full ordering scan on small
     supports). Every violation carries its location and magnitude.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise DomainError(f"independence budget delta must be >= 0, got {delta}")
     violations: list[Violation] = []
 

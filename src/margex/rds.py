@@ -90,15 +90,6 @@ class SkewProduct:
     def cylinder_mass(cyl: Cylinder) -> float:
         return 0.5 ** len(cyl.constraints)
 
-    @staticmethod
-    def joint_mass(c1: Cylinder, c2: Cylinder) -> float:
-        merged = dict(c1.constraints)
-        for i, v in c2.constraints:
-            if merged.get(i, v) != v:
-                return 0.0
-            merged[i] = v
-        return 0.5 ** len(merged)
-
 
 def _check_samples(samples: int, n: int) -> None:
     """At least one sample, and at most ``CELL_CAP`` sampled base symbols."""
@@ -337,7 +328,7 @@ def relative_mixing_coefficient(
         system.check_window(b_cyl.shifted(-int(phi[np.argmax(escapes)])))
     # pins are distinct within a cylinder, so A and the pulled-back B pin
     # |A| + |B| - overlaps coordinates together unless an overlap disagrees;
-    # ldexp gives the same exact power of two as joint_mass
+    # ldexp gives their joint mass 0.5 ** pins as an exact power of two
     overlaps = np.zeros(samples, dtype=np.int64)
     conflict = np.zeros(samples, dtype=bool)
     for i, v in a_cyl.constraints:

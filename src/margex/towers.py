@@ -34,7 +34,7 @@ from .errors import (
     SingularityError,
     WindowError,
 )
-from .extension import ChainExtension, ExtensionStep, extend_family_chain
+from .extension import ChainExtension, extend_family_chain
 from .measures import (
     DEFAULT_TOL,
     Alphabet,
@@ -497,17 +497,6 @@ def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def conditional_table(step: ExtensionStep) -> np.ndarray:
-    """Kernel of one chain step: rows are the lexicographic cells of
-    ``A^r_bar``, columns the conditional law of the step's coordinate."""
-    rows, mass = conditional_rows(step.sigma, step.index)
-    if np.any(mass <= 0.0):
-        raise SingularityError(
-            f"kernel at coordinate {step.index} conditions on a zero-mass cell"
-        )
-    return rows / mass[:, None]
-
-
 def _paint_names(chain: ChainExtension, n_rows: int, seed: int) -> np.ndarray:
     """Assign one full-height name to each of ``n_rows`` slots.
 
@@ -522,7 +511,11 @@ def _paint_names(chain: ChainExtension, n_rows: int, seed: int) -> np.ndarray:
     names = np.zeros((n_rows, len(window)), dtype=np.int16)
     for step in chain.steps:
         col = col_of[step.index]
-        cond = conditional_table(step)
+        # the step's kernel: one row per cell of A^r_bar, the conditional law of its coordinate
+        rows, mass = conditional_rows(step.sigma, step.index)
+        if np.any(mass <= 0.0):
+            raise SingularityError(f"kernel at coordinate {step.index} conditions on a zero-mass cell")
+        cond = rows / mass[:, None]
         group_codes = np.zeros(n_rows, dtype=np.int64)
         for i in step.r_bar:
             group_codes = group_codes * size + names[:, col_of[i]]
@@ -597,7 +590,7 @@ def paint_tower(
     per-level distances stay below the painted fraction, and flagged shifts
     plus the top ``m`` levels are exempt.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     offsets = _window_offsets(offsets)
     if m <= max(offsets):

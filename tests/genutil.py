@@ -193,6 +193,17 @@ def sampled_shift_distance(w: int, samples: int, seed: int) -> float:
     return float(np.mean(flips))
 
 
+def joint_mass(c1, c2) -> float:
+    """Mass of the event that both cylinders hold under the product coin
+    fiber measure: the model reference of ``relative_mixing_coefficient``."""
+    merged = dict(c1.constraints)
+    for i, v in c2.constraints:
+        if merged.get(i, v) != v:
+            return 0.0
+        merged[i] = v
+    return 0.5 ** len(merged)
+
+
 def machin_pi_floor(digits: int) -> int:
     """``floor(pi * 10^digits)`` in exact integers, from Machin's formula
     ``pi = 16 atan(1/5) - 4 atan(1/239)``.

@@ -317,6 +317,13 @@ class TestExtendFamily:
         with pytest.raises(DomainError):
             extend_family(family, range(3), beta=0.1)
 
+    @pytest.mark.parametrize("beta", [-1e-3, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize("driver", [extend_family, extend_family_chain], ids=["dense", "chain"])
+    def test_degenerate_budget_refused(self, driver, beta):
+        family = MarginalFamily(A2, (DenseMeasure.uniform(A2, [0, 1]),), 0.5, 2)
+        with pytest.raises(DomainError, match="independence budget beta must be >= 0"):
+            driver(family, range(2), beta)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_near_product_families(self, seed):
         rng = np.random.default_rng(1000 + seed)
@@ -379,14 +386,14 @@ class TestExtendFamily:
 
 
 class TestStructureCache:
-    """Each extension loop runs one SVD per operator structure; its steps call
-    bounded_right_inverse with the loop's cache, and must get the bits of an
-    uncached call."""
+    """The process builds one right-inverse structure per shape, with one SVD,
+    and every later call shares it read-only; a fresh build gives the bits of
+    a shared one."""
 
     FAMILIES = [(2, 18, 0.3), (3, 12, 0.2)]
 
     @pytest.mark.parametrize("size, width, alpha", FAMILIES, ids=["binary-18", "ternary-12"])
-    def test_steps_match_public_right_inverse(self, monkeypatch, size, width, alpha):
+    def test_cleared_run_matches_cached_run(self, size, width, alpha):
         family = genutil.near_product_family(
             np.random.default_rng(width), Alphabet(size), window_size=width, alpha=alpha
         )
@@ -400,19 +407,12 @@ class TestStructureCache:
                 (s.sigma.table.tobytes(), np.float64(s.b_norm).tobytes()) for s in steps
             ]
 
+        run()
         cached = run()
-        bounded = margex.extension.bounded_right_inverse
-        calls = []
-
-        def uncached(op, v, w, tol, structures=None):
-            calls.append(structures)
-            return bounded(op, v, w, tol)
-
-        monkeypatch.setattr(margex.extension, "bounded_right_inverse", uncached)
+        margex.extension._structure.cache_clear()
         assert run() == cached
-        assert calls and all(isinstance(c, dict) for c in calls)
 
-    def test_one_svd_per_structure_per_loop(self, monkeypatch):
+    def test_one_svd_per_structure_per_process(self, monkeypatch):
         # a chain of pairs has three structures: the first coordinate (one
         # empty target), the interior (targets () and the previous
         # coordinate) and the last (the previous coordinate alone)
@@ -426,10 +426,18 @@ class TestStructureCache:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        margex.extension._structure.cache_clear()
         extend_family(family, range(10), beta)
         assert len(calls) == 3
+        extend_family(family, range(10), beta)
         extend_family_chain(family, range(10), beta)
-        assert len(calls) == 6
+        assert len(calls) == 3
+
+    def test_shared_structure_is_read_only(self):
+        mat, pinv, basis = margex.extension._structure(2, 2, ((), (0,)))
+        for arr in (mat, pinv, *(a for entry in basis for a in entry[:2])):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
 
 
 class TestChainExtension:
@@ -524,6 +532,12 @@ class TestOracle:
 
 
 class TestVerifyHypotheses:
+    @pytest.mark.parametrize("delta", [-1e-3, float("nan")], ids=["negative", "nan"])
+    def test_degenerate_budget_refused(self, delta):
+        family = MarginalFamily(A2, (measure(A2, [0, 1], [0.3, 0.2, 0.2, 0.3]),), 0.4, 2)
+        with pytest.raises(DomainError, match="independence budget delta must be >= 0"):
+            verify_hypotheses(family, delta)
+
     def test_products_pass(self):
         margs = [measure(A2, [i], [0.4, 0.6]) for i in range(3)]
         family = MarginalFamily(

@@ -1,7 +1,7 @@
 """Every top-level function, class and ALL-CAPS constant of the package has a
 caller in it or is exported; every method and every exported name has a caller
-in the package or the benchmark, or a stated role; and every mode a function
-offers is chosen by some caller."""
+in the package or the benchmark, or a stated role; and every option a function
+offers is set by some caller, or has a stated role."""
 
 import ast
 import re
@@ -13,16 +13,17 @@ import margex
 SOURCE = Path(margex.__file__).parent
 PERFBENCH = SOURCE.parents[1] / "perfbench"
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
-# public names that neither the package nor the benchmark calls, each kept
-# for its role: a construction of the paper, the family format the README
-# documents, or the reference a test checks library code against
+# public names and options that neither the package nor the benchmark uses,
+# each kept for its role: a construction of the paper, the family format the
+# README documents, or an entry point
 ALLOWED = {
     "choose_eta": "paper construction: the mixing-defect budget of a paint step",
     "inclusion_exclusion_extension": "paper construction: the common extension",
+    "inclusion_exclusion_extension.q": "paper construction: the reference measure",
     "fiber_surgery": "paper construction: exact repair of window independence",
     "ProjectionOperator.apply": "README family format: the flat array of target tables",
     "RightInverse.evaluate": "README family format: takes that flat array",
-    "SkewProduct.joint_mass": "test reference of relative_mixing_coefficient",
+    "main.argv": "entry point: the CLI run in-process, as the tests run it",
 }
 
 
@@ -99,16 +100,17 @@ def test_every_export_has_a_caller_or_a_role():
     ]
     assert [name for name in exported if name not in callers and name not in ALLOWED] == []
     # the allow list stays short: an entry whose name gained a caller goes
-    assert [name for name in ALLOWED if name.split(".")[-1] in callers] == []
+    options = _options()
+    assert [name for name in ALLOWED if name not in options and name.split(".")[-1] in callers] == []
 
 
-def _str_defaults(func):
+def _optional(func):
     """(position or None when keyword-only, name) of each parameter of
-    ``func`` whose default is a string: a mode switch."""
+    ``func`` that has a default: an option."""
     positional = func.args.posonlyargs + func.args.args
     pairs = zip(positional[len(positional) - len(func.args.defaults) :], func.args.defaults)
     for arg, default in [*pairs, *zip(func.args.kwonlyargs, func.args.kw_defaults)]:
-        if isinstance(default, ast.Constant) and isinstance(default.value, str):
+        if default is not None:
             yield (positional.index(arg) if arg in positional else None), arg.arg
 
 
@@ -117,24 +119,32 @@ def _passes(call, position, name):
     return by_position or any(kw.arg == name for kw in call.keywords)
 
 
-def test_every_mode_switch_is_set_by_a_caller():
+def _options():
+    """``{"function.option": whether a call in the package or the benchmark
+    passes it}`` for each option of a top-level function of the package."""
     paths = [*sorted(SOURCE.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]
     trees = {path: ast.parse(path.read_text()) for path in paths}
     calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    unset = [
-        f"{func.name}.{name}"
-        for path, tree in trees.items()
-        if path.parent == SOURCE
-        for func in tree.body
-        if isinstance(func, ast.FunctionDef)
-        for position, name in _str_defaults(func)
-        if not any(
+    return {
+        f"{func.name}.{name}": any(
             getattr(call.func, "id", getattr(call.func, "attr", None)) == func.name
             and _passes(call, position, name)
             for call in calls
         )
-    ]
-    assert unset == []
+        for path, tree in trees.items()
+        if path.parent == SOURCE
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for position, name in _optional(func)
+    }
+
+
+def test_every_option_is_set_by_a_caller():
+    # a value no caller chooses is a constant, not an option
+    options = _options()
+    assert [name for name, is_set in options.items() if not is_set and name not in ALLOWED] == []
+    # an option that gained a caller leaves the allow list
+    assert [name for name, is_set in options.items() if is_set and name in ALLOWED] == []
 
 
 def test_every_report_is_its_fields():

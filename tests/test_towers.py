@@ -718,6 +718,20 @@ class TestFlagPaintAgreement:
             assert alone == after
         assert flagged > 0
 
+    @pytest.mark.parametrize("offsets, m", [([0, 1], 3), ([1, 2], 4), ([0, 2], 5), ([1, 2], 6)])
+    def test_refusal_sweep_paints_or_names_the_refusal(self, offsets, m):
+        # past the gate, the chain either extends the window or refuses at a
+        # named coordinate with the negative cell it met (about half of these
+        # 4096-atom runs refuse)
+        for seed in range(10):
+            tower = genutil.permutation_tower(16, 2**12, seed)
+            partition = uniform_random_partition(tower, A2, seed=1000 + seed)
+            try:
+                paint_tower(tower, partition, offsets, m, 0.4, 0.0, seed)
+            except PositivityError as err:
+                assert err.margin < 0
+                assert str(err).startswith("extension failed at coordinate")
+
 
 class TestPaintTower:
     def test_degenerate_split(self):
@@ -751,6 +765,12 @@ class TestPaintTower:
         tower, partition = big_tower
         with pytest.raises(DomainError, match="offsets must be >= 0"):
             paint_tower(tower, partition, [-1, 0], 2, epsilon=0.4, alpha=0.4)
+
+    @pytest.mark.parametrize("alpha", [-0.1, float("nan")], ids=["negative", "nan"])
+    def test_degenerate_alpha_refused(self, big_tower, alpha):
+        tower, partition = big_tower
+        with pytest.raises(DomainError, match="alpha must be >= 0"):
+            paint_tower(tower, partition, [0], 2, epsilon=0.4, alpha=alpha)
 
     def test_alpha_floor_checked(self, big_tower):
         tower, partition = big_tower
