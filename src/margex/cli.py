@@ -55,21 +55,9 @@ from .towers import (
 
 USAGE_EXIT = 2
 MATH_EXIT = 1
-# structured fields an error may carry (PositivityError, IndependenceError,
-# MixingSupplyError), copied into a failure report's reason when set
-_REASON_FIELDS = {
-    "margin": float,
-    "cell": int,
-    "defect": float,
-    "budget": float,
-    "index": int,
-    "step": int,
-}
 
 
-def _digest(path: str | None) -> str | None:
-    if path is None:
-        return None
+def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
@@ -89,8 +77,8 @@ def _load_json(path: str) -> dict:
 
 def _reason(err: MargexError) -> dict:
     reason = {"code": type(err).__name__, "message": str(err)}
-    for name, cast in _REASON_FIELDS.items():
-        value = getattr(err, name, None)
+    for name, cast in err.fields.items():
+        value = getattr(err, name)
         if value is not None:
             reason[name] = cast(value)
     return reason
@@ -252,14 +240,11 @@ def _cmd_krengel(args, spec):
 
 def _cmd_counterexample(args, spec):
     with _spec_errors():
-        w, n = spec.get("W", args.w), spec.get("n", args.n)
-        if w is None or n is None:
-            raise DomainError("counterexample needs --W and --n")
-        w, n = _spec_int(w, "W"), _spec_int(n, "n")
-        samples = _spec_int(spec.get("samples", args.samples), "samples")
+        w, n = _spec_int(spec["W"], "W"), _spec_int(spec["n"], "n")
+        samples = _spec_int(spec.get("samples", 10**5), "samples")
         seed = _spec_int(spec.get("seed", args.seed), "seed")
         mixing_args = None
-        if spec and "cylinders" in spec:
+        if "cylinders" in spec:
             cyl_spec = spec["cylinders"]
             mixing_args = (
                 SkewProduct(
@@ -281,13 +266,13 @@ def _cmd_counterexample(args, spec):
 
 
 _COMMANDS = {
-    "verify": (_cmd_verify, True),
-    "extend": (_cmd_extend, True),
-    "oracle": (_cmd_oracle, True),
-    "correct": (_cmd_correct, True),
-    "paint": (_cmd_paint, True),
-    "krengel": (_cmd_krengel, True),
-    "counterexample": (_cmd_counterexample, False),
+    "verify": _cmd_verify,
+    "extend": _cmd_extend,
+    "oracle": _cmd_oracle,
+    "correct": _cmd_correct,
+    "paint": _cmd_paint,
+    "krengel": _cmd_krengel,
+    "counterexample": _cmd_counterexample,
 }
 
 
@@ -302,16 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--seed", type=int, default=20210607)
     parser.add_argument("--no-timestamp", action="store_true")
-    parser.add_argument("--W", dest="w", type=int, default=None)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=10**5)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler, needs_input = _COMMANDS[args.command]
 
     report = {
         "command": args.command,
@@ -328,13 +309,11 @@ def main(argv: list[str] | None = None) -> int:
         _check_seed(args.seed)
         if not math.isfinite(args.tol) or args.tol < 0:
             raise DomainError(f"tol must be finite and >= 0, got {args.tol}")
-        spec = {}
-        if args.input:
-            spec = _load_json(args.input)
-            report["input_digest"] = _digest(args.input)
-        elif needs_input:
+        if not args.input:
             raise DomainError(f"{args.command} needs --input")
-        payload, ok = handler(args, spec)
+        spec = _load_json(args.input)
+        report["input_digest"] = _digest(args.input)
+        payload, ok = _COMMANDS[args.command](args, spec)
         report["result"] = payload
         report["status"] = "ok" if ok else "failed"
         if not ok:

@@ -2,7 +2,21 @@
 
 
 class MargexError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``fields`` maps each structured field an error type carries to its JSON
+    type. Each is a keyword of the constructor, ``None`` when not given, and
+    a failure report copies each one that is set."""
+
+    fields: dict[str, type] = {}
+
+    def __init__(self, message, **values):
+        undeclared = sorted(values.keys() - self.fields.keys())
+        if undeclared:
+            raise TypeError(f"{type(self).__name__} got unexpected keyword arguments {undeclared}")
+        super().__init__(message)
+        for name in self.fields:
+            setattr(self, name, values.get(name))
 
 
 class DomainError(MargexError, ValueError):
@@ -28,20 +42,13 @@ class ZeroMassError(MargexError):
 class PositivityError(MargexError):
     """A measure that must be nonnegative has a negative cell."""
 
-    def __init__(self, message, *, margin=None, cell=None):
-        super().__init__(message)
-        self.margin = margin
-        self.cell = cell
+    fields = {"margin": float, "cell": int}
 
 
 class IndependenceError(MargexError):
     """A measured independence defect exceeds its budget."""
 
-    def __init__(self, message, *, defect=None, budget=None, index=None):
-        super().__init__(message)
-        self.defect = defect
-        self.budget = budget
-        self.index = index
+    fields = {"defect": float, "budget": float, "index": int}
 
 
 class AnchorError(MargexError):
@@ -55,9 +62,11 @@ class QuantizationError(MargexError):
 class MixingSupplyError(MargexError):
     """No supplied time shows enough measured mixing for the current step."""
 
-    def __init__(self, message, *, step=None):
-        super().__init__(message)
-        self.step = step
+    fields = {"step": int}
+
+
+class SolverError(MargexError, RuntimeError):
+    """The external LP solver neither solved nor proved infeasibility."""
 
 
 class WindowError(MargexError):

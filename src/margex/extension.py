@@ -30,9 +30,9 @@ from .errors import (
     ConsistencyError,
     DomainError,
     IndependenceError,
-    MargexError,
     PositivityError,
     SingularityError,
+    SolverError,
 )
 from .measures import (
     DEFAULT_TOL,
@@ -58,10 +58,6 @@ from .measures import (
 
 ORACLE_CELL_CAP = 2**16
 ORACLE_TOL = 1e-7
-
-
-class SolverError(MargexError, RuntimeError):
-    """The external LP solver neither solved nor proved infeasibility."""
 
 
 def thresholds(alpha: float, n_cap: int, c_prime: float) -> tuple[float, float]:

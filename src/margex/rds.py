@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapacityError, DomainError, WindowError
-from .measures import CELL_CAP, _json, _report
+from .measures import CELL_CAP, _json, _report, _spec_int
 from .towers import TowerSpec, _check_tower_cells, seeded_permutation_transfer
 
 # caps the window W and the iterate n of the counterexample, `_walk_count` and
@@ -50,7 +50,7 @@ class Cylinder:
     @classmethod
     def of(cls, constraints: Mapping[int, int] | Iterable[tuple[int, int]]) -> "Cylinder":
         items = constraints.items() if isinstance(constraints, Mapping) else constraints
-        pinned = tuple(sorted((int(i), int(v)) for i, v in items))
+        pinned = tuple(sorted((_spec_int(i, "pin"), _spec_int(v, "pin value")) for i, v in items))
         coords = [i for i, _ in pinned]
         if len(set(coords)) != len(coords):
             raise DomainError("cylinder pins a coordinate twice")
@@ -372,7 +372,7 @@ def build_tower_from_base(
     elif fiber_rule == "plus_minus_shift":
         idx = np.arange(n, dtype=np.int64)
         transfer = np.stack(
-            [((idx + int(orbit[j])) % n).astype(np.int32) for j in range(height - 1)]
+            [((idx + _spec_int(orbit[j], "orbit symbol")) % n).astype(np.int32) for j in range(height - 1)]
         )
     elif fiber_rule == "seeded_permutation":
         transfer = seeded_permutation_transfer(height, n, seed)

@@ -58,6 +58,8 @@ from .measures import (
 TOWER_CELL_CAP = 2**28
 # cells of one packed count: windows are counted together while their joint fits
 PACK_CELLS = 2**8
+# symbols of a partition's alphabet: labels are int16
+LABEL_CAP = 2**15
 
 
 def _checked_indices(values, bound: int, name: str) -> np.ndarray:
@@ -194,9 +196,16 @@ class LabeledPartition:
         return float(self.distributions().min())
 
 
+def _label_symbols(alphabet: Alphabet) -> int:
+    """The size of a partition's alphabet, refused past ``LABEL_CAP``."""
+    if alphabet.size > LABEL_CAP:
+        raise DomainError(f"alphabet of {alphabet.size} symbols exceeds the int16 label cap 2^15")
+    return alphabet.size
+
+
 def _label_table(alphabet: Alphabet, labels, copy: bool) -> np.ndarray:
     """Labels as a read-only int16 table, checked before the narrowing cast."""
-    labels = _checked_indices(labels, min(alphabet.size, np.iinfo(np.int16).max + 1), "labels")
+    labels = _checked_indices(labels, _label_symbols(alphabet), "labels")
     if labels.ndim != 2:
         raise DomainError("labels must be a (height, atom_count) array")
     labels = labels.astype(np.int16, copy=copy)
@@ -233,7 +242,7 @@ def labels_from_base(tower: TowerSpec, base_labels: np.ndarray, alphabet: Alphab
 
 def uniform_random_partition(tower: TowerSpec, alphabet: Alphabet, seed: int) -> LabeledPartition:
     rng = np.random.default_rng(seed)
-    labels = rng.integers(0, alphabet.size, size=(tower.height, tower.atom_count), dtype=np.int16)
+    labels = rng.integers(0, _label_symbols(alphabet), size=(tower.height, tower.atom_count), dtype=np.int16)
     return LabeledPartition._owned(alphabet, labels)
 
 
@@ -252,7 +261,7 @@ def _window_codes(base_labels: np.ndarray, levels: Sequence[int], size: int) -> 
     dtype that holds ``size^len(levels) - 1`` and the multiplier ``size``.
     Callers bound that: ``_window_counts`` packs at most ``PACK_CELLS`` cells
     into a code, or one window under ``CELL_CAP``, and ``_painted_split`` packs
-    at most ``2^15`` cells into each key, or one level when ``size`` is larger."""
+    at most ``LABEL_CAP`` cells into each key."""
     dtype = np.min_scalar_type(-max(size ** len(levels), size + 1))
     codes = np.zeros(base_labels.shape[1], dtype=dtype)
     for lvl in levels:
@@ -408,8 +417,8 @@ def _painted_split(base: np.ndarray, size: int, fraction: float) -> np.ndarray:
     """Ascending base indices of the painted slice: ``_systematic_split`` along
     a ``lexsort`` of the full-height names (level 0 primary, ties by index).
     Each sort key packs as many consecutive levels as fit in int16, which
-    numpy sorts by radix; past ``2^15`` symbols a key holds one level."""
-    per_key = max([k for k in range(1, 16) if size**k <= 2**15], default=1)
+    numpy sorts by radix."""
+    per_key = max(k for k in range(1, 16) if size**k <= LABEL_CAP)
     starts = range(0, len(base), per_key)
     keys = [_window_codes(base, range(lo, min(lo + per_key, len(base))), size) for lo in starts]
     return np.sort(_systematic_split(np.lexsort(keys[::-1]), fraction))
@@ -482,13 +491,7 @@ def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
     Ties go to the smaller index, so the outcome is deterministic.
     """
     w = np.clip(np.asarray(weights, dtype=np.float64), 0.0, None)
-    s = w.sum()
-    if s <= 0.0 or total == 0:
-        out = np.zeros(len(w), dtype=np.int64)
-        if total:
-            out[0] = total
-        return out
-    quota = w / s * total
+    quota = w / w.sum() * total
     base = np.floor(quota).astype(np.int64)
     short = total - int(base.sum())
     if short > 0:

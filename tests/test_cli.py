@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from margex import IndexSet, cli, towers
+from margex import DomainError, IndependenceError, IndexSet, PositivityError, cli, towers
 from margex.cli import main
 from margex.measures import CELL_CAP
 
@@ -27,6 +27,12 @@ def run(tmp_path, *argv):
     out = tmp_path / "report.json"
     code = main([*argv, "--output", str(out), "--no-timestamp"])
     return code, json.loads(out.read_text())
+
+
+def spec_file(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
 
 
 @pytest.fixture()
@@ -330,13 +336,8 @@ class TestPaintAndKrengel:
 
 class TestCounterexampleCommand:
     def test_report_values(self, tmp_path):
-        code, report = run(
-            tmp_path,
-            "counterexample",
-            "--W", "10001",
-            "--n", "10",
-            "--samples", "20000",
-        )
+        spec = {"W": 10001, "n": 10, "samples": 20000}
+        code, report = run(tmp_path, "counterexample", "--input", spec_file(tmp_path, spec))
         assert code == 0
         result = report["result"]
         assert result["shift_distance"] == pytest.approx(0.003988924217, abs=1e-9)
@@ -344,38 +345,41 @@ class TestCounterexampleCommand:
         assert result["max_fiber_distance"] < 0.01
 
     def test_small_window_precondition(self, tmp_path):
-        code, report = run(
-            tmp_path, "counterexample", "--W", "101", "--n", "4", "--samples", "1000"
-        )
+        spec = {"W": 101, "n": 4, "samples": 1000}
+        code, report = run(tmp_path, "counterexample", "--input", spec_file(tmp_path, spec))
         assert code == 1
         assert report["result"]["preconditions_ok"] is False
 
-    @pytest.mark.parametrize("spec", [{"n": 2}, {"W": 101}, {"W": 101, "n": None}])
-    def test_spec_without_window_or_iterate(self, tmp_path, spec):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        code, report = run(tmp_path, "counterexample", "--input", str(path))
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"n": 2}, "spec is missing field 'W'"),
+            ({"W": 101}, "spec is missing field 'n'"),
+            ({"W": 101, "n": None}, "malformed spec value: "),
+        ],
+        ids=["spec0", "spec1", "spec2"],
+    )
+    def test_spec_without_window_or_iterate(self, tmp_path, spec, message):
+        code, report = run(tmp_path, "counterexample", "--input", spec_file(tmp_path, spec))
         assert code == 2
-        assert report["reason"] == {
-            "code": "DomainError",
-            "message": "counterexample needs --W and --n",
-        }
+        assert report["reason"]["code"] == "DomainError"
+        assert report["reason"]["message"].startswith(message)
 
     @pytest.mark.parametrize(
-        "argv",
+        "spec",
         [
-            ("--W", "10001", "--n", "10", "--samples", "100000000000"),
-            ("--W", "1048577", "--n", "10", "--samples", "10"),
-            ("--W", "262145", "--n", "3", "--samples", "10"),
+            {"W": 10001, "n": 10, "samples": 100000000000},
+            {"W": 1048577, "n": 10, "samples": 10},
+            {"W": 262145, "n": 3, "samples": 10},
         ],
         ids=["samples", "window", "window-past-cap"],
     )
-    def test_over_cap_is_usage_error(self, tmp_path, monkeypatch, argv):
+    def test_over_cap_is_usage_error(self, tmp_path, monkeypatch, spec):
         def forbidden(*args):
             raise AssertionError("binomial computed before the walk cap")
 
         monkeypatch.setattr(math, "comb", forbidden)
-        code, report = run(tmp_path, "counterexample", *argv)
+        code, report = run(tmp_path, "counterexample", "--input", spec_file(tmp_path, spec))
         assert code == 2
         assert report["reason"]["code"] == "CapacityError"
 
@@ -598,10 +602,9 @@ class TestPlumbing:
 class TestFailureReasons:
     """A failed check's report carries the structured fields of its error."""
 
-    def _run_spec(self, tmp_path, command, spec):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        return run(tmp_path, command, "--input", str(path))
+    @staticmethod
+    def _run_spec(tmp_path, command, spec):
+        return run(tmp_path, command, "--input", spec_file(tmp_path, spec))
 
     def test_positivity_margin_and_cell(self, tmp_path):
         spec = {
@@ -645,6 +648,34 @@ class TestFailureReasons:
         assert code == 2
         assert report["reason"]["code"] == "DomainError"
 
+    def test_numpy_fields_report_declared_types(self):
+        positivity = PositivityError("negative cell", margin=np.float32(-0.5), cell=np.int64(3))
+        independence = IndependenceError(
+            "over budget", defect=np.float64(0.25), budget=np.float32(0.125), index=np.int32(2)
+        )
+        for err in (positivity, independence):
+            reason = cli._reason(err)
+            assert {name: type(reason[name]) for name in err.fields} == err.fields
+        assert cli._reason(independence) == {
+            "code": "IndependenceError",
+            "message": "over budget",
+            "defect": 0.25,
+            "budget": 0.125,
+            "index": 2,
+        }
+
+    def test_undeclared_field_is_refused(self):
+        with pytest.raises(TypeError, match="'step'"):
+            PositivityError("negative cell", margin=-0.5, step=1)
+        with pytest.raises(TypeError, match="'cell'"):
+            DomainError("bad value", cell=0)
+
+    def test_counterexample_without_input_is_usage_error(self, tmp_path):
+        code, report = run(tmp_path, "counterexample")
+        assert code == 2
+        assert report["reason"] == {"code": "DomainError", "message": "counterexample needs --input"}
+        assert "result" not in report
+
 
 class TestStrictJson:
     """A non-finite number is written as null and named, with its kind, in
@@ -657,9 +688,9 @@ class TestStrictJson:
         return code, strict_loads(out.read_text())
 
     def test_counterexample_without_parity_samples(self, tmp_path):
-        code, report = self._report(
-            tmp_path, "counterexample", "--W", "101", "--n", "3", "--samples", "1", "--seed", "0"
-        )
+        spec = {"W": 101, "n": 3, "samples": 1}
+        path = spec_file(tmp_path, spec)
+        code, report = self._report(tmp_path, "counterexample", "--input", path, "--seed", "0")
         assert code == 1
         assert report["result"]["samples_in_set"] == 0
         assert report["result"]["max_fiber_distance"] is None

@@ -247,6 +247,17 @@ class TestCylinders:
         with pytest.raises(WindowError):
             sp.check_window(Cylinder.of({5: 1}))
 
+    @pytest.mark.parametrize(
+        "pins, message",
+        [({0: -1.5}, "pin value must be an integer"), ({0.7: 1}, "pin must be an integer")],
+        ids=["value", "coordinate"],
+    )
+    def test_fractional_pin_refused(self, pins, message):
+        # int() would truncate them to the pins (0, -1) and (0, 1)
+        with pytest.raises(DomainError, match=message):
+            Cylinder.of(pins)
+        assert Cylinder.of({2.0: -1.0}).constraints == ((2, -1),)
+
 
 class TestMixingCoefficient:
     def test_disjoint_coordinates_vanish(self):
@@ -430,6 +441,14 @@ class TestBuildTower:
         assert np.array_equal(pos[1], (np.arange(8) + 1) % 8)
         assert np.array_equal(pos[2], np.arange(8))
         assert np.array_equal(pos[3], (np.arange(8) + 1) % 8)
+
+    def test_fractional_orbit_symbol_refused(self):
+        # int() would read 0.7 as 0 and leave every level unrotated
+        with pytest.raises(DomainError, match="orbit symbol must be an integer, got 0.7"):
+            build_tower_from_base([0.7] * 4, 4, 8, "plus_minus_shift")
+        whole = build_tower_from_base([1.0, -1.0, 1.0, 1.0], 4, 8, "plus_minus_shift")
+        ints = build_tower_from_base([1, -1, 1, 1], 4, 8, "plus_minus_shift")
+        assert np.array_equal(whole.positions, ints.positions)
 
     def test_orbit_too_short(self):
         with pytest.raises(DomainError):

@@ -158,6 +158,15 @@ class TestLabeledPartition:
         with pytest.raises(DomainError):
             LabeledPartition(alphabet, labels)
 
+    def test_alphabet_past_label_cap_refused(self):
+        # labels are int16: a wider alphabet is refused before the draw, not by numpy
+        with pytest.raises(DomainError, match="label cap 2\\^15"):
+            LabeledPartition(Alphabet(2**15 + 1), np.zeros((2, 8), dtype=np.int16))
+        with pytest.raises(DomainError, match="label cap 2\\^15"):
+            uniform_random_partition(TowerSpec(2, 8), Alphabet(40000), 1)
+        widest = uniform_random_partition(TowerSpec(2, 8), Alphabet(2**15), 1)
+        assert widest.labels.dtype == np.int16 and widest.labels.max() < 2**15
+
     def test_caller_labels_copied_made_labels_handed_over(self):
         # a caller's array is copied, never aliased; labels_from_base and
         # uniform_random_partition hand over the int16 table they just made
@@ -589,18 +598,17 @@ class TestPaintedSplit:
         assert np.array_equal(got, self.lexsort_split(base, 0.04))
 
     # an int16 key holds 15, 9, 6 and 2 levels at sizes 2, 3, 5 and 128, and
-    # one level past 2^15 symbols; each pair of heights ends on a full key
-    # and on a short one
+    # a key holds one level at 2^15 symbols, the label cap; each pair of
+    # heights ends on a full key and on a short one
     @pytest.mark.parametrize(
         "size, height",
-        [(2, 30), (2, 31), (3, 18), (3, 19), (5, 12), (5, 13), (128, 8), (128, 7), (40000, 4), (40000, 3)],
+        [(2, 30), (2, 31), (3, 18), (3, 19), (5, 12), (5, 13), (128, 8), (128, 7), (2**15, 4), (2**15, 3)],
     )
     @pytest.mark.parametrize("ties", [False, True])
     def test_int16_keys_match_int64_keys(self, size, height, ties):
         rng = np.random.default_rng(size + height)
         atoms = 2**11
-        # a label table holds at most 2^15 symbols
-        base = rng.integers(0, min(size, 2**15), size=(height, atoms), dtype=np.int16)
+        base = rng.integers(0, size, size=(height, atoms), dtype=np.int16)
         if ties:
             # 24 distinct names, each carried by about 85 atoms
             base = base[:, rng.integers(0, 24, size=atoms)]
@@ -609,7 +617,7 @@ class TestPaintedSplit:
             assert np.array_equal(got, self.int64_split(base, size, fraction))
 
     # a short last key may be narrower still
-    @pytest.mark.parametrize("size, width", [(2, 2), (3, 2), (128, 2), (40000, 4)])
+    @pytest.mark.parametrize("size, width", [(2, 2), (3, 2), (128, 2), (2**15, 4)])
     def test_keys_fit_16_bits_up_to_2_15_symbols(self, size, width, monkeypatch):
         seen = []
         lexsort = np.lexsort
@@ -619,7 +627,7 @@ class TestPaintedSplit:
             return lexsort(keys)
 
         monkeypatch.setattr(towers.np, "lexsort", recording_lexsort)
-        base = np.random.default_rng(size).integers(0, min(size, 2**15), size=(31, 256), dtype=np.int16)
+        base = np.random.default_rng(size).integers(0, size, size=(31, 256), dtype=np.int16)
         towers._painted_split(base, size, 0.04)
         assert seen and max(d.itemsize for d in seen) == width
         assert all(d.kind == "i" for d in seen)
