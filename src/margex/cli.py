@@ -242,7 +242,8 @@ def _cmd_counterexample(args, spec):
     with _spec_errors():
         w, n = _spec_int(spec["W"], "W"), _spec_int(spec["n"], "n")
         samples = _spec_int(spec.get("samples", 10**5), "samples")
-        seed = _spec_int(spec.get("seed", args.seed), "seed")
+        # the report's top-level seed names the one the run used
+        seed = args.seed = _spec_int(spec.get("seed", args.seed), "seed")
         mixing_args = None
         if "cylinders" in spec:
             cyl_spec = spec["cylinders"]
@@ -257,7 +258,6 @@ def _cmd_counterexample(args, spec):
             )
     report = counterexample_check(w, n, samples, seed)
     payload = report.to_dict()
-    payload["shift_distance"] = report.shift_estimate
     if mixing_args is not None:
         mixing = relative_mixing_coefficient(*mixing_args, samples, seed)
         payload["mixing"] = mixing.to_dict()
@@ -297,7 +297,6 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "command": args.command,
         "version": __version__,
-        "seed": args.seed,
         "tolerance": args.tol,
         "input_digest": None,
     }
@@ -324,6 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         report["reason"] = _reason(err)
         usage = isinstance(err, (CapacityError, DomainError, WindowError))
         exit_code = USAGE_EXIT if usage else MATH_EXIT
+    report["seed"] = args.seed
 
     # strict JSON: a non-finite number is written as null and named in
     # a top-level "non_finite" block

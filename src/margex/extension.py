@@ -45,19 +45,19 @@ from .measures import (
     MarginalFamily,
     _cell_count,
     _conditional_gap,
-    _embed,
     _glue,
     _report,
     _sum_out,
     consistency_gap,
     delta_independence,
     project,
-    relative_product,
     tensor,
 )
 
 ORACLE_CELL_CAP = 2**16
 ORACLE_TOL = 1e-7
+# the least glue tolerance of a walk step, in an extension run or a replay
+GLUE_FLOOR = 1e-7
 
 
 def thresholds(alpha: float, n_cap: int, c_prime: float) -> tuple[float, float]:
@@ -298,27 +298,20 @@ class ChainExtension:
     steps: tuple[ExtensionStep, ...]
 
     def marginal(self, target: IndexLike) -> DenseMeasure:
-        """Projection onto ``target`` by forward filtering along the window."""
+        """Projection onto ``target`` by replaying every step on tables, each
+        glued at the gap its extension run admitted (a gap moves the law of
+        earlier coordinates, so the walk never stops early); checked once."""
         target = IndexSet.of(target)
         if not target.issubset(self.window):
             raise DomainError("target must lie inside the window")
-        state = DenseMeasure.unit(self.family.alphabet)
-        done_upto = None
+        table, support = np.ones(()), ()
         for step in self.steps:
-            n = step.index
-            state = relative_product(state, step.sigma, tol=1e-6)
-            keep = {
-                i
-                for i in state.support
-                if i in target or i > n - self.span
-            }
-            state = project(state, IndexSet.of(keep))
-            done_upto = n
-            if target and n >= max(target):
-                break
-        if target and (done_upto is None or done_upto < max(target)):
-            raise DomainError("window does not cover the requested target")
-        return project(state, target)
+            v = _sum_out(table, support, step.r_bar)
+            gap = float(np.abs(v - _sum_out(step.sigma.as_array(), step.s_bar, step.r_bar)).max())
+            glue_tol = max(GLUE_FLOOR, 2.0 * step.restriction_gap)
+            table, support = _advance(table, support, step, v, gap, glue_tol, target, self.span)
+        table = _sum_out(table, support, target)
+        return DenseMeasure._owned(self.family.alphabet, target, table, "probability", 1e-6)
 
     def dense(self) -> DenseMeasure:
         return self.marginal(self.window)
@@ -336,13 +329,29 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
 
     ``lam`` is a table over ``support`` (ascending coordinates) holding at
     least the prior coordinates of the members through ``n``. Returns
-    ``(sigma, v, ExtensionStep)`` where ``sigma`` lives on the union of the
-    clipped member supports through ``n`` and ``v`` is ``lam`` summed onto
-    the prior part of that union. Negative cells beyond ``pos_tol`` (default
-    ``tol``) are a hard error; smaller ones are clipped, renormalized, and
-    recorded on the step.
+    ``(v, ExtensionStep)`` where the step's ``sigma`` lives on the union of
+    the clipped member supports through ``n`` and ``v`` is ``lam`` summed
+    onto the prior part of that union. Negative cells beyond ``pos_tol``
+    (default ``tol``) are a hard error; smaller ones are clipped,
+    renormalized, and recorded on the step. With no members the kernel is
+    uniform on ``n`` and ``v`` is ``lam``'s total mass.
     """
     alphabet = family.alphabet
+    if not members_n:
+        sigma = DenseMeasure.uniform(alphabet, (n,))
+        v = _sum_out(lam, support, EMPTY)
+        step = ExtensionStep(
+            index=n,
+            s_bar=sigma.support,
+            r_bar=EMPTY,
+            sigma=sigma,
+            positivity_margin=1.0 / alphabet.size,
+            beta_defect=0.0,
+            b_norm=1.0,
+            trivial=True,
+            restriction_gap=abs(float(v) - float(sigma.table.sum())),
+        )
+        return v, step
     members_n = sorted(members_n, key=lambda mu: mu.support.indices)
     extended = set(support) | {n}
 
@@ -435,35 +444,28 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
         clipped=clipped,
         restriction_gap=back,
     )
-    return sigma, v, step
+    return v, step
+
+
+def _advance(table, support, step, v, gap, glue_tol, target, span):
+    """The one walk step of both extension runs and the replay: glue the
+    step's kernel onto ``table`` over ``support`` given ``v``, the table
+    summed onto the overlap, and ``gap``, its distance from the kernel's;
+    then keep the coordinates in ``target`` and the trailing ``span``."""
+    size, sigma, s_bar = step.sigma.alphabet.size, step.sigma.as_array(), step.s_bar.indices
+    table, support = _glue(size, table, support, sigma, s_bar, v, gap, glue_tol)
+    keep = tuple(i for i in support if i in target or i > step.index - span)
+    if len(keep) < len(support):
+        table, support = _sum_out(table, support, keep), keep
+    return table, support
 
 
 def _extension_step(family, lam, support, n, beta, tol, pos_tol):
-    """Extend the table ``lam`` over ``support`` by coordinate ``n``: the step
-    of every driver, returning ``(table, support, step)``.
-
-    ``beta=None`` records the defect without enforcing it. The glue tolerance
-    admits the step's restriction gap only when ``pos_tol`` allows clipping.
-    """
-    members_n = family.members_containing(n)
-    if not members_n:
-        sigma = DenseMeasure.uniform(family.alphabet, (n,))
-        step = ExtensionStep(
-            index=n,
-            s_bar=sigma.support,
-            r_bar=EMPTY,
-            sigma=sigma,
-            positivity_margin=1.0 / family.alphabet.size,
-            beta_defect=0.0,
-            b_norm=1.0,
-            trivial=True,
-        )
-        union = tuple(sorted(support + (n,)))
-        _cell_count(family.alphabet.size, union)
-        out = _embed(lam, support, union) * _embed(sigma.as_array(), (n,), union)
-        return out, union, step
-
-    sigma, v, step = _sigma_step(family, members_n, lam, support, n, tol, pos_tol)
+    """The kernel of every extension run's step on the table ``lam`` over
+    ``support`` at coordinate ``n``: ``(v, glue_tol, step)``. ``beta=None``
+    records the defect without enforcing it; the glue tolerance admits the
+    step's restriction gap only when ``pos_tol`` allows clipping."""
+    v, step = _sigma_step(family, family.members_containing(n), lam, support, n, tol, pos_tol)
     if beta is not None and step.beta_defect > beta + tol:
         raise IndependenceError(
             f"coordinate {n} is only {step.beta_defect}-independent of the prior block "
@@ -472,13 +474,10 @@ def _extension_step(family, lam, support, n, beta, tol, pos_tol):
             budget=beta,
             index=n,
         )
-    glue_tol = max(tol, 1e-7)
+    glue_tol = max(tol, GLUE_FLOOR)
     if pos_tol is not None:
         glue_tol = max(glue_tol, 2.0 * step.restriction_gap)
-    # v is lam summed onto the overlap r_bar, and the restriction gap its
-    # distance from sigma's, so lam is reduced once per step
-    size, s_bar, gap = family.alphabet.size, step.s_bar.indices, step.restriction_gap
-    return (*_glue(size, lam, support, sigma.as_array(), s_bar, v, gap, glue_tol), step)
+    return v, glue_tol, step
 
 
 def _extend(family, window, beta, tol, pos_tol, dense):
@@ -497,18 +496,18 @@ def _extend(family, window, beta, tol, pos_tol, dense):
         if len(mu.support) >= 2:
             span = max(span, max(mu.support) - min(mu.support))
     _cell_count(family.alphabet.size, window if dense else range(span + 1))
+    target = window if dense else EMPTY
     table, support = np.ones(()), ()
     steps = []
     for n in window:
         try:
-            table, support, step = _extension_step(family, table, support, n, beta, tol, pos_tol)
+            v, glue_tol, step = _extension_step(family, table, support, n, beta, tol, pos_tol)
+            # v and the restriction gap come from the step's one reduction of the table
+            table, support = _advance(table, support, step, v, step.restriction_gap, glue_tol, target, span)
         except (PositivityError, IndependenceError, ConsistencyError, SingularityError) as err:
             err.args = (f"extension failed at coordinate {n}: {err}", *err.args[1:])
             raise
         steps.append(step)
-        if not dense:
-            keep = tuple(i for i in support if i > n - span)
-            table, support = _sum_out(table, support, keep), keep
     lam = DenseMeasure._owned(family.alphabet, IndexSet(support), table, "probability", 1e-6)
     return lam, ChainExtension(family, window, span, tuple(steps))
 

@@ -390,15 +390,14 @@ def consistency_gap(m1: DenseMeasure, m2: DenseMeasure) -> float:
     return sup_distance(project(m1, common), project(m2, common))
 
 
-def relative_product(
-    lam: DenseMeasure, sigma: DenseMeasure, tol: float = DEFAULT_TOL
-) -> DenseMeasure:
+def relative_product(lam: DenseMeasure, sigma: DenseMeasure) -> DenseMeasure:
     """Glue two probability measures along their common coordinates.
 
     The output on the union support is ``lam(x_I) * sigma(x_S) / rho(x_R)``
     where ``R`` is the overlap and ``rho`` its shared projection. It restricts
     to ``lam`` and to ``sigma``. The overlap projection must be strictly
-    positive and the two input projections must agree within ``tol``.
+    positive and the two input projections must agree within ``DEFAULT_TOL``.
+    The extension engine glues its tables through the same :func:`_glue`.
     """
     if lam.alphabet != sigma.alphabet:
         raise DomainError("relative_product requires a shared alphabet")
@@ -408,7 +407,7 @@ def relative_product(
     rho = _sum_out(lam_arr, lam.support, sigma.support)
     gap = float(np.abs(rho - _sum_out(sigma_arr, sigma.support, lam.support)).max())
     size, lam_support, sigma_support = lam.alphabet.size, lam.support.indices, sigma.support.indices
-    out, union = _glue(size, lam_arr, lam_support, sigma_arr, sigma_support, rho, gap, tol)
+    out, union = _glue(size, lam_arr, lam_support, sigma_arr, sigma_support, rho, gap, DEFAULT_TOL)
     return DenseMeasure._owned(lam.alphabet, IndexSet._from_set(set(union)), out, "probability", 1e-6)
 
 

@@ -339,8 +339,9 @@ class TestCounterexampleCommand:
         spec = {"W": 10001, "n": 10, "samples": 20000}
         code, report = run(tmp_path, "counterexample", "--input", spec_file(tmp_path, spec))
         assert code == 0
+        assert report["seed"] == 20210607  # the spec sets none: the --seed default ran
         result = report["result"]
-        assert result["shift_distance"] == pytest.approx(0.003988924217, abs=1e-9)
+        assert result["shift_estimate"] == pytest.approx(0.003988924217, abs=1e-9)
         assert result["contradiction_margin"] >= 0.47
         assert result["max_fiber_distance"] < 0.01
 

@@ -420,7 +420,7 @@ class TestZeroMassRule:
         mu = measure(A3, [0, 1], np.ravel(self.ROWS))
         family = MarginalFamily(A3, (mu,), alpha=0.1, n_cap=2)
         lam = project(mu, [0])
-        _, _, step = extension._sigma_step(
+        _, step = extension._sigma_step(
             family, family.members_containing(1), lam.as_array(), lam.support.indices, 1, 1e-9, None
         )
         expected = _gap_over_massive_atoms(np.asarray(self.ROWS))
@@ -483,8 +483,8 @@ class TestRelativeProduct:
 
 
 class TestGlueAxisOrder:
-    """relative_product computes in sigma-first axis order; every cell must
-    carry the bits of the broadcast in the union's own order."""
+    """_glue computes in sigma-first axis order; every cell must carry the
+    bits of the broadcast in the union's own order."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -509,9 +509,13 @@ class TestGlueAxisOrder:
             return m.as_array().reshape([size if i in m.support else 1 for i in union])
 
         expected = (embed(lam) * embed(sigma) / embed(rho)).reshape(-1)
-        out = relative_product(lam, sigma, tol=1.0)
-        assert out.support == union
-        assert out.table.tobytes() == expected.tobytes()
+        # the two random measures disagree on their overlap: glue at gap 0
+        lam_arr, sigma_arr = lam.as_array(), sigma.as_array()
+        table, support = measures._glue(
+            size, lam_arr, lam.support.indices, sigma_arr, sigma.support.indices, rho.as_array(), 0.0, 0.0
+        )
+        assert support == union.indices
+        assert table.tobytes() == expected.tobytes()
 
 
 class TestSumOut:

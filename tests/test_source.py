@@ -203,3 +203,18 @@ def test_axis_sums_only_in_the_reduction_kernels():
         and any(kw.arg == "axis" for kw in call.keywords)
     ]
     assert callers == []
+
+
+def test_one_walk_glues_the_extension_steps():
+    # both extension runs and the replay advance through one step function; the
+    # paper's relative product is the only other glue
+    owners = {"extension.py": "_advance", "measures.py": "relative_product"}
+    callers = [
+        (path.name, getattr(node, "name", f"line {node.lineno}"))
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if getattr(node, "name", None) != owners.get(path.name)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) == "_glue"
+    ]
+    assert callers == []

@@ -21,6 +21,7 @@ from margex import (
     choose_eta,
     correcting_measure,
     delta_independence,
+    extend_family_chain,
     fiber_surgery,
     flag_dependent_shifts,
     iterate_krengel,
@@ -739,6 +740,25 @@ class TestFlagPaintAgreement:
             except PositivityError as err:
                 assert err.margin < 0
                 assert str(err).startswith("extension failed at coordinate")
+
+    def test_clipped_chain_replays(self, monkeypatch):
+        # a sweep case whose chain clips: the replay glues each step at the
+        # gap its extension run admitted, so the painted chain replays
+        chains = []
+
+        def recording_chain(*args, **kwargs):
+            chains.append(extend_family_chain(*args, **kwargs))
+            return chains[-1]
+
+        monkeypatch.setattr(towers, "extend_family_chain", recording_chain)
+        tower = genutil.permutation_tower(16, 2**12, 6)
+        partition = uniform_random_partition(tower, A2, seed=1006)
+        paint_tower(tower, partition, [0, 2], 5, 0.4, 0.0, 6)
+        (chain,) = chains
+        assert max(s.clipped for s in chain.steps) > 0
+        dense = chain.dense()
+        for i in chain.window:
+            assert sup_distance(chain.marginal([i]), project(dense, [i])) <= 1e-12
 
 
 class TestPaintTower:
