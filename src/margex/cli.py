@@ -34,6 +34,7 @@ from .extension import (
 )
 from .measures import (
     CELL_CAP,
+    DEFAULT_TOL,
     Alphabet,
     DenseMeasure,
     IndexSet,
@@ -284,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--input", help="JSON spec file")
     parser.add_argument("--output", help="report destination (default: stdout)")
-    parser.add_argument("--tol", type=float, default=1e-9)
+    tol_help = "tolerance of consistency, positivity and budget checks; spec tables keep the default"
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help=tol_help)
     parser.add_argument("--seed", type=int, default=20210607)
     parser.add_argument("--no-timestamp", action="store_true")
     return parser

@@ -37,6 +37,10 @@ from .errors import (
 from .measures import (
     DEFAULT_TOL,
     EMPTY,
+    GLUE_FLOOR,
+    MADE_TOL,
+    ORACLE_TOL,
+    ROUND_TOL,
     SCAN_ALL_LIMIT,
     Alphabet,
     DenseMeasure,
@@ -55,9 +59,6 @@ from .measures import (
 )
 
 ORACLE_CELL_CAP = 2**16
-ORACLE_TOL = 1e-7
-# the least glue tolerance of a walk step, in an extension run or a replay
-GLUE_FLOOR = 1e-7
 
 
 def thresholds(alpha: float, n_cap: int, c_prime: float) -> tuple[float, float]:
@@ -237,7 +238,7 @@ def bounded_right_inverse(
     """Right inverse of ``op`` with ``B(w) = v``, plus its measured sup-norm.
 
     ``w`` is a family over the operator's targets in :meth:`ProjectionOperator.apply`
-    form. Requires ``op(v) = w`` within ``tol`` and ``w != 0``.
+    form. Requires ``op(v) = w`` within ``tol`` (at least ``ROUND_TOL`` per cell) and ``w != 0``.
     """
     if v.support != op.domain:
         raise DomainError("anchor measure must live on the operator domain")
@@ -249,7 +250,7 @@ def bounded_right_inverse(
     if float(np.abs(w_vec).max()) == 0.0:
         raise DomainError("anchor family is zero; no anchored right inverse exists")
     gap = float(np.abs(mat @ v.table - w_vec).max())
-    if gap > tol:
+    if gap > max(tol, ROUND_TOL * v.table.size):
         raise AnchorError(f"operator applied to the anchor measure misses w by {gap}")
     corr = v.table - pinv @ w_vec
     w_norm2 = float(w_vec @ w_vec)
@@ -311,7 +312,7 @@ class ChainExtension:
             glue_tol = max(GLUE_FLOOR, 2.0 * step.restriction_gap)
             table, support = _advance(table, support, step, v, gap, glue_tol, target, self.span)
         table = _sum_out(table, support, target)
-        return DenseMeasure._owned(self.family.alphabet, target, table, "probability", 1e-6)
+        return DenseMeasure._owned(self.family.alphabet, target, table, "probability", MADE_TOL)
 
     def dense(self) -> DenseMeasure:
         return self.marginal(self.window)
@@ -363,7 +364,7 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
         stored = slice_sources.setdefault(s_idx, restricted)
         if stored is not restricted:
             gap = float(np.abs(stored - restricted).max())
-            if gap > max(tol, 1e-9):
+            if gap > max(tol, DEFAULT_TOL):
                 raise ConsistencyError(f"two members prescribe different laws on {s_idx} (gap {gap})")
 
     # every source holds n; its target is the rest of its support
@@ -381,7 +382,7 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
     drift = float(np.abs(w - nu).max())
     if pos_tol is None:
         pos_tol = tol
-    if drift > max(tol, 4 * pos_tol * v.size):
+    if drift > max(tol, 4 * pos_tol * v.size, ROUND_TOL * v.size):
         raise AnchorError(
             f"prior measure and prescriptions disagree on the overlap by {drift}"
         )
@@ -408,11 +409,12 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
         clipped = -margin
         sigma_arr = np.clip(sigma_arr, 0.0, None)
         sigma_arr *= float(v.reshape(-1).sum()) / sigma_arr.sum()
-    sigma = DenseMeasure._owned(alphabet, s_bar, sigma_arr, "probability", 1e-6)
+    sigma = DenseMeasure._owned(alphabet, s_bar, sigma_arr, "probability", MADE_TOL)
 
     # the two projection identities the construction promises
     check_tol = max(
         tol,
+        ROUND_TOL * sigma_arr.size,
         10 * tol * binv.measured_norm,
         4 * clipped * sigma_arr.size,
         4 * drift * max(binv.measured_norm, 1.0),
@@ -508,7 +510,7 @@ def _extend(family, window, beta, tol, pos_tol, dense):
             err.args = (f"extension failed at coordinate {n}: {err}", *err.args[1:])
             raise
         steps.append(step)
-    lam = DenseMeasure._owned(family.alphabet, IndexSet(support), table, "probability", 1e-6)
+    lam = DenseMeasure._owned(family.alphabet, IndexSet(support), table, "probability", MADE_TOL)
     return lam, ChainExtension(family, window, span, tuple(steps))
 
 
@@ -611,7 +613,7 @@ def brute_force_extension_exists(
     residual = float(np.max(np.abs(a_eq @ x - b_eq)))
     if residual > ORACLE_TOL:
         raise SolverError(f"solver residual {residual} exceeds tolerance {ORACLE_TOL}")
-    witness = DenseMeasure(family.alphabet, window, x, "probability", tol=1e-6)
+    witness = DenseMeasure._owned(family.alphabet, window, x, "probability", MADE_TOL)
     return OracleResult(True, witness, residual)
 
 

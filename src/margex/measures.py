@@ -13,7 +13,7 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -27,7 +27,12 @@ from .errors import (
 )
 
 CELL_CAP = 2**24
-DEFAULT_TOL = 1e-9
+# The accept-or-refuse thresholds, each named once; a ``tol`` argument replaces DEFAULT_TOL.
+ROUND_TOL = 1e-12  # float rounding: n cells sum to within n * 2^-52 < n * ROUND_TOL of exact
+DEFAULT_TOL = 1e-9  # input tables and verdicts: 10^3 ROUND_TOL, so rounding alone refuses nothing
+GLUE_FLOOR = 1e-7  # the least glue of a walk step: a replay re-measures each gap on its own tables
+ORACLE_TOL = 1e-7  # the oracle's LP residual: HiGHS's own primal feasibility tolerance
+MADE_TOL = 1e-6  # a table made from checked ones carries their errors: 10^3 DEFAULT_TOL of room
 SCAN_ALL_LIMIT = 8
 # _sum_out's own kernel starts here. Timed on every reduction pattern of one
 # extension-workload round, it took 1.3x numpy's time at 1024 cells and
@@ -49,7 +54,7 @@ class Alphabet:
 
     def check_alpha(self, alpha: float) -> None:
         """A floor ``alpha`` on one-dimensional atoms forces ``size <= 1/alpha``."""
-        if self.size * alpha > 1.0 + 1e-12:
+        if self.size * alpha > 1.0 + ROUND_TOL:
             raise DomainError(
                 f"alphabet of size {self.size} cannot have all atoms >= {alpha}"
             )
@@ -196,7 +201,7 @@ def _checked_table(alphabet: Alphabet, support: IndexSet, table, kind: str, tol:
         low = float(table.min())
         if low < -tol:
             raise DomainError(f"probability table has entry {low} < 0")
-        if abs(total - 1.0) > max(tol, 1e-12 * table.size):
+        if abs(total - 1.0) > max(tol, ROUND_TOL * table.size):
             raise DomainError(f"probability table sums to {total}, not 1")
     return table
 
@@ -213,19 +218,18 @@ class DenseMeasure:
     table : array-like
         ``size ** len(support)`` reals in lexicographic cell order.
     kind : {"probability", "signed"}
-        Probability tables must be nonnegative and sum to one within ``tol``.
+        Probability tables must be nonnegative and sum to one within ``DEFAULT_TOL``.
     """
 
     alphabet: Alphabet
     support: IndexSet
     table: np.ndarray
     kind: str = "probability"
-    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         support = IndexSet.of(self.support)
         object.__setattr__(self, "support", support)
-        table = _checked_table(self.alphabet, support, self.table, self.kind, tol).copy()
+        table = _checked_table(self.alphabet, support, self.table, self.kind, DEFAULT_TOL).copy()
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -346,7 +350,7 @@ def tensor(m1: DenseMeasure, m2: DenseMeasure) -> DenseMeasure:
     out = _embed(m1.as_array(), m1.support.indices, union)
     out = out * _embed(m2.as_array(), m2.support.indices, union)
     kind = "probability" if (m1.kind == m2.kind == "probability") else "signed"
-    return DenseMeasure._owned(m1.alphabet, union, out, kind, 1e-6)
+    return DenseMeasure._owned(m1.alphabet, union, out, kind, MADE_TOL)
 
 
 def product_measure(marginals: Sequence[DenseMeasure]) -> DenseMeasure:
@@ -408,7 +412,7 @@ def relative_product(lam: DenseMeasure, sigma: DenseMeasure) -> DenseMeasure:
     gap = float(np.abs(rho - _sum_out(sigma_arr, sigma.support, lam.support)).max())
     size, lam_support, sigma_support = lam.alphabet.size, lam.support.indices, sigma.support.indices
     out, union = _glue(size, lam_arr, lam_support, sigma_arr, sigma_support, rho, gap, DEFAULT_TOL)
-    return DenseMeasure._owned(lam.alphabet, IndexSet._from_set(set(union)), out, "probability", 1e-6)
+    return DenseMeasure._owned(lam.alphabet, IndexSet._from_set(set(union)), out, "probability", MADE_TOL)
 
 
 def _glue(size, lam, lam_support, sigma, sigma_support, rho, gap, tol):

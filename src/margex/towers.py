@@ -37,6 +37,9 @@ from .errors import (
 from .extension import ChainExtension, extend_family_chain
 from .measures import (
     DEFAULT_TOL,
+    GLUE_FLOOR,
+    MADE_TOL,
+    ROUND_TOL,
     Alphabet,
     DenseMeasure,
     IndexLike,
@@ -305,9 +308,8 @@ def _level_counts(base: np.ndarray, size: int) -> np.ndarray:
 def _count_law(counts: np.ndarray, alphabet: Alphabet, shift: int, offsets: IndexSet) -> DenseMeasure:
     """The window law with cell counts ``counts`` over the whole base, on the
     support ``shift + offsets``."""
-    return DenseMeasure(
-        alphabet, offsets.shift(shift), counts / counts.sum(), "probability", tol=1e-12
-    )
+    law = counts / counts.sum()
+    return DenseMeasure._owned(alphabet, offsets.shift(shift), law, "probability", ROUND_TOL)
 
 
 def name_distribution(
@@ -389,14 +391,14 @@ def correcting_measure(
     prod = product_measure(marginals)
     xi_rows, worst_rows, margins = _blend_correction(prod.table[None], nu.table[None], t)
     xi_table, worst, margin = xi_rows[0], int(worst_rows[0]), float(margins[0])
-    if margin < -max(tol, 1e-12):
+    if margin < -max(tol, ROUND_TOL):
         raise PositivityError(
             f"correcting measure has negative cell {worst} with value {margin}; "
             f"the blend weight {t} cannot absorb the deviation from the product",
             margin=margin,
             cell=worst,
         )
-    return DenseMeasure(nu.alphabet, nu.support, np.clip(xi_table, 0.0, None), "probability", tol=1e-6)
+    return DenseMeasure._owned(nu.alphabet, nu.support, np.clip(xi_table, 0.0, None), "probability", MADE_TOL)
 
 
 # -- the painted slice and paint's gate --------------------------------------------
@@ -640,12 +642,12 @@ def _paint(
                 "the painted slice misses a symbol on some level; increase the atom count"
             )
         slice_marginals = [
-            DenseMeasure(partition.alphabet, (lvl,), painted_counts[lvl] / m0, tol=1e-12)
-            for lvl in range(height)
+            DenseMeasure._owned(partition.alphabet, IndexSet((lvl,)), counts / m0, "probability", ROUND_TOL)
+            for lvl, counts in enumerate(painted_counts)
         ]
         valid, kept_counts, xi_rows, margins = rows[0].tolist(), *rows[1:]
         members = [
-            DenseMeasure(partition.alphabet, window.shift(j), xi, "probability", tol=1e-6)
+            DenseMeasure._owned(partition.alphabet, window.shift(j), xi, "probability", MADE_TOL)
             for j, xi in zip(valid, xi_rows)
         ]
         members.extend(slice_marginals)
@@ -663,7 +665,7 @@ def _paint(
         # and recorded: the blend cancels it down to a painted-fraction multiple.
         pos_slack = 0.05 * alpha_family ** len(window)
         chain = extend_family_chain(
-            family, range(height), beta=None, tol=max(tol, 1e-7), pos_tol=pos_slack
+            family, range(height), beta=None, tol=max(tol, GLUE_FLOOR), pos_tol=pos_slack
         )
         max_defect = chain.max_beta_defect()
         max_b_norm = max((s.b_norm for s in chain.steps), default=0.0)
@@ -756,7 +758,7 @@ def iterate_krengel(
             if not max(window) < m < tower.height:
                 continue
             gate = _gate(tower, current, IndexSet.of(window).union((m,)), eps_j, ~in_e)
-            if float((gate[2] & ~in_e).sum()) / tower.height <= eps_j / 10.0 + 1e-12:
+            if float((gate[2] & ~in_e).sum()) / tower.height <= eps_j / 10.0 + ROUND_TOL:
                 accepted = (m, gate)
                 break
         if accepted is None:

@@ -592,6 +592,28 @@ class TestPlumbing:
         assert code == expected_code == 0
         assert report["result"] == expected["result"]
 
+    def test_extend_at_tol_zero_matches_golden(self, tmp_path):
+        # each tol-governed check keeps a floor for rounding, so a tolerance
+        # of zero refuses no exact family
+        code, report = run(tmp_path, "extend", "--input", str(GOLDEN / "specs" / "family.json"), "--tol", "0")
+        assert code == 0
+        golden = json.loads((GOLDEN / "extend.json").read_text())
+        assert report["tolerance"] == 0.0
+        assert {**report, "tolerance": golden["tolerance"]} == golden
+
+    def test_spec_tables_are_checked_at_the_default_tol(self, tmp_path):
+        # a spec's tables are an input format: --tol neither loosens nor tightens their check
+        spec = json.loads((GOLDEN / "specs" / "family.json").read_text())
+        spec["members"][0]["table"][0] += 1e-6
+        path = spec_file(tmp_path, spec)
+        reasons = []
+        for tol in ("1e-3", "1e-9", "0"):
+            code, report = run(tmp_path, "verify", "--input", path, "--tol", tol)
+            assert code == 2
+            reasons.append(report["reason"])
+        assert reasons[0]["code"] == "DomainError" and "sums to" in reasons[0]["message"]
+        assert reasons == reasons[:1] * 3
+
     def test_timestamp_toggle(self, tmp_path, family_file):
         out = tmp_path / "r.json"
         main(["verify", "--input", str(family_file), "--output", str(out)])
@@ -735,27 +757,30 @@ class TestGoldenReports:
     regenerate a report with
     ``margex <command> --input tests/golden/specs/<spec>.json --no-timestamp``.
     A report is named after its command, or after its spec where the spec
-    name starts with the command (``counterexample_cylinders``).
+    name starts with the command (``counterexample_cylinders``). Each case
+    names its exit code: the failure reports are pinned as well.
     """
 
-    @pytest.mark.parametrize(
-        "command, spec",
-        [
-            ("verify", "family"),
-            ("extend", "family"),
-            ("oracle", "family"),
-            ("correct", "correct"),
-            ("paint", "paint"),
-            ("krengel", "krengel"),
-            ("counterexample", "counterexample"),
-            ("counterexample", "counterexample_cylinders"),
-        ],
-    )
-    def test_report_is_byte_identical(self, tmp_path, command, spec):
+    CASES = [
+        ("verify", "family", 0),
+        ("extend", "family", 0),
+        ("oracle", "family", 0),
+        ("correct", "correct", 0),
+        ("paint", "paint", 0),
+        ("krengel", "krengel", 0),
+        ("counterexample", "counterexample", 0),
+        ("counterexample", "counterexample_cylinders", 0),
+        ("extend", "extend_small_beta", 1),
+        ("oracle", "oracle_past_cap", 2),
+        ("verify", "verify_malformed", 2),
+    ]
+
+    @pytest.mark.parametrize("command, spec, exit_code", CASES, ids=[f"{c}-{s}" for c, s, _ in CASES])
+    def test_report_is_byte_identical(self, tmp_path, command, spec, exit_code):
         out = tmp_path / "report.json"
         argv = [command, "--input", str(GOLDEN / "specs" / f"{spec}.json")]
         code = main([*argv, "--output", str(out), "--no-timestamp"])
-        assert code == 0
+        assert code == exit_code
         name = spec if spec.startswith(command) else command
         assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 

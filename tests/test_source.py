@@ -218,3 +218,26 @@ def test_one_walk_glues_the_extension_steps():
         if isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) == "_glue"
     ]
     assert callers == []
+
+
+def test_tolerances_are_named_once():
+    # every threshold is a constant of the block in measures; only the SVD
+    # cuts of extension._structure stay in place, since the pseudo-inverse's
+    # bits depend on its cut being np.linalg.pinv's own
+    literals = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {
+            id(sub)
+            for node in tree.body
+            if (path.name == "measures.py" and isinstance(node, ast.Assign) and _definitions(node))
+            or (path.name == "extension.py" and getattr(node, "name", None) == "_structure")
+            for sub in ast.walk(node)
+        }
+        literals += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0 < abs(node.value) < 1e-3 and id(node) not in exempt
+        ]
+    assert literals == []

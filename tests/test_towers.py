@@ -761,6 +761,22 @@ class TestFlagPaintAgreement:
             assert sup_distance(chain.marginal([i]), project(dense, [i])) <= 1e-12
 
 
+class TestApportion:
+    def test_ties_go_to_the_smaller_index(self):
+        # weights from {1, 2, 3} tie exactly; from 17 entries on, numpy's
+        # default sort need not keep tied remainders in index order
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            weights = rng.integers(1, 4, size=int(rng.integers(17, 300))).astype(float)
+            total = int(rng.integers(1, 4 * len(weights)))
+            quota = weights / weights.sum() * total
+            want = np.floor(quota).astype(np.int64)
+            remainder = quota - want
+            extras = sorted(range(len(weights)), key=lambda i: (-remainder[i], i))
+            want[extras[: total - int(want.sum())]] += 1
+            assert towers._apportion(weights, total).tolist() == want.tolist()
+
+
 class TestPaintTower:
     def test_degenerate_split(self):
         tower = genutil.permutation_tower(8, 16, seed=31)
