@@ -30,6 +30,7 @@ from .errors import (
     ConsistencyError,
     DomainError,
     IndependenceError,
+    MargexError,
     PositivityError,
     SingularityError,
     SolverError,
@@ -364,7 +365,7 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
         stored = slice_sources.setdefault(s_idx, restricted)
         if stored is not restricted:
             gap = float(np.abs(stored - restricted).max())
-            if gap > max(tol, DEFAULT_TOL):
+            if gap > max(tol, ROUND_TOL * restricted.size):
                 raise ConsistencyError(f"two members prescribe different laws on {s_idx} (gap {gap})")
 
     # every source holds n; its target is the rest of its support
@@ -506,7 +507,7 @@ def _extend(family, window, beta, tol, pos_tol, dense):
             v, glue_tol, step = _extension_step(family, table, support, n, beta, tol, pos_tol)
             # v and the restriction gap come from the step's one reduction of the table
             table, support = _advance(table, support, step, v, step.restriction_gap, glue_tol, target, span)
-        except (PositivityError, IndependenceError, ConsistencyError, SingularityError) as err:
+        except MargexError as err:
             err.args = (f"extension failed at coordinate {n}: {err}", *err.args[1:])
             raise
         steps.append(step)

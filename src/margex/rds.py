@@ -10,6 +10,7 @@ seed-deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -105,6 +106,17 @@ def _check_samples(samples: int, n: int) -> None:
 def _check_seed(seed) -> None:
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be an int >= 0, got {seed!r}")
+
+
+@functools.lru_cache(maxsize=1)
+def _head_counts(samples: int, n: int, seed: int) -> np.ndarray:
+    """Heads per row of ``samples`` rows of ``n`` coin flips, ``integers(0, 2)``
+    from ``default_rng(seed)``, read-only in the narrowest type holding ``n``;
+    both samplers of a run read one draw, and only the last is kept."""
+    heads = np.random.default_rng(seed).integers(0, 2, size=(samples, n))
+    counts = (heads @ np.ones(n, dtype=np.int64)).astype(np.min_scalar_type(n))
+    counts.flags.writeable = False
+    return counts
 
 
 def _check_walk_steps(steps: int) -> None:
@@ -251,8 +263,7 @@ def counterexample_check(
     preconditions_ok = d_shift < 0.01
 
     # a walk of n steps sums to delta exactly when (n + delta) / 2 are heads
-    heads = np.random.default_rng(seed).integers(0, 2, size=(samples, n))
-    hits = int(np.count_nonzero(heads @ np.ones(n, dtype=np.int64) == (n + delta) // 2))
+    hits = int(np.count_nonzero(_head_counts(samples, n, seed) == (n + delta) // 2))
 
     fiber_distance = flip_one if delta else 0.0
     max_fiber = fiber_distance if hits else float("nan")
@@ -317,20 +328,22 @@ def relative_mixing_coefficient(
     _check_samples(samples, n)
     _check_seed(seed)
     system.check_window(a_cyl)
-    heads = np.random.default_rng(seed).integers(0, 2, size=(samples, max(n, 1)))
-    phi = 2 * (heads[:, :n] @ np.ones(n, dtype=np.int64)) - n
-    escapes = np.zeros(samples, dtype=bool)
+    # every per-sample value depends only on the sample's head count k, so
+    # each is computed once per k = 0..n, at displacement phi = 2k - n, and gathered
+    counts = _head_counts(samples, n, seed)
+    phi = 2 * np.arange(n + 1, dtype=np.int64) - n
+    escapes = np.zeros(n + 1, dtype=bool)
     for j, _ in b_cyl.constraints:
         pulled = j - phi
         escapes |= (pulled < system.fiber_lo) | (pulled > system.fiber_hi)
     if escapes.any():
-        # report the first escaping sample, as a per-sample check would
-        system.check_window(b_cyl.shifted(-int(phi[np.argmax(escapes)])))
+        # name the first escaping sample; if no drawn count escapes, sample 0 passes
+        system.check_window(b_cyl.shifted(-int(phi[counts[np.argmax(escapes[counts])]])))
     # pins are distinct within a cylinder, so A and the pulled-back B pin
     # |A| + |B| - overlaps coordinates together unless an overlap disagrees;
     # ldexp gives their joint mass 0.5 ** pins as an exact power of two
-    overlaps = np.zeros(samples, dtype=np.int64)
-    conflict = np.zeros(samples, dtype=bool)
+    overlaps = np.zeros(n + 1, dtype=np.int64)
+    conflict = np.zeros(n + 1, dtype=bool)
     for i, v in a_cyl.constraints:
         for j, w in b_cyl.constraints:
             # B's pin j lands on A's pin i where j - phi == i
@@ -340,10 +353,10 @@ def relative_mixing_coefficient(
                 conflict |= hit
     size_a, size_b = len(a_cyl.constraints), len(b_cyl.constraints)
     joint = np.where(conflict, 0.0, np.ldexp(1.0, overlaps - size_a - size_b))
-    coeffs = joint - system.cylinder_mass(a_cyl) * system.cylinder_mass(b_cyl)
+    coeffs = (joint - system.cylinder_mass(a_cyl) * system.cylinder_mass(b_cyl))[counts]
     return MixingReport(
         coefficients=coeffs,
-        displacements=phi,
+        displacements=phi[counts],
         max_abs=float(np.max(np.abs(coeffs))),
         mean_abs=float(np.mean(np.abs(coeffs))),
     )

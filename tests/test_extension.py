@@ -384,6 +384,31 @@ class TestExtendFamily:
         assert err.value.index == 1
         assert str(err.value).startswith("extension failed at coordinate 1: ")
 
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_every_step_error_names_its_coordinate(self, chain, monkeypatch):
+        # whatever error type a step raises, the driver names the coordinate
+        # and keeps the type and its fields
+        family = genutil.near_product_family(np.random.default_rng(3), A2, window_size=5, alpha=0.3)
+        driver = extend_family_chain if chain else extend_family
+        real_step = margex.extension._sigma_step
+        errors = vars(margex.errors).values()
+        kinds = [k for k in errors if isinstance(k, type) and issubclass(k, margex.MargexError)]
+        assert AnchorError in kinds and CapacityError in kinds
+        for kind in kinds:
+            values = {name: t(2) for name, t in kind.fields.items()}
+
+            def failing_step(family, members_n, lam, support, n, tol, pos_tol):
+                if n == 2:
+                    raise kind("the step failed", **values)
+                return real_step(family, members_n, lam, support, n, tol, pos_tol)
+
+            monkeypatch.setattr(margex.extension, "_sigma_step", failing_step)
+            with pytest.raises(kind) as err:
+                driver(family, range(5), 1.0)
+            assert type(err.value) is kind
+            assert str(err.value) == "extension failed at coordinate 2: the step failed"
+            assert {name: getattr(err.value, name) for name in kind.fields} == values
+
 
 class TestStructureCache:
     """The process builds one right-inverse structure per shape, with one SVD,

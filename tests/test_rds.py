@@ -68,6 +68,15 @@ def mixing_reference(system, a_cyl, b_cyl, n, samples, seed):
     return coeffs, disps
 
 
+def draw_as_counterexample(n, samples, seed):
+    """Leave the base words of a counterexample check of ``(samples, n, seed)``
+    as the last draw; the check needs ``n >= 1``, so at 0 the draw is direct."""
+    if n:
+        counterexample_check(101, n, samples, seed)
+    else:
+        rds._head_counts(samples, n, seed)
+
+
 def counterexample_reference(n, samples, seed):
     """Parity-set count and mass from ``choice((-1, 1))`` words, summed per sample."""
     words = np.random.default_rng(seed).choice((-1, 1), size=(samples, n))
@@ -297,26 +306,51 @@ class TestMixingCoefficient:
     def test_matches_per_sample_reference(self, a, b, n, reached):
         sp = SkewProduct(-16, 16)
         a_cyl, b_cyl = Cylinder.of(a), Cylinder.of(b)
-        report = relative_mixing_coefficient(sp, a_cyl, b_cyl, n=n, samples=500, seed=5)
         coeffs, disps = mixing_reference(sp, a_cyl, b_cyl, n, 500, 5)
-        assert report.coefficients.tobytes() == coeffs.tobytes()
-        assert report.displacements.tobytes() == disps.tobytes()
-        assert report.max_abs == float(np.max(np.abs(coeffs)))
-        assert report.mean_abs == float(np.mean(np.abs(coeffs)))
+        # cold, on the draw a counterexample check of the same (samples, n,
+        # seed) left (a hit), and after one of another n (a miss)
+        runs = [
+            (rds._head_counts.cache_clear, 0),
+            (lambda: draw_as_counterexample(n, 500, 5), 1),
+            (lambda: draw_as_counterexample(n + 1, 500, 5), 0),
+        ]
+        for prime, hits in runs:
+            prime()
+            before = rds._head_counts.cache_info().hits
+            report = relative_mixing_coefficient(sp, a_cyl, b_cyl, n=n, samples=500, seed=5)
+            assert rds._head_counts.cache_info().hits - before == hits
+            assert report.coefficients.tobytes() == coeffs.tobytes()
+            assert report.displacements.tobytes() == disps.tobytes()
+            assert report.max_abs == float(np.max(np.abs(coeffs)))
+            assert report.mean_abs == float(np.mean(np.abs(coeffs)))
         # the samples reach the overlaps each case is named for
         assert all(np.any(coeffs == value) for value in reached)
 
     def test_window_error_names_first_escaping_sample(self):
         # at seed 5 sample 0 stays inside and later escaping samples name
-        # other coordinates than the first one does
+        # other coordinates than the first one does; the base words are the
+        # ones a counterexample check just drew
         sp = SkewProduct(-2, 2)
         a, b = Cylinder.of({0: 1}), Cylinder.of({0: 1, 1: -1})
         with pytest.raises(WindowError) as expected:
             mixing_reference(sp, a, b, 10, 64, 5)
+        draw_as_counterexample(10, 64, 5)
+        before = rds._head_counts.cache_info().hits
         with pytest.raises(WindowError) as got:
             relative_mixing_coefficient(sp, a, b, n=10, samples=64, seed=5)
+        assert rds._head_counts.cache_info().hits == before + 1
         assert str(got.value) == str(expected.value)
         assert "coordinate 6 " in str(got.value)
+
+    def test_escape_at_an_undrawn_head_count_passes(self):
+        # at n = 10 only 0 and 10 heads carry the pin past 8; seed 5's 64
+        # samples draw 1 to 8 heads, so no sample escapes
+        sp = SkewProduct(-8, 8)
+        a = Cylinder.of({0: 1})
+        coeffs, disps = mixing_reference(sp, a, a, 10, 64, 5)
+        report = relative_mixing_coefficient(sp, a, a, n=10, samples=64, seed=5)
+        assert report.coefficients.tobytes() == coeffs.tobytes()
+        assert report.displacements.tobytes() == disps.tobytes()
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_needs_a_sample(self, samples):
@@ -330,6 +364,18 @@ class TestMixingCoefficient:
         a = Cylinder.of({0: 1})
         with pytest.raises(WindowError):
             relative_mixing_coefficient(sp, a, a, n=6, samples=64, seed=1)
+
+
+class TestHeadCounts:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 300])
+    def test_counts_the_seeded_heads(self, n):
+        heads = np.random.default_rng(9).integers(0, 2, size=(70, n))
+        counts = rds._head_counts(70, n, 9)
+        assert np.array_equal(counts, heads @ np.ones(n, dtype=np.int64))
+        assert counts.dtype == np.min_scalar_type(n)
+        assert not counts.flags.writeable
+        # only the last draw is kept
+        assert rds._head_counts.cache_info().maxsize == 1
 
 
 class TestCounterexample:

@@ -26,6 +26,13 @@ ALLOWED = {
     "main.argv": "entry point: the CLI run in-process, as the tests run it",
 }
 
+# every memo of the package, with its key and its bound: a cache keeps what
+# it holds for the life of the process
+CACHES = {
+    "extension._structure": ("the shape: alphabet size, domain length, target positions", "6 per process"),
+    "rds._head_counts": ("(samples, n, seed)", "maxsize=1"),
+}
+
 
 def _definitions(node):
     """Names a top-level statement defines: a function, a class, or the
@@ -241,3 +248,28 @@ def test_tolerances_are_named_once():
             and 0 < abs(node.value) < 1e-3 and id(node) not in exempt
         ]
     assert literals == []
+
+
+def _cache_bound(node):
+    """``"maxsize=..."`` for an ``lru_cache(maxsize=...)`` call, ``""`` for
+    any other use of ``functools.cache`` or ``lru_cache``, else ``None``."""
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "lru_cache":
+        return "".join(f"{kw.arg}={ast.unparse(kw.value)}" for kw in node.keywords)
+    if isinstance(node, ast.alias):
+        return "" if node.name in ("cache", "lru_cache") else None
+    return "" if getattr(node, "attr", getattr(node, "id", None)) in ("cache", "lru_cache") else None
+
+
+def test_caches_are_declared():
+    # a cache no table names would hold results unseen: each is declared
+    # with its key and bound, and an lru_cache's bound is its maxsize
+    found = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(node, 'name', f'line {node.lineno}')}"
+            for sub in ast.walk(node):
+                bound = _cache_bound(sub)
+                if bound is not None:
+                    found[owner] = max(found.get(owner, ""), bound)
+    assert sorted(found) == sorted(CACHES)
+    assert [name for name, bound in found.items() if bound and CACHES[name][1] != bound] == []

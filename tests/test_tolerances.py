@@ -28,8 +28,9 @@ from margex import (
     paint_tower,
     product_measure,
     uniform_random_partition,
+    verify_hypotheses,
 )
-from margex import towers
+from margex import extension, towers
 from margex.errors import SolverError
 
 A2 = Alphabet(2)
@@ -102,21 +103,53 @@ class TestDefaultTol:
     @pytest.mark.parametrize(
         "gap, pos_tol, error, message",
         [
-            # the member-consistency floor: DEFAULT_TOL even at tol = 0
-            (DEFAULT_TOL / 2, 1e-9, None, None),
+            # the member-consistency floor is ROUND_TOL per cell, here 2e-12,
+            # so at tol = 0 both drivers refuse at coordinate 0 every pair
+            # that verify_hypotheses reports, whatever pos_tol is
+            (ROUND_TOL / 2, 1e-9, None, None),
+            pytest.param(4 * ROUND_TOL, 1e-9, ConsistencyError, "coordinate 0: two members prescribe",
+                         id="4e-12-1e-09-refused-at-0"),
+            pytest.param(DEFAULT_TOL / 2, 1e-9, ConsistencyError, "coordinate 0: two members prescribe",
+                         id="5e-10-1e-09-refused-at-0"),
             (2 * DEFAULT_TOL, 1e-9, ConsistencyError, "two members prescribe"),
-            # the drift bound 4 * pos_tol * cells, here 8e-10, below that floor
-            (6e-10, 1e-10, None, None),
-            (9e-10, 1e-10, AnchorError, "disagree on the overlap"),
+            # below the drift bound 4 * pos_tol * cells (8e-10) and above it:
+            # the member check refuses both before the bound is read
+            pytest.param(6e-10, 1e-10, ConsistencyError, "coordinate 0: two members prescribe",
+                         id="6e-10-1e-10-refused-at-0"),
+            pytest.param(9e-10, 1e-10, ConsistencyError, "coordinate 0: two members prescribe",
+                         id="9e-10-1e-10-refused-at-0"),
         ],
     )
     def test_member_floor_and_drift_bound(self, gap, pos_tol, error, message):
         family = overlapping_pair(gap)
+        runs = [
+            lambda: extend_family(family, range(2), 1.0, tol=0.0),
+            lambda: extend_family_chain(family, range(2), tol=0.0, pos_tol=pos_tol),
+        ]
+        for run in runs:
+            if error is None:
+                run()
+            else:
+                with pytest.raises(error, match=message):
+                    run()
+        if error is not None:
+            report = verify_hypotheses(family, 1.0, tol=0.0)
+            assert [v.check for v in report.violations] == ["consistency"]
+
+    @pytest.mark.parametrize("drift, error", [(6e-10, None), (9e-10, AnchorError)])
+    def test_drift_bound(self, drift, error):
+        # the drift bound 4 * pos_tol * cells, here 8e-10, seen by a step
+        # whose prior table drifts from the member's law on coordinate 0; no
+        # family the drivers accept was seen to reach it (paint's clipped
+        # chains drift by at most a twentieth of it)
+        family = overlapping_pair(0.0)
+        lam = np.array([0.4 + drift, 0.6 - drift])
+        args = (family, family.members[1:], lam, (0,), 1, 0.0, 1e-10)
         if error is None:
-            extend_family_chain(family, range(2), tol=0.0, pos_tol=pos_tol)
+            extension._sigma_step(*args)
         else:
-            with pytest.raises(error, match=message):
-                extend_family_chain(family, range(2), tol=0.0, pos_tol=pos_tol)
+            with pytest.raises(error, match="disagree on the overlap"):
+                extension._sigma_step(*args)
 
     def test_beta_gate_slack(self):
         rng = np.random.default_rng(7)
