@@ -9,12 +9,12 @@ The package has four functional layers:
   marginals: inclusion-exclusion common extensions, norm-controlled right
   inverses of projection operators, one extension step and one window loop
   behind the dense and chain drivers, and an LP feasibility oracle.
-* :mod:`margex.towers` -- finite towers with equal-mass fiber atoms, name
-  distributions of labeled partitions, correcting measures, painting names on
-  towers, and exact fiber surgery.
-* :mod:`margex.rds` -- skew products over coin-flip bases at desk scale: the
-  (S, S^-1) construction, sign partitions of long windows, and fiberwise
-  mixing coefficients on cylinders.
+* :mod:`margex.towers` -- finite towers with equal-mass fiber atoms, built
+  from a base orbit by one builder, name distributions of labeled partitions,
+  correcting measures, painting names on towers, and exact fiber surgery.
+* :mod:`margex.rds` -- skew products over coin-flip bases at desk scale, a
+  leaf over :mod:`margex.measures`: the (S, S^-1) construction, sign
+  partitions of long windows, and fiberwise mixing coefficients on cylinders.
 """
 
 from .errors import (
@@ -62,6 +62,7 @@ from .towers import (
     LabeledPartition,
     PaintReport,
     TowerSpec,
+    build_tower_from_base,
     choose_eta,
     correcting_measure,
     fiber_surgery,
@@ -75,7 +76,6 @@ from .rds import (
     CounterexampleReport,
     Cylinder,
     SkewProduct,
-    build_tower_from_base,
     counterexample_check,
     relative_mixing_coefficient,
     shift_distance,

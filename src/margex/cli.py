@@ -47,10 +47,10 @@ from .rds import Cylinder, SkewProduct, _check_seed, counterexample_check, relat
 from .towers import (
     LabeledPartition,
     TowerSpec,
+    build_tower_from_base,
     correcting_measure,
     iterate_krengel,
     paint_tower,
-    seeded_permutation_transfer,
     uniform_random_partition,
 )
 
@@ -139,15 +139,14 @@ def _tower_from_spec(spec: dict) -> tuple[TowerSpec, LabeledPartition]:
     height = _spec_int(spec["height"], "height")
     atoms = _spec_int(spec["atom_count"], "atom_count")
     transfer_spec = spec.get("transfer", "identity")
-    if transfer_spec == "identity":
-        transfer = None
-    elif isinstance(transfer_spec, str) and transfer_spec.startswith("seeded_permutation:"):
-        seed = int(transfer_spec.split(":", 1)[1])
-        transfer = seeded_permutation_transfer(height, atoms, seed)
-    else:
-        raise DomainError(f"unknown transfer spec {transfer_spec!r}")
+    rule, seed = "identity", 0
+    if transfer_spec != "identity":
+        if not (isinstance(transfer_spec, str) and transfer_spec.startswith("seeded_permutation:")):
+            raise DomainError(f"unknown transfer spec {transfer_spec!r}")
+        rule, seed = "seeded_permutation", int(transfer_spec.split(":", 1)[1])
     flags = spec.get("flags", {})
-    tower = TowerSpec(height, atoms, transfer, flags.get("in_E"), flags.get("in_E1"))
+    in_e, in_e1 = flags.get("in_E"), flags.get("in_E1")
+    tower = build_tower_from_base((), height, atoms, rule, seed).with_flags(in_e, in_e1)
     labels_spec = spec.get("labels")
     if labels_spec is None:
         raise DomainError("tower spec needs labels")

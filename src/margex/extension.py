@@ -463,31 +463,12 @@ def _advance(table, support, step, v, gap, glue_tol, target, span):
     return table, support
 
 
-def _extension_step(family, lam, support, n, beta, tol, pos_tol):
-    """The kernel of every extension run's step on the table ``lam`` over
-    ``support`` at coordinate ``n``: ``(v, glue_tol, step)``. ``beta=None``
-    records the defect without enforcing it; the glue tolerance admits the
-    step's restriction gap only when ``pos_tol`` allows clipping."""
-    v, step = _sigma_step(family, family.members_containing(n), lam, support, n, tol, pos_tol)
-    if beta is not None and step.beta_defect > beta + tol:
-        raise IndependenceError(
-            f"coordinate {n} is only {step.beta_defect}-independent of the prior block "
-            f"(budget {beta})",
-            defect=step.beta_defect,
-            budget=beta,
-            index=n,
-        )
-    glue_tol = max(tol, GLUE_FLOOR)
-    if pos_tol is not None:
-        glue_tol = max(glue_tol, 2.0 * step.restriction_gap)
-    return v, glue_tol, step
-
-
 def _extend(family, window, beta, tol, pos_tol, dense):
     """The coordinate-extension loop of both drivers on tables:
     ``(final measure, ChainExtension)``. ``dense`` keeps every coordinate, the
     chain only those within the widest member span of the newest, which are
-    all a step reads. A failing step's error names its coordinate.
+    all a step reads. ``beta=None`` records each step's defect without
+    enforcing it. A failing step's error names its coordinate.
     """
     if beta is not None and not beta >= 0:
         raise DomainError(f"independence budget beta must be >= 0, got {beta}")
@@ -504,8 +485,20 @@ def _extend(family, window, beta, tol, pos_tol, dense):
     steps = []
     for n in window:
         try:
-            v, glue_tol, step = _extension_step(family, table, support, n, beta, tol, pos_tol)
-            # v and the restriction gap come from the step's one reduction of the table
+            v, step = _sigma_step(family, family.members_containing(n), table, support, n, tol, pos_tol)
+            if beta is not None and step.beta_defect > beta + tol:
+                raise IndependenceError(
+                    f"coordinate {n} is only {step.beta_defect}-independent of the prior block "
+                    f"(budget {beta})",
+                    defect=step.beta_defect,
+                    budget=beta,
+                    index=n,
+                )
+            # the glue admits the step's restriction gap only when pos_tol allows
+            # clipping; v and that gap come from the step's one reduction of the table
+            glue_tol = max(tol, GLUE_FLOOR)
+            if pos_tol is not None:
+                glue_tol = max(glue_tol, 2.0 * step.restriction_gap)
             table, support = _advance(table, support, step, v, step.restriction_gap, glue_tol, target, span)
         except MargexError as err:
             err.args = (f"extension failed at coordinate {n}: {err}", *err.args[1:])
@@ -649,8 +642,9 @@ def verify_hypotheses(
     """Report-style check of the extension hypotheses.
 
     Checks, without raising: the per-coordinate overlap bound against the
-    family's ``n_cap``; pairwise consistency at ``tol``; the ``alpha`` floor
-    on one-dimensional marginal atoms; and the ``delta`` independence of each
+    family's ``n_cap``; pairwise consistency at ``tol``, at least ``ROUND_TOL``
+    per compared cell as in the drivers; the ``alpha`` floor on
+    one-dimensional marginal atoms; and the ``delta`` independence of each
     member (natural ordering, improved by a full ordering scan on small
     supports). Every violation carries its location and magnitude.
     """
@@ -676,15 +670,15 @@ def verify_hypotheses(
     totals = [_sum_out(mu.as_array(), mu.support, EMPTY) for mu in members]
     worst_gap = 0.0
     for i, j in combinations(range(len(members)), 2):
-        if supports[i] & supports[j]:
+        common = supports[i] & supports[j]
+        if common:
             gap = consistency_gap(members[i], members[j])
         else:
             gap = float(abs(totals[i] - totals[j]))
         worst_gap = max(worst_gap, gap)
-        if gap > tol:
-            violations.append(
-                Violation("consistency", f"members {i},{j}", gap, tol)
-            )
+        limit = max(tol, ROUND_TOL * family.alphabet.size ** len(common))
+        if gap > limit:
+            violations.append(Violation("consistency", f"members {i},{j}", gap, limit))
 
     min_atom = 1.0
     for i, mu in enumerate(family.members):

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, WindowError
 from .measures import CELL_CAP, _json, _report, _spec_int
-from .towers import TowerSpec, _check_tower_cells, seeded_permutation_transfer
 
 # caps the window W and the iterate n of the counterexample, `_walk_count` and
 # so the exact fallback of `_central_walk_mass`
@@ -360,35 +359,3 @@ def relative_mixing_coefficient(
         max_abs=float(np.max(np.abs(coeffs))),
         mean_abs=float(np.mean(np.abs(coeffs))),
     )
-
-
-def build_tower_from_base(
-    orbit: np.ndarray,
-    height: int,
-    atom_count: int,
-    fiber_rule: str = "plus_minus_shift",
-    seed: int = 0,
-) -> TowerSpec:
-    """Tower whose transfer maps follow a base orbit.
-
-    ``fiber_rule`` is one of ``identity``, ``plus_minus_shift`` (rotate the
-    atom ring by the base symbol, the two-sided shift at atom resolution), or
-    ``seeded_permutation`` (a fresh seeded permutation per level).
-    """
-    _check_tower_cells(height, atom_count)
-    orbit = np.asarray(orbit)
-    if len(orbit) < height:
-        raise DomainError(f"orbit of length {len(orbit)} is shorter than the tower ({height})")
-    n = atom_count
-    if fiber_rule == "identity":
-        transfer = None
-    elif fiber_rule == "plus_minus_shift":
-        idx = np.arange(n, dtype=np.int64)
-        transfer = np.stack(
-            [((idx + _spec_int(orbit[j], "orbit symbol")) % n).astype(np.int32) for j in range(height - 1)]
-        )
-    elif fiber_rule == "seeded_permutation":
-        transfer = seeded_permutation_transfer(height, n, seed)
-    else:
-        raise DomainError(f"unknown fiber rule {fiber_rule!r}")
-    return TowerSpec(height, n, transfer)

@@ -154,15 +154,35 @@ class TowerSpec:
         return tower
 
 
-def seeded_permutation_transfer(height: int, atoms: int, seed: int) -> np.ndarray:
-    """Transfer maps of a tower whose every level step is a fresh seeded
-    permutation of the atoms, drawn in level order; ``(0, atoms)`` at height 1."""
-    _check_tower_cells(height, atoms)
-    rng = np.random.default_rng(seed)
-    transfer = np.empty((max(height - 1, 0), atoms), dtype=np.int32)
-    for row in transfer:
-        row[:] = rng.permutation(atoms)
-    return transfer
+def build_tower_from_base(
+    orbit: np.ndarray,
+    height: int,
+    atom_count: int,
+    fiber_rule: str = "plus_minus_shift",
+    seed: int = 0,
+) -> TowerSpec:
+    """Tower whose transfer maps follow a base orbit.
+
+    ``fiber_rule`` is one of ``identity``, ``plus_minus_shift`` (rotate the
+    atom ring by the base symbol, the two-sided shift at atom resolution; the
+    only rule that reads ``orbit``), or ``seeded_permutation`` (a fresh
+    permutation per level step from ``default_rng(seed)``, in level order).
+    """
+    _check_tower_cells(height, atom_count)
+    transfer = None
+    if fiber_rule == "plus_minus_shift":
+        if len(orbit) < height:
+            raise DomainError(f"orbit of length {len(orbit)} is shorter than the tower ({height})")
+        shifts = np.array([_spec_int(orbit[j], "orbit symbol") for j in range(height - 1)], dtype=np.int64)
+        transfer = (np.arange(atom_count) + shifts[:, None]) % atom_count
+    elif fiber_rule == "seeded_permutation":
+        rng = np.random.default_rng(seed)
+        transfer = np.empty((max(height - 1, 0), atom_count), dtype=np.int32)
+        for row in transfer:
+            row[:] = rng.permutation(atom_count)
+    elif fiber_rule != "identity":
+        raise DomainError(f"unknown fiber rule {fiber_rule!r}")
+    return TowerSpec(height, atom_count, transfer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -607,19 +627,18 @@ def paint_tower(
     if min_mass < alpha - tol:
         raise DomainError(f"some level has a symbol of mass {min_mass} < alpha {alpha}")
     gate = _gate(tower, partition, offsets.union((m,)), epsilon, ~(tower.in_e | tower.in_e1))
-    tower = tower.with_flags(in_e1=tower.in_e1 | gate[2])
-    return _paint(tower, partition, offsets, m, epsilon, seed, tol, gate)
+    return _paint(tower, partition, offsets, m, epsilon, seed, tol, gate, tower.in_e1 | gate[2])
 
 
 def _paint(
     tower: TowerSpec, partition: LabeledPartition, offsets: IndexSet, m: int, epsilon: float, seed: int,
-    tol: float, gate: tuple,
+    tol: float, gate: tuple, in_e1: np.ndarray,
 ) -> PaintReport:
     """The paint step of :func:`paint_tower` from ``_gate``'s pass on the window
-    ``offsets + {m}``, on a tower whose flags exempt every shift it rejected."""
+    ``offsets + {m}``, where ``in_e1`` flags every shift it rejected."""
     height, atoms, size = tower.height, tower.atom_count, partition.alphabet.size
     window = offsets.union((m,))
-    e1_mass = float(np.sum(tower.in_e1[: height - m])) / height
+    e1_mass = float(np.sum(in_e1[: height - m])) / height
     e3_mass = m / height
     budget_ok = {
         "height": bool(height > 10.0 * m / epsilon),
@@ -769,8 +788,7 @@ def iterate_krengel(
             )
         m, gate = accepted
         flags = gate[2]
-        step_tower = tower.with_flags(in_e=in_e, in_e1=flags & ~in_e)
-        report = _paint(step_tower, current, IndexSet.of(window), m, eps_j, seed + j, tol, gate)
+        report = _paint(tower, current, IndexSet.of(window), m, eps_j, seed + j, tol, gate, flags & ~in_e)
         cumulative += report.per_level_distance
         current = report.q
         in_e |= flags

@@ -11,6 +11,7 @@ from margex import (
     LabeledPartition,
     MarginalFamily,
     TowerSpec,
+    build_tower_from_base,
     name_distribution,
     product_of_marginals,
     project,
@@ -23,7 +24,6 @@ from margex.towers import (
     _systematic_split,
     base_aligned_labels,
     labels_from_base,
-    seeded_permutation_transfer,
 )
 
 
@@ -107,7 +107,7 @@ def near_product_family(
 
 
 def permutation_tower(height: int, atoms: int, seed: int) -> TowerSpec:
-    return TowerSpec(height, atoms, seeded_permutation_transfer(height, atoms, seed))
+    return build_tower_from_base((), height, atoms, "seeded_permutation", seed)
 
 
 def bit_slice_partition(

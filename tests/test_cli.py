@@ -773,6 +773,8 @@ class TestGoldenReports:
         ("extend", "extend_small_beta", 1),
         ("oracle", "oracle_past_cap", 2),
         ("verify", "verify_malformed", 2),
+        ("paint", "paint_positivity_refusal", 1),
+        ("krengel", "krengel_out_of_times", 1),
     ]
 
     @pytest.mark.parametrize("command, spec, exit_code", CASES, ids=[f"{c}-{s}" for c, s, _ in CASES])

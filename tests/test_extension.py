@@ -343,18 +343,18 @@ class TestExtendFamily:
         rng = np.random.default_rng(5)
         family = genutil.near_product_family(rng, A2, window_size=6, alpha=0.3)
         priors, reduced = [], []
-        step, sum_out = margex.extension._extension_step, margex.extension._sum_out
+        step, sum_out = margex.extension._sigma_step, margex.extension._sum_out
 
-        def recording_step(family, lam, support, n, *args):
-            out = step(family, lam, support, n, *args)
-            priors.append((lam, support, out[2]))
+        def recording_step(family, members_n, lam, support, n, *args):
+            out = step(family, members_n, lam, support, n, *args)
+            priors.append((lam, support, out[1]))
             return out
 
         def counting_sum_out(arr, support, target):
             reduced.append(arr)
             return sum_out(arr, support, target)
 
-        monkeypatch.setattr(margex.extension, "_extension_step", recording_step)
+        monkeypatch.setattr(margex.extension, "_sigma_step", recording_step)
         monkeypatch.setattr(margex.extension, "_sum_out", counting_sum_out)
         extend_family(family, range(7), thresholds(family.alpha, family.n_cap, 1.0)[0])
         assert [s.trivial for _, _, s in priors] == [False] * 6 + [True]

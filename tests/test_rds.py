@@ -7,17 +7,13 @@ import pytest
 
 import genutil
 from margex import (
-    Alphabet,
     CapacityError,
     Cylinder,
     DomainError,
     SkewProduct,
     WindowError,
-    build_tower_from_base,
     counterexample_check,
-    name_distribution,
     shift_distance,
-    uniform_random_partition,
     relative_mixing_coefficient,
 )
 from margex import rds
@@ -467,55 +463,3 @@ class TestCapacity:
     def test_walk_cap_covers_the_iterate(self):
         with pytest.raises(CapacityError):
             counterexample_check(101, WALK_STEP_CAP + 1, samples=1, seed=1)
-
-    def test_tower_cap_fires_before_any_array(self, monkeypatch):
-        monkeypatch.setattr(rds, "np", genutil.NoNumpy())
-        for rule in ("identity", "plus_minus_shift", "seeded_permutation"):
-            with pytest.raises(CapacityError):
-                build_tower_from_base([], 64, 2**40, rule)
-
-
-class TestBuildTower:
-    def test_identity_rule(self):
-        tower = build_tower_from_base(np.ones(8), 4, 16, "identity")
-        assert all(np.array_equal(row, np.arange(16)) for row in tower.positions)
-
-    def test_plus_minus_shift_rotates(self):
-        orbit = np.array([1, -1, 1, 1])
-        tower = build_tower_from_base(orbit, 4, 8, "plus_minus_shift")
-        pos = tower.positions
-        assert np.array_equal(pos[1], (np.arange(8) + 1) % 8)
-        assert np.array_equal(pos[2], np.arange(8))
-        assert np.array_equal(pos[3], (np.arange(8) + 1) % 8)
-
-    def test_fractional_orbit_symbol_refused(self):
-        # int() would read 0.7 as 0 and leave every level unrotated
-        with pytest.raises(DomainError, match="orbit symbol must be an integer, got 0.7"):
-            build_tower_from_base([0.7] * 4, 4, 8, "plus_minus_shift")
-        whole = build_tower_from_base([1.0, -1.0, 1.0, 1.0], 4, 8, "plus_minus_shift")
-        ints = build_tower_from_base([1, -1, 1, 1], 4, 8, "plus_minus_shift")
-        assert np.array_equal(whole.positions, ints.positions)
-
-    def test_orbit_too_short(self):
-        with pytest.raises(DomainError):
-            build_tower_from_base(np.ones(3), 5, 8)
-
-    def test_seeded_permutation_paintable(self):
-        from margex import flag_dependent_shifts, paint_tower
-
-        tower = build_tower_from_base(
-            np.ones(40), 24, 2**14, "seeded_permutation", seed=8
-        )
-        partition = uniform_random_partition(tower, Alphabet(2), seed=9)
-        nd = name_distribution(tower, partition, 0, [0, 5])
-        assert float(nd.table.sum()) == pytest.approx(1.0)
-        flags = flag_dependent_shifts(tower, partition, [0, 2], 0.4)
-        report = paint_tower(
-            tower.with_flags(in_e1=flags),
-            partition,
-            [0],
-            2,
-            epsilon=0.4,
-            alpha=partition.min_symbol_mass() - 1e-9,
-        )
-        assert max(report.window_defects.values()) <= 5e-3

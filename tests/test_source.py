@@ -26,6 +26,9 @@ ALLOWED = {
     "main.argv": "entry point: the CLI run in-process, as the tests run it",
 }
 
+# the standing budget of source lines, as `wc -l src/margex/*.py` counts them
+LINE_BUDGET = 3136
+
 # every memo of the package, with its key and its bound: a cache keeps what
 # it holds for the life of the process
 CACHES = {
@@ -273,3 +276,18 @@ def test_caches_are_declared():
                     found[owner] = max(found.get(owner, ""), bound)
     assert sorted(found) == sorted(CACHES)
     assert [name for name, bound in found.items() if bound and CACHES[name][1] != bound] == []
+
+
+def test_rds_imports_neither_towers_nor_extension():
+    # rds is a leaf over measures: towers makes every transfer map
+    names = set()
+    for node in ast.walk(ast.parse((SOURCE / "rds.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or "", *(f"{node.module or ''}.{alias.name}" for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+    assert [name for name in sorted(names) if {"towers", "extension"} & set(name.split("."))] == []
+
+
+def test_source_stays_within_the_line_budget():
+    assert sum(path.read_bytes().count(b"\n") for path in SOURCE.glob("*.py")) <= LINE_BUDGET

@@ -104,8 +104,9 @@ class TestDefaultTol:
         "gap, pos_tol, error, message",
         [
             # the member-consistency floor is ROUND_TOL per cell, here 2e-12,
-            # so at tol = 0 both drivers refuse at coordinate 0 every pair
-            # that verify_hypotheses reports, whatever pos_tol is
+            # in both drivers and in verify_hypotheses, so at tol = 0 the
+            # drivers refuse at coordinate 0 exactly the pairs verify reports,
+            # whatever pos_tol is
             (ROUND_TOL / 2, 1e-9, None, None),
             pytest.param(4 * ROUND_TOL, 1e-9, ConsistencyError, "coordinate 0: two members prescribe",
                          id="4e-12-1e-09-refused-at-0"),
@@ -132,9 +133,12 @@ class TestDefaultTol:
             else:
                 with pytest.raises(error, match=message):
                     run()
-        if error is not None:
-            report = verify_hypotheses(family, 1.0, tol=0.0)
+        report = verify_hypotheses(family, 1.0, tol=0.0)
+        if error is None:
+            assert report.ok
+        else:
             assert [v.check for v in report.violations] == ["consistency"]
+            assert report.violations[0].limit == 2 * ROUND_TOL
 
     @pytest.mark.parametrize("drift, error", [(6e-10, None), (9e-10, AnchorError)])
     def test_drift_bound(self, drift, error):

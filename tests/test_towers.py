@@ -18,6 +18,7 @@ from margex import (
     QuantizationError,
     TowerSpec,
     WindowError,
+    build_tower_from_base,
     choose_eta,
     correcting_measure,
     delta_independence,
@@ -137,12 +138,75 @@ class TestTowerSpec:
         monkeypatch.setattr(towers, "np", genutil.NoNumpy())
         with pytest.raises(CapacityError):
             TowerSpec(64, 2**40)
-        with pytest.raises(CapacityError):
-            towers.seeded_permutation_transfer(64, 2**40, seed=1)
         # 256 levels over 2^20 atoms stay legal (checked, not built)
         towers._check_tower_cells(256, 2**20)
         with pytest.raises(CapacityError):
             towers._check_tower_cells(256, 2**20 + 1)
+
+
+class TestBuildTower:
+    def test_tower_cap_fires_before_any_array(self, monkeypatch):
+        monkeypatch.setattr(towers, "np", genutil.NoNumpy())
+        for rule in ("identity", "plus_minus_shift", "seeded_permutation"):
+            with pytest.raises(CapacityError):
+                build_tower_from_base([], 64, 2**40, rule)
+
+    def test_identity_rule(self):
+        tower = build_tower_from_base(np.ones(8), 4, 16, "identity")
+        assert all(np.array_equal(row, np.arange(16)) for row in tower.positions)
+
+    def test_plus_minus_shift_rotates(self):
+        orbit = np.array([1, -1, 1, 1])
+        tower = build_tower_from_base(orbit, 4, 8, "plus_minus_shift")
+        pos = tower.positions
+        assert np.array_equal(pos[1], (np.arange(8) + 1) % 8)
+        assert np.array_equal(pos[2], np.arange(8))
+        assert np.array_equal(pos[3], (np.arange(8) + 1) % 8)
+
+    def test_fractional_orbit_symbol_refused(self):
+        # int() would read 0.7 as 0 and leave every level unrotated
+        with pytest.raises(DomainError, match="orbit symbol must be an integer, got 0.7"):
+            build_tower_from_base([0.7] * 4, 4, 8, "plus_minus_shift")
+        whole = build_tower_from_base([1.0, -1.0, 1.0, 1.0], 4, 8, "plus_minus_shift")
+        ints = build_tower_from_base([1, -1, 1, 1], 4, 8, "plus_minus_shift")
+        assert np.array_equal(whole.positions, ints.positions)
+
+    def test_orbit_too_short(self):
+        with pytest.raises(DomainError):
+            build_tower_from_base(np.ones(3), 5, 8)
+
+    @pytest.mark.parametrize("rule", ["identity", "plus_minus_shift", "seeded_permutation"])
+    def test_single_level_tower(self, rule):
+        # one level has no level step, so every rule makes an empty transfer table
+        tower = build_tower_from_base([1], 1, 8, rule)
+        assert tower.positions.tolist() == [list(range(8))]
+
+    def test_seeded_permutation_reads_no_orbit(self):
+        rng = np.random.default_rng(5)
+        expected = np.zeros((4, 8), dtype=np.int64)
+        expected[0] = np.arange(8)
+        for j in range(1, 4):
+            expected[j] = rng.permutation(8)[expected[j - 1]]
+        tower = build_tower_from_base((), 4, 8, "seeded_permutation", 5)
+        assert np.array_equal(tower.positions, expected)
+
+    def test_seeded_permutation_paintable(self):
+        tower = build_tower_from_base(
+            np.ones(40), 24, 2**14, "seeded_permutation", seed=8
+        )
+        partition = uniform_random_partition(tower, Alphabet(2), seed=9)
+        nd = name_distribution(tower, partition, 0, [0, 5])
+        assert float(nd.table.sum()) == pytest.approx(1.0)
+        flags = flag_dependent_shifts(tower, partition, [0, 2], 0.4)
+        report = paint_tower(
+            tower.with_flags(in_e1=flags),
+            partition,
+            [0],
+            2,
+            epsilon=0.4,
+            alpha=partition.min_symbol_mass() - 1e-9,
+        )
+        assert max(report.window_defects.values()) <= 5e-3
 
 
 class TestLabeledPartition:
@@ -1099,7 +1163,8 @@ def test_tower_tables_kept_once():
     aligned base: bounds in traced bytes per label cell."""
     height, atoms = 32, 2**14
     cells = height * atoms
-    transfer = towers.seeded_permutation_transfer(height, atoms, seed=5)
+    rng = np.random.default_rng(5)
+    transfer = np.stack([rng.permutation(atoms) for _ in range(height - 1)]).astype(np.int32)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
