@@ -10,12 +10,12 @@ fixed config and seed once timestamps are suppressed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import sys
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -69,6 +69,8 @@ def _load_json(path: str) -> dict:
             spec = json.load(fh)
     except FileNotFoundError:
         raise DomainError(f"input file {path} does not exist")
+    except OSError as err:  # a directory, or a file we may not read
+        raise DomainError(f"cannot read input file {path}: {err.strerror}")
     except ValueError as err:  # JSONDecodeError, or an integer past the digit limit
         raise DomainError(f"malformed JSON in {path}: {err}")
     if not isinstance(spec, dict):
@@ -85,6 +87,13 @@ def _reason(err: MargexError) -> dict:
     return reason
 
 
+def _fail(report: dict, err: MargexError) -> int:
+    """Mark ``report`` failed by ``err``; the exit code is 2 for a usage error."""
+    report["status"] = "failed"
+    report["reason"] = _reason(err)
+    return USAGE_EXIT if isinstance(err, (CapacityError, DomainError, WindowError)) else MATH_EXIT
+
+
 def _strict(node, path: str, non_finite: dict):
     """``node`` with every NaN or infinity replaced by ``None``, each one's
     dotted path recorded in ``non_finite`` as ``nan``, ``inf`` or ``-inf``."""
@@ -99,7 +108,7 @@ def _strict(node, path: str, non_finite: dict):
     return node
 
 
-@contextmanager
+@contextlib.contextmanager
 def _spec_errors():
     """Report a missing field or a value of the wrong type or form as a
     usage error; library errors pass through unchanged."""
@@ -126,6 +135,8 @@ def _family_from_spec(
     if "window" not in spec:
         raise DomainError(f"family spec needs a window for {command}")
     lo, hi = (_spec_int(i, "window") for i in spec["window"])
+    if hi < lo:
+        raise DomainError(f"window [{lo}, {hi}] ends before it starts")
     if hi - lo + 1 > CELL_CAP.bit_length():
         raise CapacityError(
             f"window [{lo}, {hi}] has {hi - lo + 1} coordinates "
@@ -320,10 +331,7 @@ def main(argv: list[str] | None = None) -> int:
             report["reason"] = {"code": "check_failed", "message": "a mathematical check failed"}
             exit_code = MATH_EXIT
     except MargexError as err:
-        report["status"] = "failed"
-        report["reason"] = _reason(err)
-        usage = isinstance(err, (CapacityError, DomainError, WindowError))
-        exit_code = USAGE_EXIT if usage else MATH_EXIT
+        exit_code = _fail(report, err)
     report["seed"] = args.seed
 
     # strict JSON: a non-finite number is written as null and named in
@@ -332,12 +340,14 @@ def main(argv: list[str] | None = None) -> int:
     report = _strict(report, "", non_finite)
     if non_finite:
         report["non_finite"] = non_finite
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    out = contextlib.nullcontext(sys.stdout)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+        try:
+            out = open(args.output, "w")
+        except OSError as err:  # the report goes to stdout instead
+            exit_code = _fail(report, DomainError(f"cannot write report to {args.output}: {err.strerror}"))
+    with out as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return exit_code
 
 

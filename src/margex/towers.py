@@ -18,7 +18,6 @@ quantization error at ``|A| / |B0|`` independent of the height.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
@@ -755,18 +754,18 @@ def iterate_krengel(
 
     At step ``j`` the driver runs paint's gate once per candidate time and
     takes the first unused one whose flags outside the exempt set cover mass
-    at most ``epsilon / 2^j / 10``. It paints from that same gate pass, adds
-    the flagged levels and the top levels of the step to the exempt set, and
-    appends the chosen time to the window. Raises
-    :class:`~margex.errors.MixingSupplyError` naming the step when no
-    candidate qualifies.
+    at most ``epsilon / 2^j / 10``; the exempt set starts as the tower's
+    ``in_e | in_e1``. It paints from that same gate pass, adds the flagged
+    levels and the top levels of the step to the exempt set, and appends the
+    chosen time to the window. Raises :class:`~margex.errors.MixingSupplyError`
+    naming the step when no candidate qualifies.
     """
     if steps < 0:
         raise DomainError("steps must be >= 0")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     current = partition
-    in_e = tower.in_e.copy()
+    in_e = tower.in_e | tower.in_e1
     window = [0]
     reports: list[PaintReport] = []
     cumulative = np.zeros(tower.height)
@@ -806,17 +805,19 @@ def iterate_krengel(
 
 # -- exact fiber surgery ----------------------------------------------------------------
 
-def _window_is_exact(
-    joint: np.ndarray, levels: Sequence[int], counts: np.ndarray, atoms: int
-) -> bool:
-    """Exact independence test in integer arithmetic: the joint counts
-    ``joint`` on ``levels`` against the level counts ``counts``."""
-    scale = atoms ** (len(levels) - 1)
-    cells = itertools.product(range(counts.shape[1]), repeat=len(levels))
-    return all(
-        int(n) * scale == math.prod(int(counts[lvl][a]) for lvl, a in zip(levels, cell))
-        for n, cell in zip(joint, cells)
-    )
+def _exact_windows(joint: np.ndarray, size: int, atoms: int) -> np.ndarray:
+    """Which rows of the window counts ``joint`` are exact products of their
+    level counts: peeling the last level off every row at once, the prefix
+    counts ``J_i`` and level counts ``c_i`` must meet ``N * J_i = J_{i-1} *
+    c_i``. Each side is at most ``N^2 <= TOWER_CELL_CAP^2 = 2^56``, so int64
+    holds the test exactly."""
+    exact = np.ones(len(joint), dtype=bool)
+    while joint.shape[1] > size:
+        joint = joint.reshape(len(joint), joint.shape[1] // size, size)
+        prefix = joint.sum(axis=2)
+        exact &= (atoms * joint == prefix[:, :, None] * joint.sum(axis=1)[:, None, :]).all(axis=(1, 2))
+        joint = prefix
+    return exact
 
 
 def fiber_surgery(
@@ -849,45 +850,32 @@ def fiber_surgery(
 
     base = base_aligned_labels(tower, partition)
     counts = _level_counts(base, size)
-
-    def measured_bad() -> list[int]:
-        if len(offsets) < 2:
-            return []
-        windows = _shifted(eligible, offsets)
-        return [
-            i
-            for i, levels, joint in zip(eligible, windows, _window_counts(base, windows, size))
-            if not _window_is_exact(joint, levels, counts, atoms)
-        ]
+    windows = _shifted(eligible, offsets)
 
     guard = 0
     while True:
-        pending = sorted(declared | set(measured_bad()))
+        exact = _exact_windows(_window_counts(base, windows, size), size, atoms)
+        pending = sorted(declared.union(np.flatnonzero(~exact).tolist()))
         if not pending:
             break
         guard += 1
-        if guard > 2 * len(list(eligible)) + len(declared) + 4:
+        if guard > 2 * len(eligible) + len(declared) + 4:
             raise QuantizationError("surgery failed to stabilize; atom counts too coarse")
         i1 = pending[0]
         declared.discard(i1)
         block = [i1 + k for k in offsets]
-        halo = sorted(
-            {
-                i + k
-                for i in eligible
-                if i != i1 and set(i + kk for kk in offsets) & set(block)
-                for k in offsets
-            }
-            - set(block)
-        )
+        # the shifts whose windows meet the block are the eligible b - k
+        shifts = np.intersect1d(np.subtract.outer(block, offsets.indices), eligible)
+        halo = np.setdiff1d(_shifted(shifts, offsets), block)
         # halo classes in the lexicographic order of their names; a halo can
         # span more levels than a packed integer code could hold
         _, halo_class, class_sizes = np.unique(
             base[halo], axis=1, return_inverse=True, return_counts=True
         )
         by_class = np.argsort(halo_class, kind="stable")
-        cells = list(itertools.product(range(size), repeat=len(block)))
-        cell_mass = [math.prod(int(counts[lvl][a]) for lvl, a in zip(block, c)) for c in cells]
+        # the block's cells in lexicographic order, one column of digits each
+        digits = np.indices((size,) * len(block)).reshape(len(block), -1)
+        cell_mass = [math.prod(int(counts[lvl][a]) for lvl, a in zip(block, c)) for c in digits.T]
         den = atoms ** len(block)
         for members in np.split(by_class, np.cumsum(class_sizes)[:-1]):
             n_y = len(members)
@@ -898,12 +886,7 @@ def fiber_surgery(
                     f"{size ** (len(block) + len(halo))}"
                 )
             cell_counts = [n_y * mass // den for mass in cell_mass]
-            start = 0
-            for cell, cnt in zip(cells, cell_counts):
-                chunk = members[start : start + cnt]
-                start += cnt
-                for lvl, a in zip(block, cell):
-                    base[lvl, chunk] = a
+            base[np.ix_(block, members)] = digits[:, np.repeat(np.arange(digits.shape[1]), cell_counts)]
         # exact products keep every level's counts, so ``counts`` stays current
 
     return labels_from_base(tower, base, partition.alphabet)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+from typing import Sequence
+
 import numpy as np
 
 from margex import (
@@ -32,6 +36,19 @@ def conditional_gap(m: DenseMeasure, prefix: tuple[int, ...], nxt: int) -> tuple
     its own law, and whether some atom of ``prefix`` has zero mass: the
     library's kernel on ``m`` projected onto ``prefix + (nxt,)`` and ``(nxt,)``."""
     return _conditional_gap(project(m, prefix + (nxt,)), nxt, project(m, (nxt,)).table)
+
+
+def _window_is_exact(
+    joint: np.ndarray, levels: Sequence[int], counts: np.ndarray, atoms: int
+) -> bool:
+    """Exact independence test in integer arithmetic: the joint counts
+    ``joint`` on ``levels`` against the level counts ``counts``."""
+    scale = atoms ** (len(levels) - 1)
+    cells = itertools.product(range(counts.shape[1]), repeat=len(levels))
+    return all(
+        int(n) * scale == math.prod(int(counts[lvl][a]) for lvl, a in zip(levels, cell))
+        for n, cell in zip(joint, cells)
+    )
 
 
 class NoNumpy:

@@ -42,7 +42,7 @@ from margex import (
     uniform_random_partition,
     verify_hypotheses,
 )
-from margex.towers import base_aligned_labels, _window_counts, _window_is_exact
+from margex.towers import base_aligned_labels, _window_counts
 
 A2 = Alphabet(2)
 
@@ -253,7 +253,7 @@ def test_criterion_6_surgery_exactness():
         )
         windows = [[j + k for k in offsets] for j in range(height - lag)]
         for j, (levels, joint) in enumerate(zip(windows, _window_counts(base_out, windows, 2))):
-            if not _window_is_exact(joint, levels, counts, base_out.shape[1]):
+            if not genutil._window_is_exact(joint, levels, counts, base_out.shape[1]):
                 failures.append(f"seed {seed}: shift {j} not exactly independent")
                 break
         touched = {b + k for b in bad for k in offsets}

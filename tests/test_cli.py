@@ -121,6 +121,15 @@ class TestExtendAndOracle:
         assert code == 1
         assert report["reason"]["code"] in ("ConsistencyError", "AnchorError")
 
+    @pytest.mark.parametrize("command", ["extend", "oracle"])
+    def test_reversed_window_is_usage_error(self, tmp_path, command):
+        spec = json.loads((GOLDEN / "specs" / "family.json").read_text())
+        spec["members"], spec["window"] = [], [3, 0]
+        code, report = run(tmp_path, command, "--input", spec_file(tmp_path, spec))
+        assert code == 2
+        assert report["reason"] == {"code": "DomainError", "message": "window [3, 0] ends before it starts"}
+        assert "result" not in report
+
     @pytest.mark.parametrize("command", ["extend", "oracle", "verify"])
     def test_window_length_checked_before_it_is_built(self, tmp_path, monkeypatch, command):
         class GuardedIndexSet:
@@ -398,6 +407,41 @@ class TestPlumbing:
         assert report["reason"]["code"] == "DomainError"
         assert "tol must be finite and >= 0" in report["reason"]["message"]
         assert "result" not in report
+
+    def test_missing_input_file_is_named(self, tmp_path):
+        code, report = run(tmp_path, "verify", "--input", str(tmp_path / "absent.json"))
+        assert code == 2
+        assert report["reason"]["message"].endswith("absent.json does not exist")
+
+    def test_directory_input_exit_two(self, tmp_path):
+        code, report = run(tmp_path, "verify", "--input", str(tmp_path))
+        assert code == 2
+        assert report["reason"]["code"] == "DomainError"
+        assert report["reason"]["message"] == f"cannot read input file {tmp_path}: Is a directory"
+
+    def test_unreadable_input_exit_two(self, tmp_path, family_file, monkeypatch):
+        # a permission bit does not stop root, so the refusal is simulated
+        def guarded_open(path, *args, **kwargs):
+            if str(path) == str(family_file):
+                raise PermissionError(13, "Permission denied", str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", guarded_open, raising=False)
+        code, report = run(tmp_path, "verify", "--input", str(family_file))
+        assert code == 2
+        assert report["reason"]["message"] == f"cannot read input file {family_file}: Permission denied"
+
+    def test_output_in_missing_directory_reports_on_stdout(self, tmp_path, family_file, capsys):
+        out = tmp_path / "absent" / "report.json"
+        code = main(["verify", "--input", str(family_file), "--output", str(out), "--no-timestamp"])
+        assert code == 2
+        assert not out.parent.exists()
+        report = strict_loads(capsys.readouterr().out)
+        assert report["status"] == "failed"
+        assert report["reason"] == {
+            "code": "DomainError",
+            "message": f"cannot write report to {out}: No such file or directory",
+        }
 
     def test_malformed_json_exit_two(self, tmp_path):
         path = tmp_path / "broken.json"

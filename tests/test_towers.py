@@ -982,6 +982,18 @@ class TestIterateKrengel:
         assert res.chosen_times == ()
         assert np.array_equal(res.q.labels, partition.labels)
 
+    def test_in_e1_flags_are_exempt_like_in_e(self):
+        tower = build_tower_from_base((), 16, 4096, "seeded_permutation", 5)
+        partition = uniform_random_partition(tower, A2, seed=7)
+        flags = np.arange(16) < 6
+        runs = [
+            iterate_krengel(flagged, partition, range(2, 16), epsilon=0.8, steps=1, seed=3)
+            for flagged in (tower.with_flags(in_e=flags), tower.with_flags(in_e1=flags))
+        ]
+        assert runs[0].cumulative_error_mass == runs[1].cumulative_error_mass == 0.5
+        assert runs[0].chosen_times == runs[1].chosen_times
+        assert np.array_equal(runs[0].q.labels, runs[1].q.labels)
+
     def test_single_step_matches_paint(self):
         tower = genutil.permutation_tower(32, 2**14, seed=43)
         partition = genutil.bit_slice_partition(tower, A2, bits=14)
@@ -1091,6 +1103,35 @@ class TestFiberSurgery:
         partition = LabeledPartition(A2, labels)
         with pytest.raises(QuantizationError):
             fiber_surgery(tower, partition, [0, 2], [1])
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [5, 2**28])
+    def test_int64_exactness_matches_big_integers(self, size, width, scale):
+        # exact products of level tables whose sum d gives N = d^width atoms,
+        # the same moved by one atom, and multinomial draws, up to N = 2^28
+        rng = np.random.default_rng(1000 * size + width)
+        d = min(scale, 2 ** (28 // width))
+        atoms, rows = d**width, []
+        for _ in range(100):
+            levels = [rng.multinomial(d, rng.dirichlet(np.ones(size))) for _ in range(width)]
+            exact = np.ones(1, dtype=np.int64)
+            for level in levels:
+                exact = np.multiply.outer(exact, level).ravel()
+            near = exact.copy()
+            src, dst = rng.choice(np.flatnonzero(near), 1)[0], rng.integers(len(near))
+            near[src] -= 1
+            near[dst] += 1
+            rows += [exact, near, rng.multinomial(atoms, np.full(size**width, size**-width))]
+        joint = np.stack(rows)
+        want = []
+        for row in joint:
+            table = row.reshape((size,) * width)
+            axes = range(width)
+            counts = np.stack([table.sum(axis=tuple(b for b in axes if b != a)) for a in axes])
+            want.append(genutil._window_is_exact(row, list(axes), counts, atoms))
+        assert towers._exact_windows(joint, size, atoms).tolist() == want
+        assert all(want[::3]) and (width == 1 or not all(want))
 
     def test_halo_wider_than_a_packed_code(self):
         # offsets {0, 1, 3, 7, 12, 20} at height 80 give shift 30 a 49-level
