@@ -6,12 +6,12 @@ The package has four functional layers:
   projections, products, conditionals, consistency, and approximate
   independence defects.
 * :mod:`margex.extension` -- building a single measure with prescribed
-  marginals: inclusion-exclusion common extensions, norm-controlled right
-  inverses of projection operators, one extension step and one window loop
-  behind the dense and chain drivers, and an LP feasibility oracle.
+  marginals: norm-controlled right inverses of projection operators, one
+  extension step and one window loop behind the dense and chain drivers, and
+  an LP feasibility oracle.
 * :mod:`margex.towers` -- finite towers with equal-mass fiber atoms, built
   from a base orbit by one builder, name distributions of labeled partitions,
-  correcting measures, painting names on towers, and exact fiber surgery.
+  correcting measures, and painting names on towers.
 * :mod:`margex.rds` -- skew products over coin-flip bases at desk scale, a
   leaf over :mod:`margex.measures`: the (S, S^-1) construction, sign
   partitions of long windows, and fiberwise mixing coefficients on cylinders.
@@ -54,7 +54,6 @@ from .extension import (
     brute_force_extension_exists,
     extend_family,
     extend_family_chain,
-    inclusion_exclusion_extension,
     thresholds,
     verify_hypotheses,
 )
@@ -63,11 +62,10 @@ from .towers import (
     PaintReport,
     TowerSpec,
     build_tower_from_base,
-    choose_eta,
     correcting_measure,
-    fiber_surgery,
     flag_dependent_shifts,
     iterate_krengel,
+    labels_from_base,
     name_distribution,
     paint_tower,
     uniform_random_partition,

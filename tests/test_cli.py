@@ -52,20 +52,23 @@ def family_file(tmp_path):
     return path
 
 
+# two members that prescribe different laws on coordinate 0
+INFEASIBLE_FAMILY = {
+    "alphabet_size": 2,
+    "alpha": 0.3,
+    "N": 1,
+    "members": [
+        {"indices": [0], "table": [0.3, 0.7]},
+        {"indices": [0], "table": [0.5, 0.5]},
+    ],
+    "window": [0, 0],
+}
+
+
 @pytest.fixture()
 def infeasible_family_file(tmp_path):
-    spec = {
-        "alphabet_size": 2,
-        "alpha": 0.3,
-        "N": 1,
-        "members": [
-            {"indices": [0], "table": [0.3, 0.7]},
-            {"indices": [0], "table": [0.5, 0.5]},
-        ],
-        "window": [0, 0],
-    }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(INFEASIBLE_FAMILY))
     return path
 
 
@@ -441,6 +444,26 @@ class TestPlumbing:
         assert report["reason"] == {
             "code": "DomainError",
             "message": f"cannot write report to {out}: No such file or directory",
+        }
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
+    def test_output_on_full_device_reports_on_stdout(self, family_file, capsys):
+        # the open succeeds; the write or its flush fails
+        code = main(["verify", "--input", str(family_file), "--output", "/dev/full", "--no-timestamp"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert strict_loads(out)["reason"] == {
+            "code": "DomainError",
+            "message": "cannot write report to /dev/full: No space left on device",
+        }
+
+    def test_output_to_directory_reports_on_stdout(self, tmp_path, family_file, capsys):
+        code = main(["verify", "--input", str(family_file), "--output", str(tmp_path), "--no-timestamp"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert strict_loads(out)["reason"] == {
+            "code": "DomainError",
+            "message": f"cannot write report to {tmp_path}: Is a directory",
         }
 
     def test_malformed_json_exit_two(self, tmp_path):
@@ -829,6 +852,53 @@ class TestGoldenReports:
         assert code == exit_code
         name = spec if spec.startswith(command) else command
         assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _spec_text(spec) -> str:
+    """A golden spec by name, or a spec given inline."""
+    return (GOLDEN / "specs" / f"{spec}.json").read_text() if isinstance(spec, str) else json.dumps(spec)
+
+
+# per command: an ok spec and a spec whose check fails, by golden name or inline
+FAULT_SPECS = {
+    "verify": ("family", INFEASIBLE_FAMILY),
+    "extend": ("family", "extend_small_beta"),
+    "oracle": ("family", INFEASIBLE_FAMILY),
+    "correct": ("correct", {"nu": {"alphabet_size": 2, "indices": [0, 1], "table": [0.5, 0, 0, 0.5]}, "t": 0.1}),
+    "paint": ("paint", "paint_positivity_refusal"),
+    "krengel": ("krengel", "krengel_out_of_times"),
+    "counterexample": ("counterexample", {"W": 101, "n": 2, "samples": 200}),
+}
+MALFORMED_SPECS = {"broken": "{not json", "list": "[]", "empty": "{}"}
+
+
+class TestFaultMatrix:
+    """Every command on an ok spec, a spec whose check fails and malformed
+    specs, run in-process with the report on stdout: each run exits with its
+    case's code, writes exactly one strict JSON report and nothing on stderr.
+    The output faults are ``TestPlumbing``'s."""
+
+    CASES = [
+        case
+        for command, (ok, failing) in FAULT_SPECS.items()
+        for case in [
+            pytest.param(command, _spec_text(ok), 0, id=f"{command}-ok"),
+            pytest.param(command, _spec_text(failing), 1, id=f"{command}-check-fails"),
+            *[pytest.param(command, text, 2, id=f"{command}-{name}") for name, text in MALFORMED_SPECS.items()],
+        ]
+    ]
+
+    @pytest.mark.parametrize("command, text, exit_code", CASES)
+    def test_one_report_per_run(self, tmp_path, capsys, command, text, exit_code):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code = main([command, "--input", str(path), "--no-timestamp"])
+        out, err = capsys.readouterr()
+        report = strict_loads(out)
+        assert (code, report["status"], err) == (exit_code, "ok" if exit_code == 0 else "failed", "")
+
+    def test_covers_every_command(self):
+        assert sorted(FAULT_SPECS) == sorted(cli._COMMANDS)
 
 
 class TestSpecFuzz:

@@ -29,7 +29,6 @@ from margex import (
     delta_independence,
     extend_family,
     extend_family_chain,
-    inclusion_exclusion_extension,
     product_measure,
     project,
     sup_distance,
@@ -77,12 +76,12 @@ class TestThresholds:
 class TestInclusionExclusion:
     def test_single_part(self):
         m = measure(A2, [1], [0.3, 0.7])
-        assert np.allclose(inclusion_exclusion_extension([m]).table, m.table)
+        assert np.allclose(genutil.inclusion_exclusion_extension([m]).table, m.table)
 
     def test_two_singletons_uniform_reference(self):
         m1 = measure(A2, [1], [0.3, 0.7])
         m2 = measure(A2, [2], [0.6, 0.4])
-        out = inclusion_exclusion_extension([m1, m2])
+        out = genutil.inclusion_exclusion_extension([m1, m2])
         assert np.allclose(out.table, [0.20, 0.10, 0.40, 0.30])
         assert out.kind == "signed"
         assert sup_distance(project(out, [1]), m1) <= 1e-12
@@ -90,11 +89,11 @@ class TestInclusionExclusion:
 
     def test_duplicate_parts(self):
         m = measure(A2, [1], [0.3, 0.7])
-        assert np.allclose(inclusion_exclusion_extension([m, m]).table, m.table)
+        assert np.allclose(genutil.inclusion_exclusion_extension([m, m]).table, m.table)
 
     def test_inconsistent_parts_raise(self):
         with pytest.raises(ConsistencyError):
-            inclusion_exclusion_extension(
+            genutil.inclusion_exclusion_extension(
                 [measure(A2, [0], [0.3, 0.7]), measure(A2, [0], [0.5, 0.5])]
             )
 
@@ -102,14 +101,14 @@ class TestInclusionExclusion:
         m1 = measure(A2, [0], [0.3, 0.7])
         q = DenseMeasure(A2, IndexSet.of([0]), [0.0, 1.0])
         with pytest.raises(DomainError):
-            inclusion_exclusion_extension([m1], q)
+            genutil.inclusion_exclusion_extension([m1], q)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_projection_identity_random(self, seed):
         rng = np.random.default_rng(seed)
         alphabet = Alphabet(int(rng.integers(2, 4)))
         parts, _ = genutil.consistent_parts(rng, alphabet, 5, int(rng.integers(2, 5)))
-        out = inclusion_exclusion_extension(parts)
+        out = genutil.inclusion_exclusion_extension(parts)
         for p in parts:
             assert sup_distance(project(out, p.support), p) <= 1e-9
 
@@ -120,7 +119,7 @@ class TestInclusionExclusion:
         for p in parts:
             union = union.union(p.support)
         q = genutil.random_measure(rng, A2, union)
-        out = inclusion_exclusion_extension(parts, q)
+        out = genutil.inclusion_exclusion_extension(parts, q)
         for p in parts:
             assert sup_distance(project(out, p.support), p) <= 1e-9
 
@@ -133,7 +132,7 @@ class TestInclusionExclusion:
             "signed",
         )
         parts = [project(hidden, [0, 1]), project(hidden, [1, 2])]
-        out = inclusion_exclusion_extension(parts)
+        out = genutil.inclusion_exclusion_extension(parts)
         for p in parts:
             assert sup_distance(project(out, p.support), p) <= 1e-9
         assert float(out.table.sum()) == pytest.approx(float(hidden.table.sum()))

@@ -4,6 +4,7 @@ in the package or the benchmark, or a stated role; and every option a function
 offers is set by some caller, or has a stated role."""
 
 import ast
+import importlib
 import re
 import types
 from pathlib import Path
@@ -14,13 +15,10 @@ SOURCE = Path(margex.__file__).parent
 PERFBENCH = SOURCE.parents[1] / "perfbench"
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 # public names and options that neither the package nor the benchmark uses,
-# each kept for its role: a construction of the paper, the family format the
-# README documents, or an entry point
+# each kept for its role: the set algebra of an exported class, the family
+# format the README documents, or an entry point
 ALLOWED = {
-    "choose_eta": "paper construction: the mixing-defect budget of a paint step",
-    "inclusion_exclusion_extension": "paper construction: the common extension",
-    "inclusion_exclusion_extension.q": "paper construction: the reference measure",
-    "fiber_surgery": "paper construction: exact repair of window independence",
+    "IndexSet.difference": "set algebra of the exported IndexSet, beside union and intersection",
     "ProjectionOperator.apply": "README family format: the flat array of target tables",
     "RightInverse.evaluate": "README family format: takes that flat array",
     "main.argv": "entry point: the CLI run in-process, as the tests run it",
@@ -69,15 +67,34 @@ def _uses(paths):
     return used
 
 
-def _callers():
-    """Names the package or the benchmark reads, and the attributes the
-    benchmark's ``SPANS`` names as strings to wrap."""
-    used = _uses([*SOURCE.glob("*.py"), *PERFBENCH.glob("*.py")])
+def _spans():
+    """``(span name, module, attribute path)`` of each function the
+    benchmark's tracer wraps: its ``SPANS``, read without importing it."""
     layers = ast.parse((PERFBENCH / "layers.py").read_text())
     spans = next(
         n.value for n in layers.body if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "SPANS"
     )
-    return used | {path.split(".")[-1] for _, _, path in ast.literal_eval(spans)}
+    return ast.literal_eval(spans)
+
+
+def _callers():
+    """Names the package or the benchmark reads, and the attributes the
+    benchmark's ``SPANS`` names as strings to wrap."""
+    used = _uses([*SOURCE.glob("*.py"), *PERFBENCH.glob("*.py")])
+    return used | {path.split(".")[-1] for _, _, path in _spans()}
+
+
+def test_every_traced_path_resolves():
+    # the tracer looks each path up with getattr in a traced round, which
+    # no test here runs: a renamed or removed function would break only that
+    unresolved = []
+    for _, module, path in _spans():
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            unresolved.append(f"{module}:{path}")
+    assert unresolved == []
 
 
 def test_every_definition_is_used_or_exported():

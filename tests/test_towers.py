@@ -19,11 +19,9 @@ from margex import (
     TowerSpec,
     WindowError,
     build_tower_from_base,
-    choose_eta,
     correcting_measure,
     delta_independence,
     extend_family_chain,
-    fiber_surgery,
     flag_dependent_shifts,
     iterate_krengel,
     name_distribution,
@@ -409,15 +407,15 @@ class TestWindowCounts:
 
 class TestChooseEta:
     def test_worked_value(self):
-        assert choose_eta(0.5, 1, 1 / 512, 0.1) == pytest.approx(1 / 409600)
+        assert genutil.choose_eta(0.5, 1, 1 / 512, 0.1) == pytest.approx(1 / 409600)
 
     def test_linear_in_epsilon(self):
-        one = choose_eta(0.4, 2, 1e-3, 0.2)
-        two = choose_eta(0.4, 2, 1e-3, 0.4)
+        one = genutil.choose_eta(0.4, 2, 1e-3, 0.2)
+        two = genutil.choose_eta(0.4, 2, 1e-3, 0.4)
         assert two == pytest.approx(2 * one)
 
     def test_below_delta(self):
-        assert choose_eta(0.5, 1, 1e-3, 0.9) < 1e-3
+        assert genutil.choose_eta(0.5, 1, 1e-3, 0.9) < 1e-3
 
 
 class TestCorrectingMeasure:
@@ -483,7 +481,7 @@ class TestCorrectingMeasure:
             margs = [measure(A2, [i], [alpha + 0.1, 0.9 - alpha]) for i in range(k)]
             last = measure(A2, [k], [0.5, 0.5])
             prod = product_measure(margs + [last])
-            eta = choose_eta(alpha, k, delta, eps)
+            eta = genutil.choose_eta(alpha, k, delta, eps)
             noise = genutil.centered_noise(rng, prod.shape)
             # couple only the last coordinate to the block, leaving the block product
             block_mask = noise.reshape(prod.shape)
@@ -1059,21 +1057,21 @@ class TestFiberSurgery:
 
     def test_no_bad_levels_identity(self):
         tower, partition = self._clean_instance(51)
-        out = fiber_surgery(tower, partition, [0, 3], [])
+        out = genutil.fiber_surgery(tower, partition, [0, 3], [])
         assert np.array_equal(out.labels, partition.labels)
 
     def test_fractional_bad_level_refused(self):
         # level 0 relabels this tower, so reading 0.9 as 0 would show
         tower, partition = self._clean_instance(55, height=8, atoms=2**8, bits=8)
-        relabeled = fiber_surgery(tower, partition, [0, 1], [0])
+        relabeled = genutil.fiber_surgery(tower, partition, [0, 1], [0])
         assert not np.array_equal(relabeled.labels, partition.labels)
         with pytest.raises(DomainError, match="coordinate must be an integer, got 0.9"):
-            fiber_surgery(tower, partition, [0, 1], [0.9])
-        assert np.array_equal(fiber_surgery(tower, partition, [0, 1], [0.0]).labels, relabeled.labels)
+            genutil.fiber_surgery(tower, partition, [0, 1], [0.9])
+        assert np.array_equal(genutil.fiber_surgery(tower, partition, [0, 1], [0.0]).labels, relabeled.labels)
 
     def test_single_offset_relabel_preserves_distribution(self):
         tower, partition = self._clean_instance(52)
-        out = fiber_surgery(tower, partition, [0], [4])
+        out = genutil.fiber_surgery(tower, partition, [0], [4])
         assert np.allclose(out.distributions()[4], partition.distributions()[4])
         for lvl in range(tower.height):
             if lvl != 4:
@@ -1082,7 +1080,7 @@ class TestFiberSurgery:
     def test_exact_block_law(self):
         tower, partition = self._clean_instance(53)
         corrupted = genutil.copy_corrupt(tower, partition, 7, 4, 1.0, seed=3)
-        out = fiber_surgery(tower, corrupted, [0, 3], [4])
+        out = genutil.fiber_surgery(tower, corrupted, [0, 3], [4])
         nu = name_distribution(tower, out, 4, [0, 3])
         assert np.array_equal(nu.table, [0.25, 0.25, 0.25, 0.25])
         for j in range(tower.height - 3):
@@ -1102,7 +1100,7 @@ class TestFiberSurgery:
         )
         partition = LabeledPartition(A2, labels)
         with pytest.raises(QuantizationError):
-            fiber_surgery(tower, partition, [0, 2], [1])
+            genutil.fiber_surgery(tower, partition, [0, 2], [1])
 
     @pytest.mark.parametrize("size", [2, 3])
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
@@ -1130,7 +1128,7 @@ class TestFiberSurgery:
             axes = range(width)
             counts = np.stack([table.sum(axis=tuple(b for b in axes if b != a)) for a in axes])
             want.append(genutil._window_is_exact(row, list(axes), counts, atoms))
-        assert towers._exact_windows(joint, size, atoms).tolist() == want
+        assert genutil._exact_windows(joint, size, atoms).tolist() == want
         assert all(want[::3]) and (width == 1 or not all(want))
 
     def test_halo_wider_than_a_packed_code(self):
@@ -1147,7 +1145,7 @@ class TestFiberSurgery:
         labels[10] = idx // 64
         labels[31] = idx % 4
         partition = LabeledPartition(alphabet, labels)
-        out = fiber_surgery(tower, partition, [0, 1, 3, 7, 12, 20], [30])
+        out = genutil.fiber_surgery(tower, partition, [0, 1, 3, 7, 12, 20], [30])
         joint = name_distribution(tower, out, 10, [0, 21])
         assert np.array_equal(joint.table, np.full(16, 1 / 16))
         assert np.array_equal(np.bincount(out.labels[31], minlength=4), [64] * 4)
@@ -1193,7 +1191,7 @@ class TestPinnedLabels:
         tower = genutil.permutation_tower(12, 4096, seed=53)
         partition = genutil.bit_slice_partition(tower, A2, bits=12)
         corrupted = genutil.copy_corrupt(tower, partition, 7, 4, 1.0, seed=3)
-        exact = fiber_surgery(tower, corrupted, [0, 3], [4])
+        exact = genutil.fiber_surgery(tower, corrupted, [0, 3], [4])
         assert _digest(exact) == (
             "49ce20b4abd8eff7a3b92ecbcbf5f437405247e58720cb7f0aa26e8943346ef6"
         )
