@@ -142,7 +142,8 @@ class RightInverse:
     linear part; a rank-one correction along the anchor fixes the anchor pair.
     """
 
-    operator: ProjectionOperator
+    alphabet: Alphabet
+    domain: IndexSet
     _pinv: np.ndarray
     _corr: np.ndarray
     _w_vec: np.ndarray
@@ -150,7 +151,7 @@ class RightInverse:
     measured_norm: float
 
     def evaluate(self, family: np.ndarray) -> DenseMeasure:
-        return DenseMeasure(self.operator.alphabet, self.operator.domain, self._image(family), "signed")
+        return DenseMeasure(self.alphabet, self.domain, self._image(family), "signed")
 
     def _image(self, family: np.ndarray) -> np.ndarray:
         u = np.asarray(family)
@@ -182,26 +183,34 @@ def bounded_right_inverse(
     op: ProjectionOperator,
     v: DenseMeasure,
     w: np.ndarray,
-    tol: float = DEFAULT_TOL,
 ) -> RightInverse:
     """Right inverse of ``op`` with ``B(w) = v``, plus its measured sup-norm.
 
     ``w`` is a family over the operator's targets in :meth:`ProjectionOperator.apply`
-    form. Requires ``op(v) = w`` within ``tol`` (at least ``ROUND_TOL`` per cell) and ``w != 0``.
+    form. Requires ``op(v) = w`` within ``DEFAULT_TOL`` (at least ``ROUND_TOL`` per cell)
+    and ``w != 0``.
     """
     if v.support != op.domain:
         raise DomainError("anchor measure must live on the operator domain")
     positions = tuple(op.domain.positions(t) for t in op.targets)
-    mat, pinv, basis = _structure(op.alphabet.size, len(op.domain), positions)
+    return _anchored_inverse(op.alphabet, op.domain, positions, v.table, w, DEFAULT_TOL)
+
+
+def _anchored_inverse(alphabet, domain, positions, anchor, w, tol):
+    """:func:`bounded_right_inverse` on the operator onto the target
+    ``positions`` in ``domain``, anchored at the flat table ``anchor`` and
+    the family ``w``, checked at ``tol``; the extension step calls it at its
+    own ``tol`` without building the operator or the anchor measure."""
+    mat, pinv, basis = _structure(alphabet.size, len(domain), positions)
     w_vec = np.asarray(w, dtype=np.float64)
     if w_vec.shape != mat.shape[:1]:
         raise DomainError("anchor family must belong to the operator")
     if float(np.abs(w_vec).max()) == 0.0:
         raise DomainError("anchor family is zero; no anchored right inverse exists")
-    gap = float(np.abs(mat @ v.table - w_vec).max())
-    if gap > max(tol, ROUND_TOL * v.table.size):
+    gap = float(np.abs(mat @ anchor - w_vec).max())
+    if gap > max(tol, ROUND_TOL * anchor.size):
         raise AnchorError(f"operator applied to the anchor measure misses w by {gap}")
-    corr = v.table - pinv @ w_vec
+    corr = anchor - pinv @ w_vec
     w_norm2 = float(w_vec @ w_vec)
 
     # measure the sup-operator norm on an orthonormal basis of the image
@@ -209,7 +218,7 @@ def bounded_right_inverse(
     for u, pinv_u, u_max in basis:
         x = pinv_u + corr * (w_vec @ u) / w_norm2
         measured = max(measured, float(np.abs(x).max() / u_max))
-    return RightInverse(op, pinv, corr, w_vec, w_norm2, measured)
+    return RightInverse(alphabet, domain, pinv, corr, w_vec, w_norm2, measured)
 
 
 # -- one-coordinate extension step -----------------------------------------------
@@ -335,17 +344,19 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
         raise AnchorError(
             f"prior measure and prescriptions disagree on the overlap by {drift}"
         )
-    op = ProjectionOperator(alphabet, r_bar, tuple(IndexSet._from_set(set(t)) for t in targets))
-    anchor = DenseMeasure._owned(alphabet, r_bar, v, "signed", np.inf)
-    binv = bounded_right_inverse(op, anchor, w, tol)
+    positions = tuple(tuple(map(r_bar.indices.index, t)) for t in targets)
+    binv = _anchored_inverse(alphabet, r_bar, positions, v.reshape(-1), w, tol)
 
-    # symbol a's family: each source table sliced at coordinate n = a
-    sliced = [(slice_sources[sources[t]], sources[t].index(n)) for t in targets]
-    slices = []
-    for a in range(alphabet.size):
-        u = np.concatenate([np.take(arr, a, axis=pos).reshape(-1) for arr, pos in sliced])
-        slices.append(binv._image(u).reshape(v.shape))
-    sigma_arr = np.stack(slices, axis=s_bar.position(n))
+    # row a: symbol a's family, each source table sliced at coordinate n = a;
+    # sigma's slice at n = a is that family's image
+    size = alphabet.size
+    families = np.concatenate(
+        [_by_symbol(slice_sources[sources[t]], sources[t].index(n), size).reshape(size, -1) for t in targets], axis=1
+    )
+    sigma_arr = np.empty((size,) * len(s_bar))
+    sigma_rows = _by_symbol(sigma_arr, s_bar.position(n), size)
+    for a, u in enumerate(families):
+        sigma_rows[a] = binv._image(u).reshape(sigma_rows.shape[1:])
     margin = float(sigma_arr.min())
     if margin < -pos_tol:
         raise PositivityError(
@@ -396,6 +407,12 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
         restriction_gap=back,
     )
     return v, step
+
+
+def _by_symbol(arr, pos, size):
+    """View of the table ``arr`` whose row ``a`` is ``arr`` sliced at
+    symbol ``a`` of axis ``pos``, as a matrix over the axes before and after."""
+    return arr.reshape(size**pos, size, -1).swapaxes(0, 1)
 
 
 def _advance(table, support, step, v, gap, glue_tol, target, span):

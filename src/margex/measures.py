@@ -38,6 +38,11 @@ SCAN_ALL_LIMIT = 8
 # extension-workload round, it took 1.3x numpy's time at 1024 cells and
 # 0.5x from 2048 cells (2-core Xeon); 4096 leaves a factor of two of margin.
 SUM_OUT_MIN_CELLS = 4096
+# _glue and sup_distance run block by block past this many cells (1 MiB of
+# float64; each core has 2 MiB of L2). A 3^12-cell glue took 3.33 ms in one
+# pass and 1.78 ms in blocks, a 2^18 one 0.81 against 0.70 ms, and outputs
+# that fit in L2 did not move (median of 55 calls, 2-core Xeon).
+GLUE_BLOCK_CELLS = 2**17
 
 IndexLike = Union["IndexSet", Iterable[int]]
 
@@ -384,8 +389,14 @@ def sup_distance(m1: DenseMeasure, m2: DenseMeasure) -> float:
     """Sup-norm distance between two measures on the same support."""
     if m1.alphabet != m2.alphabet or m1.support != m2.support:
         raise DomainError("sup_distance requires identical alphabet and support")
-    diff = m1.table - m2.table
-    return float(np.abs(diff, out=diff).max())
+    # block by block, as _glue: one block-sized temporary; np.max keeps a NaN
+    diff = np.empty(min(m1.table.size, GLUE_BLOCK_CELLS))
+    worst = []
+    for start in range(0, m1.table.size, GLUE_BLOCK_CELLS):
+        block = m1.table[start : start + GLUE_BLOCK_CELLS]
+        d = np.subtract(block, m2.table[start : start + GLUE_BLOCK_CELLS], out=diff[: block.size])
+        worst.append(np.abs(d, out=d).max())
+    return float(np.max(worst))
 
 
 def consistency_gap(m1: DenseMeasure, m2: DenseMeasure) -> float:
@@ -420,8 +431,11 @@ def _glue(size, lam, lam_support, sigma, sigma_support, rho, gap, tol):
     ``rho``, ``lam`` summed onto the overlap, and ``gap``, its sup distance
     from ``sigma``'s: ``(table, support)``. The ufuncs iterate with sigma's
     coordinates first and lam's own last, so the inner loop runs along lam's
-    long axis, and write through a transposed view of the output; each cell
-    is the same product and quotient, so the bits do not change."""
+    long axis, and write through a transposed view of the output. An output
+    past ``GLUE_BLOCK_CELLS`` is made block by block over the union's leading
+    coordinates while they are lam's alone, so each block's quotient reads
+    its product back from cache. Each cell is the same product and quotient,
+    so the bits do not change."""
     overlap = tuple(i for i in sigma_support if i in lam_support)
     if gap > tol:
         raise ConsistencyError(f"projections onto {overlap} differ by {gap} (tol {tol})")
@@ -429,11 +443,19 @@ def _glue(size, lam, lam_support, sigma, sigma_support, rho, gap, tol):
         raise SingularityError(f"overlap projection onto {overlap} has a nonpositive cell")
     union = tuple(sorted(set(lam_support) | set(sigma_support)))
     _cell_count(size, union)
-    order = sigma_support + tuple(i for i in lam_support if i not in sigma_support)
+    lead = 0
+    while size ** (len(union) - lead) > GLUE_BLOCK_CELLS and union[lead] not in sigma_support:
+        lead += 1
+    order = sigma_support + tuple(i for i in lam_support[lead:] if i not in sigma_support)
+    axes = [union.index(i) - lead for i in order]
+    sigma, rho = _embed(sigma, sigma_support, order), _embed(rho, overlap, order)
     out = np.empty((size,) * len(union))
-    view = out.transpose([union.index(i) for i in order])
-    np.multiply(_embed(lam, lam_support, order), _embed(sigma, sigma_support, order), out=view, order="C")
-    np.divide(view, _embed(rho, overlap, order), out=view, order="C")
+    out_blocks = out.reshape((-1,) + out.shape[lead:])
+    lam_blocks = np.reshape(lam, (-1,) + np.shape(lam)[lead:])
+    for b in range(len(out_blocks)):
+        view = out_blocks[b, ...].transpose(axes)
+        np.multiply(_embed(lam_blocks[b, ...], lam_support[lead:], order), sigma, out=view, order="C")
+        np.divide(view, rho, out=view, order="C")
     return out, union
 
 
@@ -459,11 +481,14 @@ def _conditional_gap(joint: DenseMeasure, nxt: int, law: np.ndarray) -> tuple[fl
     """
     rows, row_mass = conditional_rows(joint, nxt)
     good = row_mass > 0.0
-    if not good.any():
-        return np.inf, True
-    cond = rows[good] / row_mass[good, None]
-    gap = float(np.max(np.abs(cond - law[None, :])))
-    return gap, not good.all()
+    all_massed = bool(good.all())
+    if not all_massed:
+        if not good.any():
+            return np.inf, True
+        rows, row_mass = rows[good], row_mass[good]
+    cond = rows / row_mass[:, None]
+    cond -= law
+    return float(np.abs(cond, out=cond).max()), not all_massed
 
 
 def _ordering_defect(m: DenseMeasure, order: tuple[int, ...]) -> float:

@@ -190,6 +190,36 @@ class TestRightInverse:
         b = bounded_right_inverse(op, v, w)
         assert np.max(np.abs(b.evaluate(w).table - v.table)) <= 1e-12
 
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_step_takes_the_same_inverse(self, size):
+        # the step anchors its inverse without building the operator or the
+        # anchor measure; on the same operator, anchor and w the public
+        # inverse has the step's norm, and its image of symbol a's family is
+        # sigma's slice at a, bit for bit
+        alphabet = Alphabet(size)
+        family = genutil.near_product_family(np.random.default_rng(size), alphabet, window_size=6, alpha=0.2)
+        dense, _ = extend_family(family, range(6), beta=1.0)
+        n, lam = 3, project(dense, range(3))
+        members = family.members_containing(n)
+        v, step = margex.extension._sigma_step(
+            family, members, lam.as_array(), lam.support.indices, n, DEFAULT_TOL, None
+        )
+        assert not step.trivial and step.clipped == 0.0
+        sources = sorted(
+            (project(mu, [i for i in mu.support if i <= n]) for mu in members),
+            key=lambda mu: mu.support.difference([n]).indices,
+        )
+        op = ProjectionOperator(alphabet, step.r_bar, tuple(mu.support.difference([n]) for mu in sources))
+        anchor = DenseMeasure(alphabet, step.r_bar, v, "signed")
+        b = bounded_right_inverse(op, anchor, op.apply(anchor))
+        assert b.measured_norm == step.b_norm
+        for a in range(size):
+            family_a = np.concatenate(
+                [np.take(mu.as_array(), a, axis=mu.support.position(n)).reshape(-1) for mu in sources]
+            )
+            sigma_a = np.take(step.sigma.as_array(), a, axis=step.s_bar.position(n))
+            assert b.evaluate(family_a).table.tobytes() == sigma_a.tobytes()
+
     @pytest.mark.parametrize("seed", range(10))
     def test_right_inverse_contract(self, seed):
         rng = np.random.default_rng(seed)

@@ -271,6 +271,26 @@ class TestSupDistanceAndConsistency:
         assert np.isnan(sup_distance(nan, finite)) and np.isnan(sup_distance(finite, nan))
         assert sup_distance(inf, finite) == np.inf and sup_distance(finite, inf) == np.inf
 
+    @pytest.mark.parametrize("size, n", [(2, 19), (3, 12)], ids=["2^19", "3^12"])
+    def test_blocks_match_one_pass(self, size, n):
+        # four and five blocks of GLUE_BLOCK_CELLS; a NaN or an inf in the
+        # last block still decides the distance
+        cells = size**n
+        assert cells > 3 * measures.GLUE_BLOCK_CELLS
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(cells), rng.standard_normal(cells)
+        a[rng.integers(cells)] = 40.0
+        support = IndexSet.of(range(n))
+
+        def signed(table):
+            return DenseMeasure(Alphabet(size), support, table, "signed")
+
+        assert sup_distance(signed(a), signed(b)) == np.abs(a - b).max()
+        for bad in (np.nan, np.inf):
+            a[-1] = bad
+            assert np.array_equal(sup_distance(signed(a), signed(b)), np.abs(a - b).max(), equal_nan=True)
+            assert np.array_equal(sup_distance(signed(b), signed(a)), np.abs(b - a).max(), equal_nan=True)
+
     def test_support_mismatch(self):
         with pytest.raises(DomainError):
             sup_distance(measure(A2, [0], [0.5, 0.5]), measure(A2, [1], [0.5, 0.5]))
@@ -430,6 +450,21 @@ class TestZeroMassRule:
         with pytest.raises(SingularityError, match="coordinate 1: .*nonpositive cell"):
             extend_family(family, [0, 1], beta=1.0)
 
+    def test_conditional_gap_masks_only_zero_mass_rows(self):
+        # with every row massed the gap skips the mask; either way it has the
+        # bits of the masked computation and reports whether a row had no mass
+        rng = np.random.default_rng(7)
+        cases = [(genutil.random_measure(rng, A3, range(4)), 2, False) for _ in range(10)]
+        cases.append((measure(A3, [0, 1], np.ravel(self.ROWS)), 1, True))
+        for m, coord, has_zero in cases:
+            law = project(m, [coord]).table
+            rows, mass = measures.conditional_rows(m, coord)
+            good = mass > 0.0
+            masked = np.max(np.abs(rows[good] / mass[good, None] - law[None, :]))
+            gap, zero_mass = measures._conditional_gap(m, coord, law)
+            assert zero_mass == has_zero
+            assert np.float64(gap).tobytes() == masked.tobytes()
+
     def test_window_deviation_gap_over_massive_atoms(self):
         labels = np.array(
             [[0, 0, 2, 2, 0, 2], [0, 1, 2, 2, 1, 0], [1, 0, 1, 0, 2, 2]], dtype=np.int16
@@ -498,6 +533,23 @@ class TestGlueAxisOrder:
     @example(2, {0, 2, 4}, {1, 2, 3}, 3)  # interleaved coordinates
     @example(3, {1}, {0, 1, 2}, 4)  # lam inside sigma
     def test_matches_union_order_broadcast(self, size, lam_support, sigma_support, seed):
+        self.check(size, lam_support, sigma_support, seed)
+
+    @pytest.mark.parametrize(
+        "size, lam_support, sigma_support",
+        [
+            (3, range(11), (10, 11)),  # 9 blocks of 3^10 cells
+            (2, range(17), (16, 17)),  # 2 blocks of 2^17 cells
+            (2, range(1, 18), (0, 17)),  # sigma holds the union's lowest coordinate: no blocks
+        ],
+        ids=["3^12", "2^18", "sigma-leads"],
+    )
+    def test_past_the_block_size(self, size, lam_support, sigma_support):
+        assert size ** len(set(lam_support) | set(sigma_support)) > measures.GLUE_BLOCK_CELLS
+        self.check(size, set(lam_support), set(sigma_support), 5)
+
+    @staticmethod
+    def check(size, lam_support, sigma_support, seed):
         rng = np.random.default_rng(seed)
         alphabet = Alphabet(size)
         lam = genutil.random_measure(rng, alphabet, lam_support)
