@@ -52,6 +52,7 @@ from .measures import (
     _glue,
     _report,
     _sum_out,
+    conditional_rows,
     consistency_gap,
     delta_independence,
     project,
@@ -390,7 +391,7 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
             raise ConsistencyError(f"sigma misses the prescription on {s_idx} by {gap}")
 
     # defect of the fresh coordinate against the atoms of A^{r_bar}
-    beta_defect, _ = _conditional_gap(sigma, n, _sum_out(sigma_arr, s_bar, (n,)))
+    beta_defect = float(_conditional_gap(*conditional_rows(sigma, n), _sum_out(sigma_arr, s_bar, (n,)))[0])
     if beta_defect == np.inf:
         raise SingularityError("all atoms of the overlap have zero mass")
 

@@ -471,36 +471,42 @@ def conditional_rows(m: DenseMeasure, coord: int) -> tuple[np.ndarray, np.ndarra
     return rows, rows.sum(axis=1)
 
 
-def _conditional_gap(joint: DenseMeasure, nxt: int, law: np.ndarray) -> tuple[float, bool]:
-    """Worst gap between the law of ``nxt`` given an atom of the other
-    coordinates of ``joint`` and ``law``, the table of its own law, and
-    whether some atom of those coordinates has zero mass.
+def _conditional_gap(rows: np.ndarray, mass: np.ndarray, law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Worst gap between the law of a coordinate given an atom of the other
+    coordinates and ``law``, the table of its own law, for a stack of tables:
+    ``rows[..., r, :]`` is atom ``r``'s row, ``mass[..., r]`` its mass and
+    ``law[..., 0, :]`` the table's law, broadcast over the rows. One measure
+    is a stack with no leading axes, whose rows and masses
+    :func:`conditional_rows` gives. Also whether some atom of each table has
+    zero mass.
 
     The one zero-mass rule: an atom without mass has no conditional law, so
     the gap runs over the atoms that carry mass and is ``inf`` when none does.
     """
-    rows, row_mass = conditional_rows(joint, nxt)
-    good = row_mass > 0.0
-    all_massed = bool(good.all())
-    if not all_massed:
-        if not good.any():
-            return np.inf, True
-        rows, row_mass = rows[good], row_mass[good]
-    cond = rows / row_mass[:, None]
-    cond -= law
-    return float(np.abs(cond, out=cond).max()), not all_massed
+    good = mass > 0.0
+    if good.all():
+        cond = rows / mass[..., None]
+        cond -= law
+        return np.abs(cond, out=cond).max(axis=(-2, -1)), np.zeros(good.shape[:-1], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.abs(rows / mass[..., None] - law)
+    gap = np.where(good[..., None], cond, -np.inf).max(axis=(-2, -1))
+    return np.where(good.any(axis=-1), gap, np.inf), ~good.all(axis=-1)
+
+
+def _zero_mass_atom(order: tuple[int, ...], i: int) -> ZeroMassError:
+    """The refusal of the ordering ``order``, whose prefix ``order[:i]`` has a zero-mass atom."""
+    return ZeroMassError(f"ordering {order} conditions on a zero-mass atom of {order[:i]}")
 
 
 def _ordering_defect(m: DenseMeasure, order: tuple[int, ...]) -> float:
-    worst = 0.0
+    worst, arr = 0.0, m.as_array()
     for i in range(1, len(order)):
-        joint = project(m, order[: i + 1])
-        gap, has_zero_atom = _conditional_gap(joint, order[i], project(m, (order[i],)).table)
+        rows, mass = conditional_rows(project(m, order[: i + 1]), order[i])
+        gap, has_zero_atom = _conditional_gap(rows, mass, _sum_out(arr, m.support, (order[i],)))
         if has_zero_atom:
-            raise ZeroMassError(
-                f"ordering {order} conditions on a zero-mass atom of {order[:i]}"
-            )
-        worst = max(worst, gap)
+            raise _zero_mass_atom(order, i)
+        worst = max(worst, float(gap))
     return worst
 
 
@@ -522,10 +528,10 @@ def _scan_all_defect(m: DenseMeasure) -> float:
             bit = 1 << j
             if mask & bit:
                 continue
-            joint = project(m, prefix + (coords[j],))
-            gap, has_zero_atom = _conditional_gap(joint, coords[j], laws[j])
+            rows, mass = conditional_rows(project(m, prefix + (coords[j],)), coords[j])
+            gap, has_zero_atom = _conditional_gap(rows, mass, laws[j])
             if not has_zero_atom:
-                best[mask | bit] = min(best[mask | bit], max(best[mask], gap))
+                best[mask | bit] = min(best[mask | bit], max(best[mask], float(gap)))
     result = best[2**n - 1]
     if not np.isfinite(result):
         raise ZeroMassError("every ordering conditions on a zero-mass atom")

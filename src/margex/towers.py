@@ -44,12 +44,12 @@ from .measures import (
     IndexSet,
     MarginalFamily,
     _cell_count,
+    _conditional_gap,
     _report,
     _spec_int,
+    _zero_mass_atom,
     conditional_rows,
-    delta_independence,
     product_measure,
-    product_of_marginals,
     project,
     sup_distance,
 )
@@ -322,13 +322,6 @@ def _level_counts(base: np.ndarray, size: int) -> np.ndarray:
     return _window_counts(base, np.arange(len(base))[:, None], size)
 
 
-def _count_law(counts: np.ndarray, alphabet: Alphabet, shift: int, offsets: IndexSet) -> DenseMeasure:
-    """The window law with cell counts ``counts`` over the whole base, on the
-    support ``shift + offsets``."""
-    law = counts / counts.sum()
-    return DenseMeasure._owned(alphabet, offsets.shift(shift), law, "probability", ROUND_TOL)
-
-
 def name_distribution(
     tower: TowerSpec,
     partition: LabeledPartition,
@@ -353,7 +346,8 @@ def name_distribution(
         )
     rows = _aligned_rows(tower, partition, [base_level + k for k in offsets])
     counts = _window_counts(rows, np.arange(len(offsets))[None], partition.alphabet.size)[0]
-    return _count_law(counts, partition.alphabet, base_level, offsets)
+    law = counts / counts.sum()
+    return DenseMeasure._owned(partition.alphabet, offsets.shift(base_level), law, "probability", ROUND_TOL)
 
 
 def _blend_correction(
@@ -442,16 +436,26 @@ def _paint_gates(
     per shift: the kept part's joint counts, and ``_blend_correction`` at
     weight ``m0 / atoms`` from the kept law to the product of the level laws,
     which are the marginals of the joint counts."""
-    atoms, m0, rows = base.shape[1], painted_base.shape[1], len(shifts)
+    atoms, m0 = base.shape[1], painted_base.shape[1]
     windows = _shifted(shifts, offsets)
     full = _window_counts(base, windows, size)
     kept = full - _window_counts(painted_base, windows, size)
-    joint = full.reshape((rows,) + (size,) * len(offsets))
-    prod = np.ones((rows, 1))
-    for a in range(1, joint.ndim):
-        level = joint.sum(axis=tuple(b for b in range(1, joint.ndim) if b != a)) / atoms
-        prod = (prod[:, :, None] * level[:, None, :]).reshape(rows, size**a)
+    _, prod = _level_product(full.reshape((len(shifts),) + (size,) * len(offsets)), atoms)
     return (kept, *_blend_correction(prod, kept / (atoms - m0), m0 / atoms))
+
+
+def _level_product(joint: np.ndarray, scale) -> tuple[list[np.ndarray], np.ndarray]:
+    """The level laws of each window table of the stack ``joint``, one axis per
+    level after the stack axis: the table summed onto each level over
+    ``scale`` (``atoms`` for counts, 1 for laws). Also the rows of their
+    product, in lexicographic cell order. On a stack of laws these are the
+    bits of ``project`` and ``product_of_marginals`` on each law."""
+    rows, size = len(joint), joint.shape[-1]
+    levels, prod = [], np.ones((rows, 1))
+    for a in range(1, joint.ndim):
+        levels.append(joint.sum(axis=tuple(b for b in range(1, joint.ndim) if b != a)) / scale)
+        prod = (prod[:, :, None] * levels[-1][:, None, :]).reshape(rows, size**a)
+    return levels, prod
 
 
 def _gate(
@@ -512,19 +516,21 @@ def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
 
 
 def _paint_names(chain: ChainExtension, n_rows: int, seed: int) -> np.ndarray:
-    """Assign one full-height name to each of ``n_rows`` slots.
+    """Assign one full-height name to each of ``n_rows`` slots: row ``s`` is
+    slot ``s``'s name, one column per coordinate of the chain's window.
 
     Walks the chain steps in coordinate order; at each coordinate the slots
     are grouped by their already-assigned symbols on the step's conditioning
     window, and each group is split by largest remainder according to the
-    kernel row, in a per-group seeded deterministic order.
+    kernel row, in a per-group seeded deterministic order. The groups are the
+    distinct codes of one sort, in ascending order. The names are built one
+    contiguous row per coordinate, and returned as that table's transpose.
     """
     size = chain.family.alphabet.size
-    window = list(chain.window)
-    col_of = {n: c for c, n in enumerate(window)}
-    names = np.zeros((n_rows, len(window)), dtype=np.int16)
+    row_of = {n: r for r, n in enumerate(chain.window)}
+    names = np.zeros((len(row_of), n_rows), dtype=np.int16)
     for step in chain.steps:
-        col = col_of[step.index]
+        row = names[row_of[step.index]]
         # the step's kernel: one row per cell of A^r_bar, the conditional law of its coordinate
         rows, mass = conditional_rows(step.sigma, step.index)
         if np.any(mass <= 0.0):
@@ -532,17 +538,42 @@ def _paint_names(chain: ChainExtension, n_rows: int, seed: int) -> np.ndarray:
         cond = rows / mass[:, None]
         group_codes = np.zeros(n_rows, dtype=np.int64)
         for i in step.r_bar:
-            group_codes = group_codes * size + names[:, col_of[i]]
-        for code in np.unique(group_codes):
+            group_codes = group_codes * size + names[row_of[i]]
+        ordered = np.sort(group_codes)
+        for code in ordered[np.diff(ordered, prepend=-1) != 0]:
             members = np.flatnonzero(group_codes == code)
             counts = _apportion(cond[code], len(members))
             rng = np.random.default_rng((seed, step.index, int(code)))
             members = members[rng.permutation(len(members))]
             start = 0
             for symbol, cnt in enumerate(counts):
-                names[members[start : start + cnt], col] = symbol
+                row[members[start : start + cnt]] = symbol
                 start += cnt
-    return names
+    return names.T
+
+
+def _window_gaps(
+    counts: np.ndarray, shifts: list[int], window: IndexSet, size: int
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Each law of the windows ``shift + window``, from their count rows
+    ``counts``: its sup distance to the product of its level laws and its
+    ascending-order defect, keyed by shift, all windows at once. These are
+    the bits of ``sup_distance(nu, product_of_marginals(nu))`` and
+    ``delta_independence(nu, "ascending")`` on each law ``nu``, and the first
+    window that conditions on a zero-mass atom raises as the latter would."""
+    laws = counts / counts.sum(axis=1, keepdims=True)
+    joint = laws.reshape((len(laws),) + (size,) * len(window))
+    levels, prod = _level_product(joint, 1)
+    defects, zero = np.zeros(len(laws)), np.zeros((len(laws), len(window)), dtype=bool)
+    for i in range(1, len(window)):
+        # each window's law on its first i + 1 levels, one row per atom of the first i
+        rows = joint.sum(axis=tuple(range(i + 2, joint.ndim))).reshape(len(laws), size**i, size)
+        gap, zero[:, i] = _conditional_gap(rows, rows.sum(axis=-1), levels[i][:, None, :])
+        defects = np.maximum(defects, gap)
+    if zero.any():
+        j = int(np.argmax(zero.any(axis=1)))
+        raise _zero_mass_atom(window.shift(shifts[j]).indices, int(np.argmax(zero[j])))
+    return dict(zip(shifts, np.abs(laws - prod).max(axis=1).tolist())), dict(zip(shifts, defects.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -689,10 +720,8 @@ def _paint(
         q = LabeledPartition._owned(partition.alphabet, labels)
         per_level_gap = np.abs(_level_counts(names, size) - painted_counts).max(axis=1) / atoms
 
-        for j, counts in zip(valid, kept_counts + _window_counts(names, _shifted(valid, window), size)):
-            nu_new = _count_law(counts, partition.alphabet, j, window)
-            window_sup_gaps[j] = sup_distance(nu_new, product_of_marginals(nu_new))
-            window_defects[j] = delta_independence(nu_new, "ascending")
+        counts = kept_counts + _window_counts(names, _shifted(valid, window), size)
+        window_sup_gaps, window_defects = _window_gaps(counts, valid, window, size)
 
     return PaintReport(
         q=q,

@@ -19,6 +19,7 @@ from margex import (
     LabeledPartition,
     MarginalFamily,
     QuantizationError,
+    SingularityError,
     TowerSpec,
     WindowError,
     build_tower_from_base,
@@ -30,8 +31,9 @@ from margex import (
     tensor,
     thresholds,
 )
-from margex.measures import DEFAULT_TOL, EMPTY, IndexLike, _conditional_gap, _coordinates
+from margex.measures import DEFAULT_TOL, EMPTY, IndexLike, _conditional_gap, _coordinates, conditional_rows
 from margex.towers import (
+    _apportion,
     _level_counts,
     _shifted,
     _systematic_split,
@@ -46,7 +48,9 @@ def conditional_gap(m: DenseMeasure, prefix: tuple[int, ...], nxt: int) -> tuple
     """Worst gap between the law of ``nxt`` given an atom of ``prefix`` and
     its own law, and whether some atom of ``prefix`` has zero mass: the
     library's kernel on ``m`` projected onto ``prefix + (nxt,)`` and ``(nxt,)``."""
-    return _conditional_gap(project(m, prefix + (nxt,)), nxt, project(m, (nxt,)).table)
+    rows, mass = conditional_rows(project(m, prefix + (nxt,)), nxt)
+    gap, has_zero_atom = _conditional_gap(rows, mass, project(m, (nxt,)).table)
+    return float(gap), bool(has_zero_atom)
 
 
 def _window_is_exact(
@@ -356,6 +360,35 @@ def paint_gate_flags(tower: TowerSpec, partition: LabeledPartition, offsets, eps
             prod = np.multiply.outer(prod, dists[lvl]).reshape(-1)
         flags[j] = ((prod - (1 - t) * nu) / t).min() < 0.0
     return flags
+
+
+def paint_names_reference(chain, n_rows: int, seed: int) -> np.ndarray:
+    """Reference for ``towers._paint_names``: one slot-major name table, the
+    groups of each step taken by ``np.unique`` of their codes and each found
+    by its own mask."""
+    size = chain.family.alphabet.size
+    window = list(chain.window)
+    col_of = {n: c for c, n in enumerate(window)}
+    names = np.zeros((n_rows, len(window)), dtype=np.int16)
+    for step in chain.steps:
+        col = col_of[step.index]
+        rows, mass = conditional_rows(step.sigma, step.index)
+        if np.any(mass <= 0.0):
+            raise SingularityError(f"kernel at coordinate {step.index} conditions on a zero-mass cell")
+        cond = rows / mass[:, None]
+        group_codes = np.zeros(n_rows, dtype=np.int64)
+        for i in step.r_bar:
+            group_codes = group_codes * size + names[:, col_of[i]]
+        for code in np.unique(group_codes):
+            members = np.flatnonzero(group_codes == code)
+            counts = _apportion(cond[code], len(members))
+            rng = np.random.default_rng((seed, step.index, int(code)))
+            members = members[rng.permutation(len(members))]
+            start = 0
+            for symbol, cnt in enumerate(counts):
+                names[members[start : start + cnt], col] = symbol
+                start += cnt
+    return names
 
 
 def sampled_shift_distance(w: int, samples: int, seed: int) -> float:

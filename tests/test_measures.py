@@ -461,9 +461,31 @@ class TestZeroMassRule:
             rows, mass = measures.conditional_rows(m, coord)
             good = mass > 0.0
             masked = np.max(np.abs(rows[good] / mass[good, None] - law[None, :]))
-            gap, zero_mass = measures._conditional_gap(m, coord, law)
+            gap, zero_mass = measures._conditional_gap(rows, mass, law)
             assert zero_mass == has_zero
             assert np.float64(gap).tobytes() == masked.tobytes()
+
+    def test_stacked_gap_is_each_tables_gap(self):
+        # a stack of tables gives each table's own gap and zero-mass flag, bit
+        # for bit, whether or not some row of the stack has no mass
+        rng = np.random.default_rng(11)
+        for stack, r in [((6,), 9), ((2, 3), 4), ((5,), 27)]:
+            rows = rng.random(stack + (r, 3))
+            law = rng.dirichlet(np.ones(3), size=stack)
+            for zeros in (0, 3):
+                rows.reshape(-1, r, 3)[:zeros, 1] = 0.0  # one zero-mass row in the first tables
+                if zeros:
+                    rows.reshape(-1, r, 3)[-1] = 0.0  # every row of the last table
+                mass = rows.sum(axis=-1)
+                gaps, zero_mass = measures._conditional_gap(rows, mass, law[..., None, :])
+                assert gaps.shape == zero_mass.shape == stack
+                for t in np.ndindex(*stack):
+                    gap, has_zero = measures._conditional_gap(rows[t], mass[t], law[t])
+                    assert zero_mass[t] == has_zero
+                    assert gaps[t].tobytes() == np.float64(gap).tobytes()
+                    if has_zero and not mass[t].any():
+                        assert gap == np.inf
+                assert zero_mass.sum() == (zeros + 1 if zeros else 0)
 
     def test_window_deviation_gap_over_massive_atoms(self):
         labels = np.array(

@@ -13,11 +13,13 @@ from margex import (
     DomainError,
     IndexSet,
     LabeledPartition,
+    MarginalFamily,
     MixingSupplyError,
     PositivityError,
     QuantizationError,
     TowerSpec,
     WindowError,
+    ZeroMassError,
     build_tower_from_base,
     correcting_measure,
     delta_independence,
@@ -930,10 +932,21 @@ class TestPaintOnlyThePaintedSlice:
     @pytest.mark.parametrize("m", [2, 8])
     @pytest.mark.parametrize("seed", [61, 62, 63])
     def test_report_matches_whole_base_recount(self, monkeypatch, size, m, seed):
+        self.check(monkeypatch, size, [0], m, seed)
+
+    # three-level windows, where the laws are summed over several axes; at
+    # 2^14 atoms every ternary window is flagged, so those run at 2^16
+    @pytest.mark.parametrize("size, atoms", [(2, 2**14), (3, 2**16)])
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_multi_offset_report_matches_whole_base_recount(self, monkeypatch, size, atoms, seed):
+        self.check(monkeypatch, size, [0, 2], 4, seed, atoms)
+
+    @staticmethod
+    def check(monkeypatch, size, offsets, m, seed, atoms=2**14):
         alphabet = Alphabet(size)
-        tower = genutil.permutation_tower(24, 2**14, seed=seed)
+        tower = genutil.permutation_tower(24, atoms, seed=seed)
         partition = uniform_random_partition(tower, alphabet, seed=seed + 100)
-        offsets, epsilon = [0], 0.4
+        epsilon = 0.4
         window = IndexSet.of(offsets).union((m,))
         flags = flag_dependent_shifts(tower, partition, window, epsilon)
         painted_names = []
@@ -970,6 +983,75 @@ class TestPaintOnlyThePaintedSlice:
             nu = name_distribution(tower, report.q, j, window)
             assert defect == delta_independence(nu, "ascending")
             assert report.window_sup_gaps[j] == sup_distance(nu, product_of_marginals(nu))
+
+
+class TestWindowGaps:
+    """Paint re-measures its windows as one stack of laws; each window's gaps
+    must be the bits of the per-measure functions on its own law."""
+
+    @pytest.mark.parametrize(
+        "size, width, rows",
+        # the last three have past SUM_OUT_MIN_CELLS cells per window, where project runs its own kernel
+        [(2, 2, 40), (2, 3, 30), (3, 3, 30), (2, 5, 20), (3, 4, 10), (5, 3, 10), (2, 13, 2), (3, 8, 2), (4, 6, 2)],
+    )
+    def test_stack_matches_each_window(self, size, width, rows):
+        rng = np.random.default_rng(size * 100 + width)
+        window = IndexSet.of(sorted(rng.choice(20, width, replace=False)))
+        shifts = sorted(rng.choice(50, rows, replace=False).tolist())
+        # product rows make the last two levels independent of the rest, so
+        # each defect is the gap of a prefix summed over several axes
+        random = [rng.integers(1, scale, (rows, size**width)) for scale in (3, 1000, 2**16)]
+        tail = rng.integers(1, 50, size**2)
+        product = [np.einsum("rp,t->rpt", rng.integers(1, scale, (rows, size ** (width - 2))), tail).reshape(rows, -1)
+                   for scale in (3, 2**16)]
+        for counts in random + product:
+            sup_gaps, defects = towers._window_gaps(counts, shifts, window, size)
+            assert list(sup_gaps) == list(defects) == shifts
+            for j, row in zip(shifts, counts):
+                nu = DenseMeasure(Alphabet(size), window.shift(j), row / row.sum())
+                expected_sup = sup_distance(nu, product_of_marginals(nu))
+                assert np.float64(sup_gaps[j]).tobytes() == np.float64(expected_sup).tobytes()
+                expected = delta_independence(nu, "ascending")
+                assert np.float64(defects[j]).tobytes() == np.float64(expected).tobytes()
+
+    def test_zero_mass_raises_as_the_first_window_would(self):
+        # window 1 conditions on a zero-mass atom of its first two levels,
+        # window 2 on one of its first level; window 1 raises first
+        rng = np.random.default_rng(3)
+        window = IndexSet.of([0, 1, 3])
+        counts = rng.integers(1, 50, (4, 8))
+        counts[1, 4:6] = 0  # levels (0, 1) = (1, 0)
+        counts[2, 4:8] = 0  # level 0 = 1
+        shifts = [2, 5, 7, 9]
+        nu = DenseMeasure(A2, window.shift(5), counts[1] / counts[1].sum())
+        with pytest.raises(ZeroMassError) as expected:
+            delta_independence(nu, "ascending")
+        with pytest.raises(ZeroMassError) as raised:
+            towers._window_gaps(counts, shifts, window, 2)
+        assert str(raised.value) == str(expected.value)
+
+    def test_no_windows(self):
+        assert towers._window_gaps(np.zeros((0, 4), dtype=np.int64), [], IndexSet.of([0, 2]), 2) == ({}, {})
+
+
+class TestPaintNames:
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("n_rows", [5, 97, 2000])
+    def test_matches_the_unique_loop(self, size, n_rows):
+        # members on three levels, so a step conditions on two earlier
+        # coordinates; with 5 slots some of its codes get no slot
+        alphabet = Alphabet(size)
+        hidden = genutil.random_measure(np.random.default_rng(size), alphabet, range(8))
+        members = tuple(project(hidden, (i, i + 1, i + 3)) for i in range(5))
+        chain = extend_family_chain(MarginalFamily(alphabet, members, 0.1, 6), range(8))
+        widest = max(len(step.r_bar) for step in chain.steps)
+        assert widest >= 2
+        names = towers._paint_names(chain, n_rows, seed=17)
+        reference = genutil.paint_names_reference(chain, n_rows, 17)
+        assert names.shape == reference.shape == (n_rows, 8)
+        assert np.array_equal(names, reference)
+        if n_rows == 5:
+            assert n_rows < size**widest
 
 
 class TestIterateKrengel:
