@@ -7,8 +7,13 @@ Two routes are provided and kept deliberately independent of each other:
   extension (one step, one loop; the dense and chain forms differ only in how
   much of the past they keep) that keeps every partial measure consistent
   with the prescriptions and approximately independent;
-* a brute-force linear-feasibility oracle that decides the same question on
-  small windows without sharing any code with the engine.
+* a brute-force feasibility oracle that decides the same question on small
+  windows without sharing any code with the engine. It tries the closed-form
+  junction-tree product of the members first, when their supports are
+  acyclic (Vorob'ev's theorem), and solves the linear program with scipy's
+  HiGHS only when they are cyclic or that product fails the LP's own rows;
+  either way the verdict rests on the measured residual alone, and scipy is
+  imported only for the LP.
 
 Analytic constants are never trusted for control flow. The engine measures
 operator norms, positivity margins, and independence defects per step and
@@ -519,21 +524,76 @@ class OracleResult:
         return _report(self)
 
 
+def _junction_order(supports: list[set[int]]) -> list[int] | None:
+    """Member indices in reverse GYO removal order, or ``None`` when the
+    supports are cyclic. A member is removed when its overlap with the union
+    of the other remaining members lies inside one of them; the supports are
+    acyclic iff every member is removed."""
+    remaining, removed = list(range(len(supports))), []
+    while remaining:
+        for k in remaining:
+            others = [supports[j] for j in remaining if j != k]
+            overlap = supports[k] & set().union(*others)
+            if not others or any(overlap <= s for s in others):
+                break
+        else:
+            return None
+        remaining.remove(k)
+        removed.append(k)
+    return removed[::-1]
+
+
+def _junction_witness(family: MarginalFamily, window: IndexSet) -> np.ndarray | None:
+    """The junction-tree product of the members on ``window``, as a flat
+    table of total 1, or ``None`` when the supports are cyclic or the product
+    has no mass. Each member in reverse GYO order multiplies in ``mu /
+    mu_sep``, with ``mu_sep`` its sum onto its overlap with the members
+    before it (0 where that is 0); a member inside those adds nothing. On a
+    consistent family this is a common extension; the caller checks it."""
+    order = _junction_order([set(mu.support) for mu in family.members])
+    if order is None:
+        return None
+    size = family.alphabet.size
+    x, covered = np.ones((size,) * len(window)), set()
+    for k in order:
+        mu = family.members[k]
+        if covered.issuperset(mu.support):
+            continue
+        sep = _sum_out(mu.as_array(), mu.support, covered)
+        sep = np.reshape(sep, [size if i in covered else 1 for i in mu.support])
+        ratio = np.divide(mu.as_array(), sep, out=np.zeros(mu.shape), where=sep > 0)
+        x *= ratio.reshape([size if i in mu.support else 1 for i in window])
+        covered |= set(mu.support)
+    x = np.clip(x.reshape(-1), 0.0, None)
+    total = float(x.sum())
+    return x / total if total > 0 else None
+
+
+def _oracle_residual(family: MarginalFamily, window: IndexSet, x: np.ndarray) -> float:
+    """Largest ``|A x - b|`` of the oracle's rows at the flat window table
+    ``x``: the sum row and every cell row of every member."""
+    size = family.alphabet.size
+    worst = abs(float(x.sum()) - 1.0)
+    for mu in family.members:
+        rows = np.bincount(_cell_codes(size, window, mu.support), weights=x, minlength=mu.table.size)
+        worst = max(worst, float(np.abs(rows - mu.table).max()))
+    return worst
+
+
 def brute_force_extension_exists(
     family: MarginalFamily,
     window: IndexLike,
 ) -> OracleResult:
-    """Decide by linear feasibility whether a common extension exists.
+    """Decide whether a common extension exists, with a witness when it does.
 
-    Solves ``x >= 0``, ``sum x = 1``, and one marginal equation per cell of
-    each member, over the dense table on the window. Completely independent
-    of the constructive engine.
+    The system is ``x >= 0``, ``sum x = 1``, and one marginal equation per
+    cell of each member, over the dense table on the window. When the member
+    supports are acyclic, the junction-tree product of the members is tried
+    first, and it is the witness if it meets every row within ``ORACLE_TOL``
+    (by Vorob'ev's theorem it does on a consistent family). Otherwise the
+    linear program is solved with scipy's HiGHS, and only then is scipy
+    imported. Completely independent of the constructive engine.
     """
-    # imported here: scipy is most of the import time of the package, and
-    # only this oracle uses it
-    import scipy.sparse
-    from scipy.optimize import linprog
-
     window = IndexSet.of(window)
     if not family.union_support().issubset(window):
         raise DomainError("window must contain every member support")
@@ -541,6 +601,18 @@ def brute_force_extension_exists(
     n_cells = size ** len(window)
     if n_cells > ORACLE_CELL_CAP:
         raise CapacityError(f"oracle capped at {ORACLE_CELL_CAP} cells, window needs {n_cells}")
+
+    x = _junction_witness(family, window)
+    if x is not None:
+        residual = _oracle_residual(family, window, x)
+        if residual <= ORACLE_TOL:
+            witness = DenseMeasure._owned(family.alphabet, window, x, "probability", MADE_TOL)
+            return OracleResult(True, witness, residual)
+
+    # imported here: scipy is most of the import time of the package, and
+    # only this linear program uses it
+    import scipy.sparse
+    from scipy.optimize import linprog
 
     rows_data: list[scipy.sparse.csr_matrix] = []
     rhs = [1.0]
@@ -570,7 +642,7 @@ def brute_force_extension_exists(
         raise SolverError(f"linear solver failed with status {res.status}: {res.message}")
     x = np.clip(res.x, 0.0, None)
     x = x / x.sum()
-    residual = float(np.max(np.abs(a_eq @ x - b_eq)))
+    residual = _oracle_residual(family, window, x)
     if residual > ORACLE_TOL:
         raise SolverError(f"solver residual {residual} exceeds tolerance {ORACLE_TOL}")
     witness = DenseMeasure._owned(family.alphabet, window, x, "probability", MADE_TOL)

@@ -31,7 +31,7 @@ CELL_CAP = 2**24
 ROUND_TOL = 1e-12  # float rounding: n cells sum to within n * 2^-52 < n * ROUND_TOL of exact
 DEFAULT_TOL = 1e-9  # input tables and verdicts: 10^3 ROUND_TOL, so rounding alone refuses nothing
 GLUE_FLOOR = 1e-7  # the least glue of a walk step: a replay re-measures each gap on its own tables
-ORACLE_TOL = 1e-7  # the oracle's LP residual: HiGHS's own primal feasibility tolerance
+ORACLE_TOL = 1e-7  # the oracle witness's residual, junction-tree or LP: HiGHS's primal feasibility tolerance
 MADE_TOL = 1e-6  # a table made from checked ones carries their errors: 10^3 DEFAULT_TOL of room
 SCAN_ALL_LIMIT = 8
 # _sum_out's own kernel starts here. Timed on every reduction pattern of one

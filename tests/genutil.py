@@ -12,6 +12,7 @@ import numpy as np
 
 from margex import (
     Alphabet,
+    CapacityError,
     ConsistencyError,
     DenseMeasure,
     DomainError,
@@ -31,7 +32,18 @@ from margex import (
     tensor,
     thresholds,
 )
-from margex.measures import DEFAULT_TOL, EMPTY, IndexLike, _conditional_gap, _coordinates, conditional_rows
+from margex.errors import SolverError
+from margex.extension import ORACLE_CELL_CAP, OracleResult, _cell_codes
+from margex.measures import (
+    DEFAULT_TOL,
+    EMPTY,
+    MADE_TOL,
+    ORACLE_TOL,
+    IndexLike,
+    _conditional_gap,
+    _coordinates,
+    conditional_rows,
+)
 from margex.towers import (
     _apportion,
     _level_counts,
@@ -214,6 +226,105 @@ def fiber_surgery(
         # exact products keep every level's counts, so ``counts`` stays current
 
     return labels_from_base(tower, base, partition.alphabet)
+
+
+# -- the linear-programming oracle --------------------------------------------------
+
+def lp_oracle_reference(
+    family: MarginalFamily,
+    window: IndexLike,
+) -> OracleResult:
+    """Decide by linear feasibility whether a common extension exists.
+
+    Solves ``x >= 0``, ``sum x = 1``, and one marginal equation per cell of
+    each member, over the dense table on the window, with scipy's HiGHS on
+    every family: the reference for the verdicts of
+    ``brute_force_extension_exists``, which tries a junction-tree witness first.
+    """
+    # imported here: scipy is most of the import time of the package, and
+    # only this oracle uses it
+    import scipy.sparse
+    from scipy.optimize import linprog
+
+    window = IndexSet.of(window)
+    if not family.union_support().issubset(window):
+        raise DomainError("window must contain every member support")
+    size = family.alphabet.size
+    n_cells = size ** len(window)
+    if n_cells > ORACLE_CELL_CAP:
+        raise CapacityError(f"oracle capped at {ORACLE_CELL_CAP} cells, window needs {n_cells}")
+
+    rows_data: list[scipy.sparse.csr_matrix] = []
+    rhs = [1.0]
+    ones = scipy.sparse.csr_matrix(np.ones((1, n_cells)))
+    rows_data.append(ones)
+    for mu in family.members:
+        codes = _cell_codes(size, window, mu.support)
+        block = scipy.sparse.csr_matrix(
+            (np.ones(n_cells), (codes, np.arange(n_cells))),
+            shape=(size ** len(mu.support), n_cells),
+        )
+        rows_data.append(block)
+        rhs.extend(float(x) for x in mu.table)
+    a_eq = scipy.sparse.vstack(rows_data)
+    b_eq = np.asarray(rhs)
+
+    res = linprog(
+        c=np.zeros(n_cells),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if res.status == 2:
+        return OracleResult(False, None, float("inf"))
+    if res.status != 0:
+        raise SolverError(f"linear solver failed with status {res.status}: {res.message}")
+    x = np.clip(res.x, 0.0, None)
+    x = x / x.sum()
+    residual = float(np.max(np.abs(a_eq @ x - b_eq)))
+    if residual > ORACLE_TOL:
+        raise SolverError(f"solver residual {residual} exceeds tolerance {ORACLE_TOL}")
+    witness = DenseMeasure._owned(family.alphabet, window, x, "probability", MADE_TOL)
+    return OracleResult(True, witness, residual)
+
+
+# (window length, member supports) of the oracle's verdict sweep: acyclic
+# supports first, then the cyclic ones
+ORACLE_SHAPES = {
+    "pair": (2, [(0,), (0, 1)]),
+    "chain": (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    "star": (4, [(0, 1), (0, 2), (0, 3)]),
+    "nested": (4, [(0, 1, 2), (1, 2), (2, 3)]),
+    "duplicate": (3, [(0, 1), (0, 1), (1, 2)]),
+    "uncovered": (6, [(0, 2), (2, 4)]),
+    "tree_of_triples": (6, [(0, 1, 2), (2, 3, 4), (1, 2, 4), (4, 5)]),
+    "triangle": (3, [(0, 1), (1, 2), (0, 2)]),
+    "square": (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "ring_of_triples": (6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)]),
+}
+CYCLIC_SHAPES = ("triangle", "square", "ring_of_triples")
+
+
+def shaped_family(rng, size: int, shape: str, zero: bool, shift: float):
+    """Projections of one random measure on the window onto the shape's
+    supports; ``zero`` empties symbol 0 of coordinate 1, so overlaps
+    through it have zero-mass cells; ``shift`` moves that mass from the
+    largest cell of one member to its smallest."""
+    length, supports = ORACLE_SHAPES[shape]
+    alphabet = Alphabet(size)
+    table = rng.random((size,) * length)
+    if zero:
+        table[:, 0] = 0.0
+    hidden = DenseMeasure(alphabet, range(length), (table / table.sum()).ravel())
+    members = [project(hidden, s) for s in supports]
+    if shift:
+        k = int(rng.integers(len(members)))
+        moved = members[k].table.copy()
+        moved[np.argmax(moved)] -= shift
+        moved[np.argmin(moved)] += shift
+        members[k] = DenseMeasure(alphabet, members[k].support, moved)
+    return MarginalFamily(alphabet, tuple(members), 0.1, length), range(length)
 
 
 class NoNumpy:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import genutil
@@ -36,7 +37,8 @@ from margex import (
     thresholds,
     verify_hypotheses,
 )
-from margex.measures import DEFAULT_TOL, EMPTY
+from margex.errors import SolverError
+from margex.measures import DEFAULT_TOL, EMPTY, ORACLE_TOL, ROUND_TOL
 
 A2 = Alphabet(2)
 
@@ -572,6 +574,75 @@ class TestOracle:
             check=True,
         )
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("shape", list(genutil.ORACLE_SHAPES))
+    def test_verdicts_match_the_lp_reference(self, monkeypatch, record_property, shape):
+        # every verdict equals the LP's alone; a witness from either path is a
+        # law that meets every row within ORACLE_TOL, recounted by projection;
+        # a consistent acyclic family is decided without the LP. Shifts within
+        # a few ORACLE_TOL are the solver's own tolerance band: their verdicts
+        # are recorded, not asserted
+        solve, calls = scipy.optimize.linprog, []
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: calls.append(1) or solve(*a, **k))
+
+        def outcome(oracle, family, window):
+            try:
+                return oracle(family, window)
+            except SolverError as err:
+                return type(err).__name__
+
+        near = []
+        for size, zero, shift, seed in itertools.product(
+            (2, 3), (False, True), (0.0, 0.5 * ORACLE_TOL, 2 * ORACLE_TOL, 10 * ORACLE_TOL, 1e-3), range(2)
+        ):
+            family, window = genutil.shaped_family(np.random.default_rng(seed), size, shape, zero, shift)
+            calls.clear()
+            res = outcome(brute_force_extension_exists, family, window)
+            lp_runs = len(calls)
+            ref = outcome(genutil.lp_oracle_reference, family, window)
+            verdicts = [getattr(r, "feasible", r) for r in (res, ref)]
+            if 0 < shift < 10 * ORACLE_TOL:
+                near += [] if verdicts[0] == verdicts[1] else [(size, zero, shift, seed, *verdicts)]
+            else:
+                assert verdicts[0] == verdicts[1], (size, zero, shift, seed)
+            if shift == 0:
+                assert lp_runs == (shape in genutil.CYCLIC_SHAPES), (size, zero, seed)
+            if getattr(res, "feasible", False):
+                table = res.witness.table
+                assert table.min() >= 0 and abs(table.sum() - 1) <= ROUND_TOL
+                gaps = [np.abs(project(res.witness, mu.support).table - mu.table).max() for mu in family.members]
+                assert max(gaps, default=0.0) <= ORACLE_TOL
+        record_property("near_tolerance_disagreements", near)
+
+    @pytest.mark.parametrize(
+        "statement, loaded",
+        [
+            ("brute_force_extension_exists(shaped('chain'), range(5))", []),
+            ("brute_force_extension_exists(shaped('triangle'), range(3))", ["scipy.optimize", "scipy.sparse"]),
+            ("main(['oracle', '--input', str(golden / 'specs' / 'family.json'), '--no-timestamp'])", []),
+        ],
+        ids=["acyclic", "cyclic", "cli"],
+    )
+    def test_scipy_loads_only_for_the_lp(self, statement, loaded):
+        # a consistent acyclic family is decided by its witness, without scipy
+        tests = Path(__file__).resolve().parent
+        src = str(Path(margex.__file__).resolve().parents[1])
+        code = (
+            "import sys, numpy as np, genutil; from margex import brute_force_extension_exists; "
+            f"from margex.cli import main; from pathlib import Path; golden = Path({str(tests)!r}) / 'golden'; "
+            "shaped = lambda shape: genutil.shaped_family(np.random.default_rng(0), 2, shape, False, 0.0)[0]; "
+            f"{statement}; "
+            "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules], file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(tests)])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert proc.stderr.strip().splitlines()[-1] == str(loaded)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_engine_and_oracle_agree(self, seed):

@@ -190,24 +190,47 @@ class TestGlueFloor:
 class TestOracleTol:
     @pytest.mark.parametrize("factor", [0.5, 2.0])
     def test_solver_residual(self, monkeypatch, factor):
-        # the solver's answer, moved by a mass that breaks the last member's law
+        # the solver's answer, moved by a mass that breaks the last two
+        # members' laws: from its largest cell to the one that differs in
+        # coordinate 2 alone, so no cell goes negative. The supports form a
+        # cycle, so the LP decides
         solve = scipy.optimize.linprog
 
         def shifted(*args, **kwargs):
             res = solve(*args, **kwargs)
-            res.x[0] += factor * ORACLE_TOL
-            res.x[1] -= factor * ORACLE_TOL
+            top = int(np.argmax(res.x))
+            res.x[top] -= factor * ORACLE_TOL
+            res.x[top ^ 1] += factor * ORACLE_TOL
             return res
 
         monkeypatch.setattr(scipy.optimize, "linprog", shifted)
         members = [DenseMeasure(A2, (i,), [0.4, 0.6]) for i in range(3)]
-        family = MarginalFamily(A2, (product_measure(members[:2]), product_measure(members[1:])), 0.3, 3)
+        pairs = [(0, 1), (1, 2), (0, 2)]
+        family = MarginalFamily(A2, tuple(product_measure([members[i], members[j]]) for i, j in pairs), 0.3, 3)
         if factor < 1:
             residual = brute_force_extension_exists(family, range(3)).max_residual
             assert residual == pytest.approx(factor * ORACLE_TOL, rel=1e-3)
         else:
             with pytest.raises(SolverError, match="residual"):
                 brute_force_extension_exists(family, range(3))
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_witness_residual(self, monkeypatch, factor):
+        # an acyclic pair whose laws on the overlap differ by factor *
+        # ORACLE_TOL: the junction-tree witness misses the second member's
+        # cells by 0.6 of that, and past the tolerance the LP decides, as the
+        # LP alone does
+        solve, calls = scipy.optimize.linprog, []
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        members = [DenseMeasure(A2, (i,), [0.4, 0.6]) for i in range(3)]
+        moved = DenseMeasure(A2, (1,), [0.4 + factor * ORACLE_TOL, 0.6 - factor * ORACLE_TOL])
+        family = MarginalFamily(A2, (product_measure(members[:2]), product_measure([moved, members[2]])), 0.3, 3)
+        res = brute_force_extension_exists(family, range(3))
+        assert len(calls) == (factor > 1)
+        reference = genutil.lp_oracle_reference(family, range(3))
+        assert res.feasible == reference.feasible == (factor < 1)
+        if factor < 1:
+            assert res.max_residual == pytest.approx(0.6 * factor * ORACLE_TOL, rel=1e-3)
 
 
 class TestMadeTol:
