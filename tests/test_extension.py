@@ -576,12 +576,12 @@ class TestOracle:
         assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("shape", list(genutil.ORACLE_SHAPES))
-    def test_verdicts_match_the_lp_reference(self, monkeypatch, record_property, shape):
+    def test_verdicts_match_the_lp_reference(self, monkeypatch, shape):
         # every verdict equals the LP's alone; a witness from either path is a
         # law that meets every row within ORACLE_TOL, recounted by projection;
         # a consistent acyclic family is decided without the LP. Shifts within
         # a few ORACLE_TOL are the solver's own tolerance band: their verdicts
-        # are recorded, not asserted
+        # are printed, not asserted
         solve, calls = scipy.optimize.linprog, []
         monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: calls.append(1) or solve(*a, **k))
 
@@ -612,7 +612,7 @@ class TestOracle:
                 assert table.min() >= 0 and abs(table.sum() - 1) <= ROUND_TOL
                 gaps = [np.abs(project(res.witness, mu.support).table - mu.table).max() for mu in family.members]
                 assert max(gaps, default=0.0) <= ORACLE_TOL
-        record_property("near_tolerance_disagreements", near)
+        print("near_tolerance_disagreements", near)
 
     @pytest.mark.parametrize(
         "statement, loaded",
