@@ -40,9 +40,9 @@ class ZeroMassError(MargexError):
 
 
 class PositivityError(MargexError):
-    """A measure that must be nonnegative has a negative cell."""
+    """A measure that must be nonnegative has a negative cell (``residual``: a step's failed fit)."""
 
-    fields = {"margin": float, "cell": int}
+    fields = {"margin": float, "cell": int, "residual": float}
 
 
 class IndependenceError(MargexError):

@@ -42,6 +42,7 @@ from .errors import (
 from .measures import (
     DEFAULT_TOL,
     EMPTY,
+    FIT_SWEEPS,
     GLUE_FLOOR,
     MADE_TOL,
     ORACLE_TOL,
@@ -54,6 +55,7 @@ from .measures import (
     MarginalFamily,
     _cell_count,
     _conditional_gap,
+    _embed,
     _glue,
     _report,
     _sum_out,
@@ -241,7 +243,6 @@ class ExtensionStep:
     beta_defect: float
     b_norm: float
     trivial: bool
-    clipped: float = 0.0
     restriction_gap: float = 0.0
 
     def to_dict(self) -> dict:
@@ -288,18 +289,18 @@ class ChainExtension:
         return {**_report(self, "family", "window", "span"), "max_beta_defect": self.max_beta_defect()}
 
 
-def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
+def _sigma_step(family, members_n, lam, support, n, tol):
     """Construct the prospective marginal on the reach of coordinate ``n``
     from ``members_n``, the family members through ``n``.
 
     ``lam`` is a table over ``support`` (ascending coordinates) holding at
     least the prior coordinates of the members through ``n``. Returns
-    ``(v, ExtensionStep)`` where the step's ``sigma`` lives on the union of
-    the clipped member supports through ``n`` and ``v`` is ``lam`` summed
-    onto the prior part of that union. Negative cells beyond ``pos_tol``
-    (default ``tol``) are a hard error; smaller ones are clipped,
-    renormalized, and recorded on the step. With no members the kernel is
-    uniform on ``n`` and ``v`` is ``lam``'s total mass.
+    ``(v, ExtensionStep)``: ``v`` is ``lam`` summed onto the prior part of
+    the union of the member supports through ``n``, each cut to the known
+    coordinates, and ``sigma`` on that union is the minimum-norm image if it
+    is nonnegative, else fitted by :func:`_fit` (the step keeps the image's
+    negative margin), else refused with ``PositivityError``. With no members
+    the kernel is uniform on ``n`` and ``v`` is ``lam``'s total mass.
     """
     alphabet = family.alphabet
     if not members_n:
@@ -344,9 +345,7 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
     # the two is measured and absorbed into the identity tolerances below
     w = np.concatenate([_sum_out(v, r_bar, t).reshape(-1) for t in targets])
     drift = float(np.abs(w - nu).max())
-    if pos_tol is None:
-        pos_tol = tol
-    if drift > max(tol, 4 * pos_tol * v.size, ROUND_TOL * v.size):
+    if drift > max(tol, ROUND_TOL * v.size):
         raise AnchorError(
             f"prior measure and prescriptions disagree on the overlap by {drift}"
         )
@@ -364,17 +363,15 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
     for a, u in enumerate(families):
         sigma_rows[a] = binv._image(u).reshape(sigma_rows.shape[1:])
     margin = float(sigma_arr.min())
-    if margin < -pos_tol:
-        raise PositivityError(
-            f"prospective marginal for coordinate {n} has a negative cell ({margin})",
-            margin=margin,
-            cell=int(np.argmin(sigma_arr)),
-        )
-    clipped = 0.0
     if margin < 0.0:
-        clipped = -margin
-        sigma_arr = np.clip(sigma_arr, 0.0, None)
-        sigma_arr *= float(v.reshape(-1).sum()) / sigma_arr.sum()
+        # the image dips below 0: fit the same system from ones; as every constraint
+        # fixes n's law, the fit tends to the law nearest v times n's law in KL divergence
+        cell = int(np.argmin(sigma_arr))
+        constraints = [(r_bar.indices, v), *slice_sources.items()]
+        sigma_arr, residual = _fit(np.ones(sigma_arr.shape), s_bar.indices, constraints)
+        if residual > ROUND_TOL * sigma_arr.size:
+            why = f"prospective marginal for coordinate {n} has a negative cell ({margin}) and no nonnegative fit"
+            raise PositivityError(f"{why} (residual {residual})", margin=margin, cell=cell, residual=residual)
     sigma = DenseMeasure._owned(alphabet, s_bar, sigma_arr, "probability", MADE_TOL)
 
     # the two projection identities the construction promises
@@ -382,7 +379,6 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
         tol,
         ROUND_TOL * sigma_arr.size,
         10 * tol * binv.measured_norm,
-        4 * clipped * sigma_arr.size,
         4 * drift * max(binv.measured_norm, 1.0),
     )
     back = float(np.abs(_sum_out(sigma_arr, s_bar, r_bar) - v).max())
@@ -409,10 +405,23 @@ def _sigma_step(family, members_n, lam, support, n, tol, pos_tol):
         beta_defect=beta_defect,
         b_norm=binv.measured_norm,
         trivial=False,
-        clipped=clipped,
         restriction_gap=back,
     )
     return v, step
+
+
+def _fit(x, support, constraints):
+    """Iterative proportional fitting: ``(x, residual)`` once the table ``x >= 0`` over ``support``,
+    rescaled onto each ``(coordinates, table)`` in turn, meets all within ``ROUND_TOL`` per cell,
+    or after ``FIT_SWEEPS`` sweeps, with the largest miss over the constraints as the residual."""
+    for _ in range(FIT_SWEEPS):
+        for coords, table in constraints:
+            now = _sum_out(x, support, coords)
+            x = x * _embed(np.divide(table, now, out=np.zeros_like(now), where=now > 0), coords, support)
+        residual = max(float(np.abs(_sum_out(x, support, c) - t).max()) for c, t in constraints)
+        if residual <= ROUND_TOL * x.size:
+            break
+    return x, residual
 
 
 def _by_symbol(arr, pos, size):
@@ -434,7 +443,7 @@ def _advance(table, support, step, v, gap, glue_tol, target, span):
     return table, support
 
 
-def _extend(family, window, beta, tol, pos_tol, dense):
+def _extend(family, window, beta, tol, dense):
     """The coordinate-extension loop of both drivers on tables:
     ``(final measure, ChainExtension)``. ``dense`` keeps every coordinate, the
     chain only those within the widest member span of the newest, which are
@@ -456,7 +465,7 @@ def _extend(family, window, beta, tol, pos_tol, dense):
     steps = []
     for n in window:
         try:
-            v, step = _sigma_step(family, family.members_containing(n), table, support, n, tol, pos_tol)
+            v, step = _sigma_step(family, family.members_containing(n), table, support, n, tol)
             if beta is not None and step.beta_defect > beta + tol:
                 raise IndependenceError(
                     f"coordinate {n} is only {step.beta_defect}-independent of the prior block "
@@ -465,11 +474,8 @@ def _extend(family, window, beta, tol, pos_tol, dense):
                     budget=beta,
                     index=n,
                 )
-            # the glue admits the step's restriction gap only when pos_tol allows
-            # clipping; v and that gap come from the step's one reduction of the table
+            # v and the gap come from the step's one reduction of the table
             glue_tol = max(tol, GLUE_FLOOR)
-            if pos_tol is not None:
-                glue_tol = max(glue_tol, 2.0 * step.restriction_gap)
             table, support = _advance(table, support, step, v, step.restriction_gap, glue_tol, target, span)
         except MargexError as err:
             err.args = (f"extension failed at coordinate {n}: {err}", *err.args[1:])
@@ -492,7 +498,7 @@ def extend_family(
     and returns the measure with its steps. Raises with the failing coordinate
     attached if a step loses positivity or exceeds the independence budget.
     """
-    return _extend(family, window, beta, tol, None, True)
+    return _extend(family, window, beta, tol, True)
 
 
 def extend_family_chain(
@@ -500,16 +506,15 @@ def extend_family_chain(
     window: IndexLike,
     beta: float | None = None,
     tol: float = DEFAULT_TOL,
-    pos_tol: float | None = None,
 ) -> ChainExtension:
     """Window extension in kernel form with bounded-memory forward state.
 
     The same loop as :func:`extend_family`, keeping only the trailing marginal
     over the widest member span. With ``beta=None`` the per-step defect is
-    recorded but not enforced. ``pos_tol`` bounds the per-step negativity
-    that is clipped rather than fatal.
+    recorded but not enforced. A step whose minimum-norm image dips below 0
+    is fitted by iterative proportional fitting, or refused if no fit meets it.
     """
-    return _extend(family, window, beta, tol, pos_tol, False)[1]
+    return _extend(family, window, beta, tol, False)[1]
 
 
 # -- linear-feasibility oracle ----------------------------------------------------

@@ -598,7 +598,6 @@ class PaintReport:
     degenerate: bool
     engine_max_defect: float
     engine_max_b_norm: float
-    engine_max_clip: float
 
     def error_mass(self) -> float:
         return self.e1_mass + self.e2_mass + self.e3_mass
@@ -671,7 +670,7 @@ def _paint(
     # an empty slice paints nothing: the report keeps these values
     q, per_level_distance, per_level_gap = partition, np.zeros(height), np.zeros(height)
     valid, margins = [], np.zeros(0)
-    max_defect = max_b_norm = max_clip = 0.0
+    max_defect = max_b_norm = 0.0
     window_defects: dict[int, float] = {}
     window_sup_gaps: dict[int, float] = {}
     if m0:
@@ -700,15 +699,9 @@ def _paint(
         )
         # positivity and the prescription identities are enforced inside the chain;
         # per-step defects are amplified member defects and are reported, not gated.
-        # negativity up to a small fraction of the window's product floor is clipped
-        # and recorded: the blend cancels it down to a painted-fraction multiple.
-        pos_slack = 0.05 * alpha_family ** len(window)
-        chain = extend_family_chain(
-            family, range(height), beta=None, tol=max(tol, GLUE_FLOOR), pos_tol=pos_slack
-        )
+        chain = extend_family_chain(family, range(height), beta=None, tol=max(tol, GLUE_FLOOR))
         max_defect = chain.max_beta_defect()
         max_b_norm = max((s.b_norm for s in chain.steps), default=0.0)
-        max_clip = max((s.clipped for s in chain.steps), default=0.0)
 
         names = _paint_names(chain, m0, seed).T
         per_level_distance = np.count_nonzero(names != painted_base, axis=1) / atoms
@@ -742,7 +735,6 @@ def _paint(
         degenerate=not m0,
         engine_max_defect=max_defect,
         engine_max_b_norm=max_b_norm,
-        engine_max_clip=max_clip,
     )
 
 

@@ -739,7 +739,9 @@ class TestFailureReasons:
         assert report["reason"]["code"] == "DomainError"
 
     def test_numpy_fields_report_declared_types(self):
-        positivity = PositivityError("negative cell", margin=np.float32(-0.5), cell=np.int64(3))
+        positivity = PositivityError(
+            "negative cell", margin=np.float32(-0.5), cell=np.int64(3), residual=np.float32(0.25)
+        )
         independence = IndependenceError(
             "over budget", defect=np.float64(0.25), budget=np.float32(0.125), index=np.int32(2)
         )

@@ -204,9 +204,9 @@ class TestRightInverse:
         n, lam = 3, project(dense, range(3))
         members = family.members_containing(n)
         v, step = margex.extension._sigma_step(
-            family, members, lam.as_array(), lam.support.indices, n, DEFAULT_TOL, None
+            family, members, lam.as_array(), lam.support.indices, n, DEFAULT_TOL
         )
-        assert not step.trivial and step.clipped == 0.0
+        assert not step.trivial and step.positivity_margin >= 0
         sources = sorted(
             (project(mu, [i for i in mu.support if i <= n]) for mu in members),
             key=lambda mu: mu.support.difference([n]).indices,
@@ -428,10 +428,10 @@ class TestExtendFamily:
         for kind in kinds:
             values = {name: t(2) for name, t in kind.fields.items()}
 
-            def failing_step(family, members_n, lam, support, n, tol, pos_tol):
+            def failing_step(family, members_n, lam, support, n, tol):
                 if n == 2:
                     raise kind("the step failed", **values)
-                return real_step(family, members_n, lam, support, n, tol, pos_tol)
+                return real_step(family, members_n, lam, support, n, tol)
 
             monkeypatch.setattr(margex.extension, "_sigma_step", failing_step)
             with pytest.raises(kind) as err:
@@ -764,7 +764,9 @@ class TestVerifyHypotheses:
 # SHA-256 over the engine's outputs on four seeded near-product families, one
 # per (alphabet, window length) class, written by the code before the
 # extension step moved to tables. A refactor of the engine must keep it.
-ENGINE_DIGEST = "c4b123e129539d0538a42e01c266e902410de9503fdf2432b0d93e25d13cff88"
+# Re-pinned when the steps' `clipped` field, 0.0 in every step here, left
+# the trace: the earlier code, hashed with that key stripped, gives this.
+ENGINE_DIGEST = "05279f8cc745d19578c63ad03597e871f2ff7c6b797b15ca0d487bc087ffa602"
 
 
 def test_engine_digest_pinned():

@@ -441,7 +441,7 @@ class TestZeroMassRule:
         family = MarginalFamily(A3, (mu,), alpha=0.1, n_cap=2)
         lam = project(mu, [0])
         _, step = extension._sigma_step(
-            family, family.members_containing(1), lam.as_array(), lam.support.indices, 1, 1e-9, None
+            family, family.members_containing(1), lam.as_array(), lam.support.indices, 1, 1e-9
         )
         expected = _gap_over_massive_atoms(np.asarray(self.ROWS))
         assert step.beta_defect == pytest.approx(expected, abs=1e-12)

@@ -203,6 +203,18 @@ def test_towers_counts_only_in_the_window_kernel():
     assert callers == []
 
 
+def test_sigma_step_never_clips():
+    # a step meets its prescriptions by the minimum-norm image or a fit, or refuses
+    tree = ast.parse((SOURCE / "extension.py").read_text())
+    step = next(node for node in tree.body if getattr(node, "name", None) == "_sigma_step")
+    clips = [
+        f"line {call.lineno}"
+        for call in ast.walk(step)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) == "clip"
+    ]
+    assert clips == []
+
+
 def test_towers_splits_and_gates_only_in_one_pass():
     # paint, flagging and Krengel share one split and gate per window
     tree = ast.parse((SOURCE / "towers.py").read_text())

@@ -101,38 +101,41 @@ class TestDefaultTol:
             DenseMeasure(A2, (0,), [0.5, 0.5 + 2 * DEFAULT_TOL], tol=1e-6)
 
     @pytest.mark.parametrize(
-        "gap, pos_tol, error, message",
+        "gap, tol, error, message",
         [
             # the member-consistency floor is ROUND_TOL per cell, here 2e-12,
-            # in both drivers and in verify_hypotheses, so at tol = 0 the
-            # drivers refuse at coordinate 0 exactly the pairs verify reports,
-            # whatever pos_tol is
+            # in both extension functions and in verify_hypotheses, so at tol
+            # = 0 both refuse at coordinate 0 exactly the pairs verify reports
             (ROUND_TOL / 2, 1e-9, None, None),
             pytest.param(4 * ROUND_TOL, 1e-9, ConsistencyError, "coordinate 0: two members prescribe",
                          id="4e-12-1e-09-refused-at-0"),
             pytest.param(DEFAULT_TOL / 2, 1e-9, ConsistencyError, "coordinate 0: two members prescribe",
                          id="5e-10-1e-09-refused-at-0"),
             (2 * DEFAULT_TOL, 1e-9, ConsistencyError, "two members prescribe"),
-            # below the drift bound 4 * pos_tol * cells (8e-10) and above it:
-            # the member check refuses both before the bound is read
+            # past a tol of 1e-10 too
             pytest.param(6e-10, 1e-10, ConsistencyError, "coordinate 0: two members prescribe",
                          id="6e-10-1e-10-refused-at-0"),
             pytest.param(9e-10, 1e-10, ConsistencyError, "coordinate 0: two members prescribe",
                          id="9e-10-1e-10-refused-at-0"),
         ],
     )
-    def test_member_floor_and_drift_bound(self, gap, pos_tol, error, message):
+    def test_member_floor_and_drift_bound(self, gap, tol, error, message):
+        # at tol both extension functions admit the gaps up to tol; the step
+        # at coordinate 1 then drifts from the member by the gap, which the
+        # drift bound max(tol, ROUND_TOL * cells), the member floor's own, admits
         family = overlapping_pair(gap)
-        runs = [
-            lambda: extend_family(family, range(2), 1.0, tol=0.0),
-            lambda: extend_family_chain(family, range(2), tol=0.0, pos_tol=pos_tol),
-        ]
-        for run in runs:
-            if error is None:
-                run()
-            else:
-                with pytest.raises(error, match=message):
+        for at in (0.0, tol):
+            refused = error if at == 0.0 else (ConsistencyError if gap > tol else None)
+            runs = [
+                lambda: extend_family(family, range(2), 1.0, tol=at),
+                lambda: extend_family_chain(family, range(2), tol=at),
+            ]
+            for run in runs:
+                if refused is None:
                     run()
+                else:
+                    with pytest.raises(refused, match=message or "coordinate 0: two members prescribe"):
+                        run()
         report = verify_hypotheses(family, 1.0, tol=0.0)
         if error is None:
             assert report.ok
@@ -142,13 +145,20 @@ class TestDefaultTol:
 
     @pytest.mark.parametrize("drift, error", [(6e-10, None), (9e-10, AnchorError)])
     def test_drift_bound(self, drift, error):
-        # the drift bound 4 * pos_tol * cells, here 8e-10, seen by a step
-        # whose prior table drifts from the member's law on coordinate 0; no
-        # family the drivers accept was seen to reach it (paint's clipped
-        # chains drift by at most a twentieth of it)
+        # the drift bound max(tol, ROUND_TOL * cells) at tol = 8e-10, seen by
+        # a step whose prior table drifts from the member's law on coordinate 0
+        self.drift_step(drift, 8e-10, error)
+
+    @pytest.mark.parametrize("drift, error", [(ROUND_TOL, None), (4 * ROUND_TOL, AnchorError)])
+    def test_drift_floor(self, drift, error):
+        # the same bound at tol = 0: ROUND_TOL per cell of v, here 2e-12
+        self.drift_step(drift, 0.0, error)
+
+    @staticmethod
+    def drift_step(drift, tol, error):
         family = overlapping_pair(0.0)
         lam = np.array([0.4 + drift, 0.6 - drift])
-        args = (family, family.members[1:], lam, (0,), 1, 0.0, 1e-10)
+        args = (family, family.members[1:], lam, (0,), 1, tol)
         if error is None:
             extension._sigma_step(*args)
         else:
@@ -241,49 +251,62 @@ class TestMadeTol:
             correcting_measure(skewed_nu(MADE_TOL), None, 0.1, tol=1e-5)
 
 
-class TestClipping:
+class TestFit:
+    """A step whose minimum-norm image has a negative cell is fitted by
+    iterative proportional fitting to within ROUND_TOL per cell, or refused."""
+
     @staticmethod
-    def clipped_family(gap):
-        """A pair whose first member has a cell of ``-5e-10``, which the
-        step at coordinate 1 clips, and whose second member's law on
-        coordinate 1 is off by ``gap`` on two symbols."""
-        x = np.array([[-5e-10, 0.15, 0.2], [0.1, 0.1, 0.1], [0.1, 0.1, 0.15 + 5e-10]])
-        y = np.outer(x.sum(axis=0) + [0.0, gap, -gap], [0.3, 0.3, 0.4])
-        a3 = Alphabet(3)
-        members = (DenseMeasure(a3, (0, 1), x.ravel()), DenseMeasure(a3, (1, 2), y.ravel()))
-        return MarginalFamily(a3, members, 0.1, 3)
+    def triangle(tables):
+        """Members with these tables on (0, 1), (0, 2) and (1, 2)."""
+        members = (DenseMeasure(A2, s, t) for s, t in zip([(0, 1), (0, 2), (1, 2)], tables))
+        return MarginalFamily(A2, tuple(members), 0.01, 3)
 
-    def test_prescription_gap_within_four_clips_per_cell(self):
-        # 4 * clipped * cells is 1.8e-8; the step misses the prescription by
-        # about a quarter of the gap
-        chain = extend_family_chain(self.clipped_family(5e-8), range(3), tol=0.0, pos_tol=1e-7)
-        assert chain.steps[1].clipped == pytest.approx(5e-10)
-        with pytest.raises(ConsistencyError, match="misses the prescription"):
-            extend_family_chain(self.clipped_family(1e-7), range(3), tol=0.0, pos_tol=1e-7)
+    @staticmethod
+    def step(family):
+        """The step at coordinate 2 after the first member's law on (0, 1)."""
+        lam = family.members[0].as_array()
+        return extension._sigma_step(family, family.members_containing(2), lam, (0, 1), 2, 0.0)
 
-    @pytest.mark.parametrize(
-        "offsets, m, seed, refused",
-        [([1, 2], 6, 15, False), ([0, 1], 3, 5, True)],
-    )
-    def test_paint_slack(self, monkeypatch, offsets, m, seed, refused):
-        # two sweep cases whose worst cell lies just inside and just past
-        # paint's clipping slack, 0.05 * alpha ** len(window)
-        slack = []
+    def test_negative_image_is_fitted(self):
+        # the pair laws of a positive law on three binary coordinates
+        joint = np.array([0.09, 0.17, 0.01, 0.09, 0.45, 0.15, 0.01, 0.03]).reshape(2, 2, 2)
+        family = self.triangle([joint.sum(axis=2), joint.sum(axis=1), joint.sum(axis=0)])
+        v, step = self.step(family)
+        sigma = step.sigma.as_array()
+        assert step.positivity_margin < 0 <= sigma.min()
+        bound = ROUND_TOL * sigma.size
+        assert np.abs(sigma.sum(axis=2) - v).max() <= bound
+        assert np.abs(sigma.sum(axis=1) - family.members[1].as_array()).max() <= bound
+        assert np.abs(sigma.sum(axis=0) - family.members[2].as_array()).max() <= bound
+        assert brute_force_extension_exists(family, range(3)).feasible
+
+    def test_infeasible_step_names_its_residual(self):
+        # coordinates 0 and 1 agree with probability 0.9, and 1 and 2, yet 0
+        # and 2 differ with probability 0.9: no law has these pairs
+        agree, differ = [0.45, 0.05, 0.05, 0.45], [0.05, 0.45, 0.45, 0.05]
+        family = self.triangle([agree, differ, agree])
+        with pytest.raises(PositivityError, match="no nonnegative fit") as err:
+            self.step(family)
+        assert err.value.margin < 0 and err.value.residual > ROUND_TOL * 8
+        assert not brute_force_extension_exists(family, range(3)).feasible
+
+    @pytest.mark.parametrize("offsets, m, seed", [([1, 2], 6, 15), ([0, 1], 3, 5)])
+    def test_sweep_cases_paint(self, monkeypatch, offsets, m, seed):
+        # two sweep cases whose minimum-norm images dip below 0: both are
+        # fitted and paint
+        chains = []
 
         def recording_chain(*args, **kwargs):
-            slack.append(kwargs["pos_tol"])
-            return extend_family_chain(*args, **kwargs)
+            chains.append(extend_family_chain(*args, **kwargs))
+            return chains[-1]
 
         monkeypatch.setattr(towers, "extend_family_chain", recording_chain)
         tower = genutil.permutation_tower(16, 2**12, seed)
         partition = uniform_random_partition(tower, A2, seed=1000 + seed)
-        if refused:
-            with pytest.raises(PositivityError) as err:
-                paint_tower(tower, partition, offsets, m, 0.4, 0.0, seed)
-            assert 1.0 < -err.value.margin / slack[0] < 1.05
-        else:
-            report = paint_tower(tower, partition, offsets, m, 0.4, 0.0, seed)
-            assert 0.95 < report.engine_max_clip / slack[0] <= 1.0
+        paint_tower(tower, partition, offsets, m, 0.4, 0.0, seed)
+        (chain,) = chains
+        assert min(s.positivity_margin for s in chain.steps) < 0
+        assert min(s.sigma.table.min() for s in chain.steps) >= 0
 
 
 class TestPaintBudget:
